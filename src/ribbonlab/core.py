@@ -489,17 +489,24 @@ def flip_vertex(g: RibbonGraph, vertex: str) -> RibbonGraph:
     """
     if vertex not in g.vertex_names:
         raise UnknownVertexError(vertex)
+    return _flip_vertices(g, {vertex})
+
+
+def _flip_vertices(g: RibbonGraph, flipped: set[str]) -> RibbonGraph:
+    """Flip every vertex in ``flipped`` at once: the same graph as flipping
+    them one after another, since an edge with both ends in the set changes
+    sign twice."""
     counts: dict[str, int] = {}
     for v in g.vertices:
-        if v.name == vertex:
+        if v.name in flipped:
             for d in v.rotation:
                 counts[d.edge] = counts.get(d.edge, 0) + 1
     vertices = tuple(
-        Vertex(v.name, tuple(reversed(v.rotation))) if v.name == vertex else v
+        Vertex(v.name, tuple(reversed(v.rotation))) if v.name in flipped else v
         for v in g.vertices
     )
     edges = tuple(
-        Edge(e.name, -e.sign if counts.get(e.name, 0) == 1 else e.sign)
+        Edge(e.name, -e.sign) if counts.get(e.name, 0) == 1 else e
         for e in g.edges
     )
     return RibbonGraph(vertices, edges)
@@ -510,11 +517,8 @@ def oriented_form(g: RibbonGraph) -> tuple[RibbonGraph, tuple[str, ...]]:
     flips = orientation_flips(g)
     if flips is None:
         raise NotOrientableError("graph is not orientable")
-    out = g
     flipped = tuple(name for name in g.vertex_names if name in flips)
-    for name in flipped:
-        out = flip_vertex(out, name)
-    return out, flipped
+    return (_flip_vertices(g, flips) if flipped else g), flipped
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +620,7 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
         Vertex(c.name, tuple(end_at[(ci, ai)] for ai in range(len(c.arrows))))
         for ci, c in enumerate(p.circles)
     )
-    order: list[str] = []
-    for c in p.circles:
-        for a in c.arrows:
-            if a.label not in order:
-                order.append(a.label)
-    edges = tuple(Edge(label, signs[label]) for label in order)
+    edges = tuple(Edge(label, signs[label]) for label in positions)
     g = RibbonGraph(vertices, edges)
     require_valid(g)
     return g
@@ -657,6 +656,8 @@ def parse_graph(text: str) -> RibbonGraph:
     sign_decls: list[tuple[str, int]] = []
     declared_edges: set[str] = set()
     seen_vertices: set[str] = set()
+    # edge name -> (line, column) of its first edge-end token
+    mentioned: dict[str, tuple[int, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -682,9 +683,11 @@ def parse_graph(text: str) -> RibbonGraph:
             for token in rest.split():
                 col = line.index(token, col - 1) + 1
                 try:
-                    ends.append(_parse_end(token))
+                    end = _parse_end(token)
                 except ValueError as exc:
                     raise TextFormatError(lineno, col, str(exc)) from None
+                ends.append(end)
+                mentioned.setdefault(end.edge, (lineno, col))
                 col += len(token)
             vertices.append(Vertex(name, tuple(ends)))
         else:
@@ -696,16 +699,12 @@ def parse_graph(text: str) -> RibbonGraph:
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
             sign_decls.append((name, 1 if sig == "+" else -1))
 
-    mentioned: list[str] = []
-    for v in vertices:
-        for d in v.rotation:
-            if d.edge not in mentioned:
-                mentioned.append(d.edge)
     signs = dict(sign_decls)
     order = [name for name, _ in sign_decls]
     missing = [name for name in mentioned if name not in signs]
     if missing:
-        raise TextFormatError(1, 1, f"edges used but never declared: {', '.join(sorted(missing))}")
+        line, col = mentioned[missing[0]]
+        raise TextFormatError(line, col, f"edges used but never declared: {', '.join(sorted(missing))}")
     g = RibbonGraph(tuple(vertices), tuple(Edge(n, signs[n]) for n in order))
     violations = validate(g)
     if violations:

@@ -6,11 +6,13 @@ generated by the dual ``d`` and the twist ``t`` subject to
 ``dd = tt = (dt)^3 = 1``.  The full geometric dual and Petrial are the
 all-edge specialisations.
 
-Partial duality is computed through the arrow presentation: the two arrows
-of the edge are removed together with the arcs beneath them, and two fresh
-labelled arrows are spliced in joining head-to-tail crosswise.  Contraction
-is defined from it (contract = dualise then delete), which handles loops
-and twisted loops with no special cases.
+Partial duality is computed through the arrow presentation in one linear
+pass: for every chosen edge the two arrows are replaced by two fresh
+labelled arrows joining their endpoints head-to-tail crosswise, and the
+circles of the result are traced once.  Its vertices are named ``v0``,
+``v1``, ... in the order that single trace meets them.  Contraction is
+defined from it (contract = dualise then delete), which handles loops and
+twisted loops with no special cases.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     ArrowPresentation,
     Circle,
     Edge,
+    MalformedPresentationError,
     RibbonGraph,
     UnknownEdgeError,
     Vertex,
@@ -98,94 +101,80 @@ def petrial(g: RibbonGraph) -> RibbonGraph:
 # Partial duality via the arrow presentation
 # ---------------------------------------------------------------------------
 
-def _arc_splice(p: ArrowPresentation, label: str) -> ArrowPresentation:
-    """Replace the two ``label`` arrows by crosswise head-to-tail arrows and
-    re-trace the circles."""
-    instances: list[tuple[int, Arrow]] = []  # (point base, arrow), scan order
-    per_circle: list[list[int]] = []
-    plain_at: dict[int, int] = {}
-    arc_at: dict[int, tuple[int, str, bool]] = {}
-    base = 0
-    for c in p.circles:
-        idxs = []
-        for a in c.arrows:
-            instances.append((base, a))
-            idxs.append(base)
-            base += 2
-        per_circle.append(idxs)
-
-    def tail(b: int) -> int:
-        return b
-
-    def head(b: int) -> int:
-        return b + 1
-
-    # plain arcs join the circle-sense end of one arrow to the start of the next
-    for c, idxs in zip(p.circles, per_circle):
-        m = len(idxs)
-        for i in range(m):
-            a = c.arrows[i]
-            nxt = c.arrows[(i + 1) % m]
-            e_pt = head(idxs[i]) if a.forward else tail(idxs[i])
-            s_pt = tail(idxs[(i + 1) % m]) if nxt.forward else head(idxs[(i + 1) % m])
-            plain_at[e_pt] = s_pt
-            plain_at[s_pt] = e_pt
-
-    moved = [(b, a) for b, a in instances if a.label == label]
-    assert len(moved) == 2
-    (b1, _), (b2, _) = moved
-    for b, a in instances:
-        if a.label == label:
-            continue
-        arc_at[tail(b)] = (head(b), a.label, True)
-        arc_at[head(b)] = (tail(b), a.label, False)
-    arc_at[head(b1)] = (tail(b2), label, True)
-    arc_at[tail(b2)] = (head(b1), label, False)
-    arc_at[head(b2)] = (tail(b1), label, True)
-    arc_at[tail(b1)] = (head(b2), label, False)
-
-    circles: list[Circle] = []
-    visited: set[int] = set()
-    for p0 in range(base):
-        if p0 in visited:
-            continue
-        arrows: list[Arrow] = []
-        cur = p0
-        while True:
-            other, lbl, fwd = arc_at[cur]
-            arrows.append(Arrow(lbl, fwd))
-            visited.add(cur)
-            visited.add(other)
-            cur = plain_at[other]
-            if cur == p0:
-                break
-        circles.append(Circle(f"c{len(circles)}", tuple(arrows)))
-    for c in p.circles:
-        if not c.arrows:
-            circles.append(c)
-    return ArrowPresentation(tuple(circles))
-
-
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Dualise along the listed edges only.
 
+    Every listed edge is spliced in one pass over the arrow presentation:
+    the endpoints of its two arrows are re-paired crosswise, head to tail,
+    and the circles are traced once.  A splice touches only its own edge's
+    arrows, never the plain arcs between arrows, so splicing all edges at
+    once gives the same ribbon graph as splicing them one at a time.
+
     Edge labels survive; vertex labels of the result are freshly generated
-    (``v0``, ``v1``, ... in splice-trace order) since the new vertices mix
-    vertex and face identities of the input.  ``partial_dual(g, [])`` is
-    ``g`` itself, and dualising the same set twice gives a graph isomorphic
-    to ``g``.
+    (``v0``, ``v1``, ... in the order the single trace meets them) since the
+    new vertices mix vertex and face identities of the input.
+    ``partial_dual(g, [])`` is ``g`` itself, and dualising the same set
+    twice gives a graph isomorphic to ``g``.
     """
     require_valid(g)
-    chosen = _check_edges(g, edges)
+    chosen = set(_check_edges(g, edges))
     if not chosen:
         return g
+    # Arrow i has tail point 2i and head point 2i + 1.  ``plain`` joins the
+    # circle-sense exit of each arrow to the entry of the next on its circle;
+    # ``across`` leads from the point where an arrow is entered to the point
+    # where it is left.
     pres = to_arrow_presentation(g)
-    for name in chosen:
-        pres = _arc_splice(pres, name)
-    renamed = ArrowPresentation(
-        tuple(Circle(f"v{i}", c.arrows) for i, c in enumerate(pres.circles))
+    labels = [a.label for c in pres.circles for a in c.arrows]
+    plain = [0] * (2 * len(labels))
+    base = 0
+    for c in pres.circles:
+        arrows = c.arrows
+        m = len(arrows)
+        for i, a in enumerate(arrows):
+            j = (i + 1) % m
+            exit_pt = 2 * (base + i) + (1 if a.forward else 0)
+            entry_pt = 2 * (base + j) + (0 if arrows[j].forward else 1)
+            plain[exit_pt] = entry_pt
+            plain[entry_pt] = exit_pt
+        base += m
+
+    across = [p ^ 1 for p in range(len(plain))]
+    at: dict[str, list[int]] = {name: [] for name in chosen}
+    for i, label in enumerate(labels):
+        if label in at:
+            at[label].append(i)
+    for label, idx in at.items():
+        if len(idx) != 2:
+            raise MalformedPresentationError(
+                f"label {label!r} appears on {len(idx)} arrows, expected exactly 2"
+            )
+        b1, b2 = idx
+        across[2 * b1 + 1], across[2 * b2] = 2 * b2, 2 * b1 + 1
+        across[2 * b2 + 1], across[2 * b1] = 2 * b1, 2 * b2 + 1
+
+    # Entering an unspliced arrow at its tail, or a spliced one at its head,
+    # traverses it forward.
+    traced: list[tuple[Arrow, ...]] = []
+    visited = bytearray(len(plain))
+    for p0 in range(len(plain)):
+        if visited[p0]:
+            continue
+        arrows_out: list[Arrow] = []
+        cur = p0
+        while True:
+            label = labels[cur >> 1]
+            arrows_out.append(Arrow(label, (cur & 1) == (label in chosen)))
+            other = across[cur]
+            visited[cur] = visited[other] = 1
+            cur = plain[other]
+            if cur == p0:
+                break
+        traced.append(tuple(arrows_out))
+    traced.extend(() for c in pres.circles if not c.arrows)
+    return from_arrow_presentation(
+        ArrowPresentation(tuple(Circle(f"v{i}", arrows) for i, arrows in enumerate(traced)))
     )
-    return from_arrow_presentation(renamed)
 
 
 def geometric_dual(g: RibbonGraph) -> RibbonGraph:

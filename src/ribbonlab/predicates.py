@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 from .core import (
     BoundaryDecomposition,
+    EdgeEnd,
+    HalfEdgeSegment,
+    L,
+    R,
     RibbonGraph,
-    edge_side_pairs,
     require_valid,
     trace_boundary,
 )
@@ -87,8 +90,8 @@ def face_adjacency(g: RibbonGraph, decomp: BoundaryDecomposition | None = None) 
     comp_of = decomp.component_of()
     out = []
     for e in g.edges:
-        (s1, _), (s2, _) = edge_side_pairs(g, e.name)
-        out.append((e.name, comp_of[s1], comp_of[s2]))
+        end = EdgeEnd(e.name, 1)
+        out.append((e.name, comp_of[HalfEdgeSegment(end, L)], comp_of[HalfEdgeSegment(end, R)]))
     return out
 
 

@@ -26,7 +26,9 @@ from ribbonlab import (
     vertex_checkerboard_colouring,
 )
 
-from helpers import graph
+from ribbonlab.core import L, R
+
+from helpers import graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +208,20 @@ def test_twisted_dual_on_random_larger_graphs():
             comp = [n for n in g.edge_names if n not in set(cert.dual_set)]
             assert is_eulerian(delete(oriented, cert.dual_set))
             assert is_eulerian(delete(geometric_dual(oriented), comp))
+
+
+def test_twisted_dual_certificate_at_scale():
+    g = random_graph(2000, 1)
+    cert = checkerboard_twisted_dual(g)
+    assert cert.result.edge_names == g.edge_names
+    decomp = trace_boundary(cert.result)
+    assert cert.colouring.decomposition == decomp
+    comp_of = decomp.component_of()
+    colours = cert.colouring.colours
+    for name in cert.result.edge_names:
+        end = EdgeEnd(name, 1)
+        left, right = comp_of[HalfEdgeSegment(end, L)], comp_of[HalfEdgeSegment(end, R)]
+        assert colours[left] != colours[right]
 
 
 def test_partial_petrial_on_random_larger_graphs():

@@ -20,6 +20,7 @@ from ribbonlab import (
     is_orientable,
     orientation_flips,
     oriented_form,
+    orienting_petrial_set,
     parse_graph,
     partial_petrial,
     ribbon_graph,
@@ -29,7 +30,7 @@ from ribbonlab import (
 )
 from ribbonlab.core import Arrow, ArrowPresentation, Circle
 
-from helpers import graph
+from helpers import graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,20 @@ def test_orientability_flip_invariant(universe2):
             assert is_orientable(flip_vertex(g, v)) == base
 
 
+def test_oriented_form_is_the_fold_of_its_flips(universe3):
+    big = random_graph(2000, 0)
+    big = partial_petrial(big, orienting_petrial_set(big))
+    for g in [*universe3, big]:
+        if not is_orientable(g):
+            continue
+        oriented, flipped = oriented_form(g)
+        folded = g
+        for name in flipped:
+            folded = flip_vertex(folded, name)
+        assert oriented == folded
+        assert all(e.sign == 1 for e in oriented.edges)
+
+
 # ---------------------------------------------------------------------------
 # arrow presentations
 # ---------------------------------------------------------------------------
@@ -305,6 +320,7 @@ def test_comments_and_blank_lines_ignored():
         ("vertex u: a.1 a.2\n", 1),
         ("vertex u: a.1 a.2\nedge a: +\nedge a: +\n", 3),
         ("vertex u:\nvertex u:\n", 2),
+        ("vertex u: a.1 a.2\nvertex v: b.1 b.2\nedge a: +\n", 2),
     ],
 )
 def test_parse_errors_carry_positions(text, line):
@@ -312,6 +328,15 @@ def test_parse_errors_carry_positions(text, line):
         parse_graph(text)
     assert info.value.line == line
     assert info.value.column >= 1
+
+
+def test_undeclared_edge_error_points_at_first_use():
+    with pytest.raises(TextFormatError) as info:
+        parse_graph("vertex u: a.1 b.1\nvertex v: c.1 a.2 b.2 c.2\nedge a: +\n")
+    assert (info.value.line, info.value.column) == (1, 15)
+    with pytest.raises(TextFormatError) as info:
+        parse_graph("vertex u: a.1 a.2\nvertex v:  c.2 c.1\nedge a: +\n")
+    assert (info.value.line, info.value.column) == (2, 12)
 
 
 def test_parse_rejects_structural_violations():

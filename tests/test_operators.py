@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from ribbonlab import (
     twist_compose,
 )
 
-from helpers import graph
+from helpers import graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,30 @@ def test_partial_dual_in_stages(universe2):
         lhs = partial_dual(g, [a, b])
         rhs = partial_dual(partial_dual(g, [a]), [b])
         assert are_isomorphic(lhs, rhs, match_edge_labels=True)
+
+
+def test_one_pass_partial_dual_matches_staged_splices():
+    for seed in range(50):
+        g = random_graph(30 + seed % 6, seed)
+        rng = random.Random(seed)
+        subset = [name for name in g.edge_names if rng.random() < 0.5]
+        staged = g
+        for name in subset:
+            staged = partial_dual(staged, [name])
+        assert are_isomorphic(partial_dual(g, subset), staged, match_edge_labels=True)
+
+
+def test_partial_dual_vertex_and_face_counts_at_scale():
+    g = random_graph(2000, 0)
+    rng = random.Random(0)
+    subset = {name for name in g.edge_names if rng.random() < 0.5}
+    rest = [name for name in g.edge_names if name not in subset]
+    d = partial_dual(g, subset)
+    assert len(d.vertices) == trace_boundary(delete(g, rest)).count
+    assert trace_boundary(d).count == trace_boundary(delete(g, subset)).count
+    back = partial_dual(d, subset)
+    assert len(back.vertices) == len(g.vertices)
+    assert trace_boundary(back).count == trace_boundary(g).count
 
 
 def test_torus_partial_dual_is_checkerboard():
