@@ -22,7 +22,8 @@ involution identities exercised in the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 L = "L"
 R = "R"
@@ -67,9 +68,12 @@ class TextFormatError(RibbonGraphError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-@dataclass(frozen=True, order=True)
-class EdgeEnd:
-    """One of the two ends of an edge ribbon; ``end`` is 1 or 2."""
+class EdgeEnd(NamedTuple):
+    """One of the two ends of an edge ribbon; ``end`` is 1 or 2.
+
+    A named tuple, so the many dict and set lookups keyed on edge-ends hash
+    and compare in C; its hash is ``hash((edge, end))``.
+    """
 
     edge: str
     end: int
@@ -82,8 +86,7 @@ class EdgeEnd:
         return f"{self.edge}.{self.end}"
 
 
-@dataclass(frozen=True, order=True)
-class HalfEdgeSegment:
+class HalfEdgeSegment(NamedTuple):
     """One quarter of a ribbon boundary: an edge-end plus a side letter.
 
     There are exactly four per edge and two per edge-end.  These are the
@@ -112,6 +115,10 @@ class Vertex:
     name: str
     rotation: tuple[EdgeEnd, ...] = ()
 
+    def __post_init__(self):
+        if type(self.rotation) is not tuple:
+            object.__setattr__(self, "rotation", tuple(self.rotation))
+
     @property
     def degree(self) -> int:
         return len(self.rotation)
@@ -134,6 +141,12 @@ class RibbonGraph:
         object.__setattr__(
             self, "edges", tuple(sorted(self.edges, key=lambda e: e.name))
         )
+
+    @cached_property
+    def _violations(self) -> tuple["Violation", ...]:
+        # The graph is immutable all the way down, so one verdict holds for
+        # its lifetime.  Not a dataclass field: eq, hash and repr ignore it.
+        return tuple(validate(self))
 
     @property
     def edge_names(self) -> tuple[str, ...]:
@@ -190,18 +203,16 @@ def ribbon_graph(
     """
     signs = dict(signs or {})
     vertices = []
-    seen: list[str] = []
+    seen: dict[str, None] = {}
     for vname, rot in rotations.items():
         ends = []
         for item in rot:
             end = _parse_end(item) if isinstance(item, str) else item
             ends.append(end)
-            if end.edge not in seen:
-                seen.append(end.edge)
+            seen.setdefault(end.edge)
         vertices.append(Vertex(vname, tuple(ends)))
     for name in signs:
-        if name not in seen:
-            seen.append(name)
+        seen.setdefault(name)
     edges = tuple(Edge(name, signs.get(name, 1)) for name in seen)
     return RibbonGraph(tuple(vertices), edges)
 
@@ -221,6 +232,8 @@ def _parse_end(token: str) -> EdgeEnd:
 class Violation:
     kind: str
     message: str
+    #: The offending edge-end, for the violations that concern one.
+    end: EdgeEnd | None = None
 
 
 def validate(g: RibbonGraph) -> list[Violation]:
@@ -241,23 +254,28 @@ def validate(g: RibbonGraph) -> list[Violation]:
     for v in g.vertices:
         for d in v.rotation:
             if d.end not in (1, 2):
-                out.append(Violation("bad-end-index", f"edge-end {d} at vertex {v.name} has end index {d.end}"))
+                out.append(Violation("bad-end-index", f"edge-end {d} at vertex {v.name} has end index {d.end}", d))
                 continue
             if d.edge not in known:
-                out.append(Violation("unknown-edge-end", f"edge-end {d} at vertex {v.name} names no declared edge"))
+                out.append(Violation("unknown-edge-end", f"edge-end {d} at vertex {v.name} names no declared edge", d))
                 continue
             placed[d] = placed.get(d, 0) + 1
             if placed[d] == 2:
-                out.append(Violation("duplicate-edge-end", f"edge-end {d} appears more than once"))
-    for e in g.edges:
-        for d in e.ends:
-            if placed.get(d, 0) == 0:
-                out.append(Violation("unplaced-edge-end", f"edge-end {d} appears in no vertex rotation"))
+                out.append(Violation("duplicate-edge-end", f"edge-end {d} appears more than once", d))
+    # ``placed`` holds only ends of declared edges, so it is full exactly
+    # when every end is placed.
+    if len(placed) < 2 * len(known):
+        for e in g.edges:
+            for d in e.ends:
+                if d not in placed:
+                    out.append(Violation("unplaced-edge-end", f"edge-end {d} appears in no vertex rotation", d))
     return out
 
 
 def require_valid(g: RibbonGraph) -> None:
-    violations = validate(g)
+    """Raise :class:`InvalidGraphError` unless ``g`` is valid; each graph is
+    validated at most once, on its first check."""
+    violations = g._violations
     if violations:
         raise InvalidGraphError(violations)
 
@@ -406,15 +424,14 @@ def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[st
         u, w = at[e.name]
         parent[find(u)] = find(w)
 
+    # Keys are inserted in the order of each piece's first vertex.
     groups: dict[str, list[str]] = {}
     for v in g.vertices:
         groups.setdefault(find(v.name), []).append(v.name)
-    out = []
-    for root in sorted(groups, key=lambda r: g.vertex_names.index(groups[r][0])):
-        vs = tuple(groups[root])
-        es = tuple(e.name for e in g.edges if find(at[e.name][0]) == find(root))
-        out.append((vs, es))
-    return out
+    edges_of: dict[str, list[str]] = {root: [] for root in groups}
+    for e in g.edges:
+        edges_of[find(at[e.name][0])].append(e.name)
+    return [(tuple(vs), tuple(edges_of[root])) for root, vs in groups.items()]
 
 
 def euler_characteristic_by_component(g: RibbonGraph) -> list[int]:
@@ -544,12 +561,7 @@ class ArrowPresentation:
     circles: tuple[Circle, ...] = ()
 
     def labels(self) -> list[str]:
-        seen: list[str] = []
-        for c in self.circles:
-            for a in c.arrows:
-                if a.label not in seen:
-                    seen.append(a.label)
-        return seen
+        return list(dict.fromkeys(a.label for c in self.circles for a in c.arrows))
 
 
 def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
@@ -562,26 +574,35 @@ def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
     :func:`from_arrow_presentation` reproduces the graph exactly.
     """
     require_valid(g)
-    scan: dict[EdgeEnd, int] = {}
+    ends, _, forward = _arrow_layout(g)
+    arrows = [Arrow(d.edge, f) for d, f in zip(ends, forward)]
+    circles = []
     pos = 0
     for v in g.vertices:
-        for d in v.rotation:
-            scan[d] = pos
-            pos += 1
-    forward: dict[EdgeEnd, bool] = {}
-    for e in g.edges:
-        d1, d2 = e.ends
-        if e.sign < 0:
-            forward[d1], forward[d2] = True, False
-        elif scan[d1] < scan[d2]:
-            forward[d1], forward[d2] = True, True
-        else:
-            forward[d1], forward[d2] = False, False
-    circles = tuple(
-        Circle(v.name, tuple(Arrow(d.edge, forward[d]) for d in v.rotation))
-        for v in g.vertices
-    )
-    return ArrowPresentation(circles)
+        circles.append(Circle(v.name, tuple(arrows[pos:pos + len(v.rotation)])))
+        pos += len(v.rotation)
+    return ArrowPresentation(tuple(circles))
+
+
+def _arrow_layout(g: RibbonGraph) -> tuple[list[EdgeEnd], list[int], list[bool]]:
+    """The arrows of :func:`to_arrow_presentation` as edge-end positions.
+
+    Returns every edge-end in vertex order, the position of each one's
+    partner end, and whether the arrow there points along its circle.
+    """
+    ends = [d for v in g.vertices for d in v.rotation]
+    mate = [0] * len(ends)
+    first: dict[str, int] = {}
+    for i, d in enumerate(ends):
+        # j == i at an edge's first end; its second end sets both entries.
+        j = first.setdefault(d.edge, i)
+        mate[i], mate[j] = j, i
+    signs = g.signs()
+    forward = [
+        d.end == 1 if signs[d.edge] < 0 else (i < mate[i]) == (d.end == 1)
+        for i, d in enumerate(ends)
+    ]
+    return ends, mate, forward
 
 
 def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
@@ -606,13 +627,8 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
     signs: dict[str, int] = {}
     for label in sorted(positions):
         first, second = positions[label]
-        if first[2] != second[2]:
-            signs[label] = -1
-            one = first if first[2] else second
-        else:
-            signs[label] = 1
-            one = first if first[2] else second
-        two = second if one == first else first
+        signs[label] = 1 if first[2] == second[2] else -1
+        one, two = (first, second) if first[2] else (second, first)
         end_at[one[:2]] = EdgeEnd(label, 1)
         end_at[two[:2]] = EdgeEnd(label, 2)
 
@@ -649,15 +665,18 @@ def parse_graph(text: str) -> RibbonGraph:
         edge a: +
         edge b: -
 
-    Rotation order is as written (counterclockwise); errors carry line and
-    column positions.
+    Rotation order is as written (counterclockwise); errors carry the line
+    and column of the first offending token.
     """
     vertices: list[Vertex] = []
     sign_decls: list[tuple[str, int]] = []
-    declared_edges: set[str] = set()
     seen_vertices: set[str] = set()
     # edge name -> (line, column) of its first edge-end token
     mentioned: dict[str, tuple[int, int]] = {}
+    # edge name -> (line, column) of its declaration
+    declared_at: dict[str, tuple[int, int]] = {}
+    # edge-end -> (line, column) of each of its tokens
+    end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -688,12 +707,13 @@ def parse_graph(text: str) -> RibbonGraph:
                     raise TextFormatError(lineno, col, str(exc)) from None
                 ends.append(end)
                 mentioned.setdefault(end.edge, (lineno, col))
+                end_at.setdefault(end, []).append((lineno, col))
                 col += len(token)
             vertices.append(Vertex(name, tuple(ends)))
         else:
-            if name in declared_edges:
+            if name in declared_at:
                 raise TextFormatError(lineno, indent + 1, f"edge {name!r} declared twice")
-            declared_edges.add(name)
+            declared_at[name] = (lineno, indent + 1)
             sig = rest.strip()
             if sig not in ("+", "-"):
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
@@ -706,9 +726,16 @@ def parse_graph(text: str) -> RibbonGraph:
         line, col = mentioned[missing[0]]
         raise TextFormatError(line, col, f"edges used but never declared: {', '.join(sorted(missing))}")
     g = RibbonGraph(tuple(vertices), tuple(Edge(n, signs[n]) for n in order))
-    violations = validate(g)
+    violations = g._violations
     if violations:
-        raise TextFormatError(1, 1, "; ".join(v.message for v in violations))
+        # Text that got this far can only repeat an edge-end or leave one
+        # out: a repeat is shown at its second token, a missing end at its
+        # edge's declaration.
+        line, col = min(
+            end_at[v.end][1] if v.kind == "duplicate-edge-end" else declared_at[v.end.edge]
+            for v in violations
+        )
+        raise TextFormatError(line, col, "; ".join(v.message for v in violations))
     return g
 
 

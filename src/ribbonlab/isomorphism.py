@@ -11,8 +11,6 @@ enumerator can deduplicate without building graph objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Edge,
     EdgeEnd,
@@ -221,51 +219,66 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
 
 
 def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
+    """Find vertex images and flips carrying g to h with every edge name kept.
+
+    Once one dart of a component is placed (one of its edge's two ends in
+    h, its vertex flipped or not), everything else in the component is
+    forced: a placed vertex's rotation maps by a shift, reversed if the
+    vertex is flipped; each dart's partner maps to the image's partner; and
+    the sign rule fixes the flip of the vertex at the far end of a non-loop,
+    while a loop must keep its sign.  So each component needs at most four
+    linear tries.  The caller has checked that the counts and edge names
+    agree.
+    """
     gsigns = g.signs()
     hsigns = h.signs()
-    gv = sorted(g.vertices, key=lambda v: -v.degree)
-    hv = list(h.vertices)
+    gat = {d: (v, i) for v in g.vertices for i, d in enumerate(v.rotation)}
+    hat = {d: (w, i) for w in h.vertices for i, d in enumerate(w.rotation)}
+    done: set[str] = set()
 
-    def extend(i: int, used: set[int], flip: dict[str, bool], dart_map: dict[EdgeEnd, EdgeEnd]) -> bool:
-        if i == len(gv):
-            for name in g.edge_names:
-                d1, d2 = EdgeEnd(name, 1), EdgeEnd(name, 2)
-                if dart_map[d1].edge != name or dart_map[d2].edge != name:
-                    return False
-                if dart_map[d1] == dart_map[d2]:
-                    return False
-                u1 = g.vertex_of(d1)
-                u2 = g.vertex_of(d2)
-                toggled = (flip[u1] != flip[u2]) if u1 != u2 else False
-                want = -gsigns[name] if toggled else gsigns[name]
-                if hsigns[name] != want:
-                    return False
-            return True
-        v = gv[i]
-        for wi, w in enumerate(hv):
-            if wi in used or w.degree != v.degree:
+    def place(anchor: EdgeEnd, image: EdgeEnd, flip0: bool) -> set[str] | None:
+        """The g-vertices of anchor's component if the forced map holds."""
+        dart_map: dict[EdgeEnd, EdgeEnd] = {}
+        flip: dict[str, bool] = {}
+        todo = [(anchor, image, flip0)]
+        while todo:
+            x, y, flipped = todo.pop()
+            v, i = gat[x]
+            if v.name in flip:
+                if flip[v.name] != flipped or dart_map[x] != y:
+                    return None
                 continue
-            m = v.degree
-            if m == 0:
-                if extend(i + 1, used | {wi}, {**flip, v.name: False}, dart_map):
-                    return True
-                continue
-            for flipped in (False, True):
-                rot = tuple(reversed(v.rotation)) if flipped else v.rotation
-                for shift in range(m):
-                    trial = dict(dart_map)
-                    ok = True
-                    for j in range(m):
-                        src, dst = rot[j], w.rotation[(j + shift) % m]
-                        if src.edge != dst.edge:
-                            ok = False
-                            break
-                        if src in trial and trial[src] != dst:
-                            ok = False
-                            break
-                        trial[src] = dst
-                    if ok and extend(i + 1, used | {wi}, {**flip, v.name: flipped}, trial):
-                        return True
-        return False
+            w, j = hat[y]
+            m = len(v.rotation)
+            if len(w.rotation) != m:
+                return None
+            flip[v.name] = flipped
+            step = -1 if flipped else 1
+            for k in range(m):
+                src = v.rotation[(i + k) % m]
+                dst = w.rotation[(j + step * k) % m]
+                if src.edge != dst.edge:
+                    return None
+                dart_map[src] = dst
+            for src in v.rotation:
+                other, other_image = src.partner, dart_map[src].partner
+                toggled = gsigns[src.edge] != hsigns[src.edge]
+                if gat[other][0] is v:
+                    if toggled or dart_map[other] != other_image:
+                        return None
+                else:
+                    todo.append((other, other_image, flipped != toggled))
+        return set(flip)
 
-    return extend(0, set(), {}, {})
+    for v in g.vertices:
+        if v.name in done or not v.rotation:
+            continue
+        anchor = v.rotation[0]
+        for image in (anchor, anchor.partner):
+            reached = place(anchor, image, False) or place(anchor, image, True)
+            if reached:
+                break
+        else:
+            return False
+        done |= reached
+    return True

@@ -20,17 +20,13 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .core import (
-    Arrow,
-    ArrowPresentation,
-    Circle,
     Edge,
-    MalformedPresentationError,
+    EdgeEnd,
     RibbonGraph,
     UnknownEdgeError,
     Vertex,
-    from_arrow_presentation,
+    _arrow_layout,
     require_valid,
-    to_arrow_presentation,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,17 +94,19 @@ def petrial(g: RibbonGraph) -> RibbonGraph:
 
 
 # ---------------------------------------------------------------------------
-# Partial duality via the arrow presentation
+# Partial duality
 # ---------------------------------------------------------------------------
 
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Dualise along the listed edges only.
 
-    Every listed edge is spliced in one pass over the arrow presentation:
+    The arrow presentation of ``g`` (see :func:`to_arrow_presentation`) has
+    one arrow at each edge-end.  Every listed edge is spliced in one pass:
     the endpoints of its two arrows are re-paired crosswise, head to tail,
     and the circles are traced once.  A splice touches only its own edge's
     arrows, never the plain arcs between arrows, so splicing all edges at
-    once gives the same ribbon graph as splicing them one at a time.
+    once gives the same ribbon graph as splicing them one at a time.  The
+    presentation is never built: arrows are edge-end positions.
 
     Edge labels survive; vertex labels of the result are freshly generated
     (``v0``, ``v1``, ... in the order the single trace meets them) since the
@@ -120,61 +118,85 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     chosen = set(_check_edges(g, edges))
     if not chosen:
         return g
-    # Arrow i has tail point 2i and head point 2i + 1.  ``plain`` joins the
-    # circle-sense exit of each arrow to the entry of the next on its circle;
-    # ``across`` leads from the point where an arrow is entered to the point
-    # where it is left.
-    pres = to_arrow_presentation(g)
-    labels = [a.label for c in pres.circles for a in c.arrows]
-    plain = [0] * (2 * len(labels))
+    # Arrow i sits at the i-th edge-end in vertex order, with tail point 2i
+    # and head point 2i + 1; mate[i] is the arrow at the other end of its
+    # edge.
+    ends, mate, forward = _arrow_layout(g)
+    n = len(ends)
+    spliced = [d.edge in chosen for d in ends]
+
+    # ``plain`` joins the circle-sense exit of each arrow to the entry of the
+    # next on its circle; ``across`` leads from the point where an arrow is
+    # entered to the point where it is left.
+    plain = [0] * (2 * n)
     base = 0
-    for c in pres.circles:
-        arrows = c.arrows
-        m = len(arrows)
-        for i, a in enumerate(arrows):
-            j = (i + 1) % m
-            exit_pt = 2 * (base + i) + (1 if a.forward else 0)
-            entry_pt = 2 * (base + j) + (0 if arrows[j].forward else 1)
+    for v in g.vertices:
+        stop = base + len(v.rotation)
+        for i in range(base, stop):
+            j = i + 1 if i + 1 < stop else base
+            exit_pt = 2 * i + forward[i]
+            entry_pt = 2 * j + 1 - forward[j]
             plain[exit_pt] = entry_pt
             plain[entry_pt] = exit_pt
-        base += m
+        base = stop
+    across = [p ^ 1 for p in range(2 * n)]
+    for b1 in range(n):
+        b2 = mate[b1]
+        if spliced[b1] and b1 < b2:
+            across[2 * b1 + 1], across[2 * b2] = 2 * b2, 2 * b1 + 1
+            across[2 * b2 + 1], across[2 * b1] = 2 * b1, 2 * b2 + 1
 
-    across = [p ^ 1 for p in range(len(plain))]
-    at: dict[str, list[int]] = {name: [] for name in chosen}
-    for i, label in enumerate(labels):
-        if label in at:
-            at[label].append(i)
-    for label, idx in at.items():
-        if len(idx) != 2:
-            raise MalformedPresentationError(
-                f"label {label!r} appears on {len(idx)} arrows, expected exactly 2"
-            )
-        b1, b2 = idx
-        across[2 * b1 + 1], across[2 * b2] = 2 * b2, 2 * b1 + 1
-        across[2 * b2 + 1], across[2 * b1] = 2 * b1, 2 * b2 + 1
-
-    # Entering an unspliced arrow at its tail, or a spliced one at its head,
-    # traverses it forward.
-    traced: list[tuple[Arrow, ...]] = []
-    visited = bytearray(len(plain))
-    for p0 in range(len(plain)):
+    # Trace the circles.  Entering an unspliced arrow at its tail, or a
+    # spliced one at its head, traverses it forward.  Slot s of the result
+    # carries edge ``label[s]`` (an edge's lower arrow) in direction fwd[s].
+    label: list[int] = []
+    fwd: list[bool] = []
+    starts: list[int] = []
+    visited = bytearray(2 * n)
+    for p0 in range(2 * n):
         if visited[p0]:
             continue
-        arrows_out: list[Arrow] = []
+        starts.append(len(label))
         cur = p0
         while True:
-            label = labels[cur >> 1]
-            arrows_out.append(Arrow(label, (cur & 1) == (label in chosen)))
+            a = cur >> 1
+            label.append(min(a, mate[a]))
+            fwd.append((cur & 1) == spliced[a])
             other = across[cur]
             visited[cur] = visited[other] = 1
             cur = plain[other]
             if cur == p0:
                 break
-        traced.append(tuple(arrows_out))
-    traced.extend(() for c in pres.circles if not c.arrows)
-    return from_arrow_presentation(
-        ArrowPresentation(tuple(Circle(f"v{i}", arrows) for i, arrows in enumerate(traced)))
+    starts.append(len(label))
+
+    # As from_arrow_presentation reads it back: matching directions mean an
+    # untwisted edge, and end 1 is the first slot of the edge if that arrow
+    # is forward, else the second.
+    result: list[EdgeEnd] = [ends[0]] * n
+    new_sign: dict[str, int] = {}
+    first_slot = [-1] * n
+    for s, lab in enumerate(label):
+        f = first_slot[lab]
+        if f < 0:
+            first_slot[lab] = s
+            continue
+        one, two = (f, s) if fwd[f] else (s, f)
+        d1, d2 = ends[lab], ends[mate[lab]]
+        if d1.end == 2:
+            d1, d2 = d2, d1
+        result[one], result[two] = d1, d2
+        new_sign[d1.edge] = 1 if fwd[f] == fwd[s] else -1
+
+    traced = len(starts) - 1
+    isolated = sum(1 for v in g.vertices if not v.rotation)
+    vertices = [Vertex(f"v{k}", tuple(result[starts[k]:starts[k + 1]])) for k in range(traced)]
+    vertices.extend(Vertex(f"v{k}") for k in range(traced, traced + isolated))
+    out = RibbonGraph(
+        tuple(vertices),
+        tuple(e if e.sign == new_sign[e.name] else Edge(e.name, new_sign[e.name]) for e in g.edges),
     )
+    require_valid(out)
+    return out
 
 
 def geometric_dual(g: RibbonGraph) -> RibbonGraph:

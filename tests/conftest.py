@@ -20,3 +20,9 @@ def universe3():
 @pytest.fixture(scope="session")
 def universe4():
     return list(enumerate_graphs(4))
+
+
+@pytest.fixture(scope="session")
+def raw_universe3():
+    """Every signed rotation system with at most 3 edges, isomorphs included."""
+    return list(enumerate_graphs(3, dedup=False))

@@ -3,7 +3,17 @@
 import random
 from pathlib import Path
 
-from ribbonlab import Edge, EdgeEnd, RibbonGraph, Vertex, parse_graph
+from ribbonlab import (
+    Edge,
+    EdgeEnd,
+    MalformedPresentationError,
+    RibbonGraph,
+    Vertex,
+    from_arrow_presentation,
+    parse_graph,
+    to_arrow_presentation,
+)
+from ribbonlab.core import Arrow, ArrowPresentation, Circle, require_valid
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -48,3 +58,120 @@ def random_graph(edges: int, seed: int) -> RibbonGraph:
         tuple(Vertex(f"v{i}", tuple(rot)) for i, rot in enumerate(rotations)),
         tuple(Edge(f"e{k}", rng.choice((1, -1))) for k in range(edges)),
     )
+
+
+def arrow_splice_partial_dual(g: RibbonGraph, edges) -> RibbonGraph:
+    """Reference partial dual: the one-pass crosswise splice run on the
+    arrow presentation itself, read back by ``from_arrow_presentation``."""
+    require_valid(g)
+    chosen = set(edges)
+    if not chosen:
+        return g
+    # Arrow i has tail point 2i and head point 2i + 1.  ``plain`` joins the
+    # circle-sense exit of each arrow to the entry of the next on its circle;
+    # ``across`` leads from the point where an arrow is entered to the point
+    # where it is left.
+    pres = to_arrow_presentation(g)
+    labels = [a.label for c in pres.circles for a in c.arrows]
+    plain = [0] * (2 * len(labels))
+    base = 0
+    for c in pres.circles:
+        arrows = c.arrows
+        m = len(arrows)
+        for i, a in enumerate(arrows):
+            j = (i + 1) % m
+            exit_pt = 2 * (base + i) + (1 if a.forward else 0)
+            entry_pt = 2 * (base + j) + (0 if arrows[j].forward else 1)
+            plain[exit_pt] = entry_pt
+            plain[entry_pt] = exit_pt
+        base += m
+
+    across = [p ^ 1 for p in range(len(plain))]
+    at: dict[str, list[int]] = {name: [] for name in chosen}
+    for i, label in enumerate(labels):
+        if label in at:
+            at[label].append(i)
+    for label, idx in at.items():
+        if len(idx) != 2:
+            raise MalformedPresentationError(
+                f"label {label!r} appears on {len(idx)} arrows, expected exactly 2"
+            )
+        b1, b2 = idx
+        across[2 * b1 + 1], across[2 * b2] = 2 * b2, 2 * b1 + 1
+        across[2 * b2 + 1], across[2 * b1] = 2 * b1, 2 * b2 + 1
+
+    # Entering an unspliced arrow at its tail, or a spliced one at its head,
+    # traverses it forward.
+    traced: list[tuple[Arrow, ...]] = []
+    visited = bytearray(len(plain))
+    for p0 in range(len(plain)):
+        if visited[p0]:
+            continue
+        arrows_out: list[Arrow] = []
+        cur = p0
+        while True:
+            label = labels[cur >> 1]
+            arrows_out.append(Arrow(label, (cur & 1) == (label in chosen)))
+            other = across[cur]
+            visited[cur] = visited[other] = 1
+            cur = plain[other]
+            if cur == p0:
+                break
+        traced.append(tuple(arrows_out))
+    traced.extend(() for c in pres.circles if not c.arrows)
+    return from_arrow_presentation(
+        ArrowPresentation(tuple(Circle(f"v{i}", arrows) for i, arrows in enumerate(traced)))
+    )
+
+
+def backtracking_labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
+    """Reference for ``isomorphism._labelled_search``: try every vertex
+    image, flip and rotation shift, then check edge names and signs."""
+    gsigns = g.signs()
+    hsigns = h.signs()
+    gv = sorted(g.vertices, key=lambda v: -v.degree)
+    hv = list(h.vertices)
+
+    def extend(i: int, used: set[int], flip: dict[str, bool], dart_map: dict[EdgeEnd, EdgeEnd]) -> bool:
+        if i == len(gv):
+            for name in g.edge_names:
+                d1, d2 = EdgeEnd(name, 1), EdgeEnd(name, 2)
+                if dart_map[d1].edge != name or dart_map[d2].edge != name:
+                    return False
+                if dart_map[d1] == dart_map[d2]:
+                    return False
+                u1 = g.vertex_of(d1)
+                u2 = g.vertex_of(d2)
+                toggled = (flip[u1] != flip[u2]) if u1 != u2 else False
+                want = -gsigns[name] if toggled else gsigns[name]
+                if hsigns[name] != want:
+                    return False
+            return True
+        v = gv[i]
+        for wi, w in enumerate(hv):
+            if wi in used or w.degree != v.degree:
+                continue
+            m = v.degree
+            if m == 0:
+                if extend(i + 1, used | {wi}, {**flip, v.name: False}, dart_map):
+                    return True
+                continue
+            for flipped in (False, True):
+                rot = tuple(reversed(v.rotation)) if flipped else v.rotation
+                for shift in range(m):
+                    trial = dict(dart_map)
+                    ok = True
+                    for j in range(m):
+                        src, dst = rot[j], w.rotation[(j + shift) % m]
+                        if src.edge != dst.edge:
+                            ok = False
+                            break
+                        if src in trial and trial[src] != dst:
+                            ok = False
+                            break
+                        trial[src] = dst
+                    if ok and extend(i + 1, used | {wi}, {**flip, v.name: flipped}, trial):
+                        return True
+        return False
+
+    return extend(0, set(), {}, {})

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from ribbonlab import (
     Edge,
     EdgeEnd,
+    HalfEdgeSegment,
     InvalidGraphError,
     MalformedPresentationError,
     NotOrientableError,
@@ -60,6 +61,33 @@ def test_trace_rejects_invalid_graph():
     g = RibbonGraph((Vertex("u", (EdgeEnd("e", 1),)),), (Edge("e"),))
     with pytest.raises(InvalidGraphError):
         trace_boundary(g)
+
+
+def test_edge_end_and_segment_keep_order_text_and_hash():
+    a1, a2, b1 = EdgeEnd("a", 1), EdgeEnd("a", 2), EdgeEnd("b", 1)
+    assert sorted([b1, a2, a1]) == [a1, a2, b1]
+    assert (str(a2), repr(a2)) == ("a.2", "EdgeEnd(edge='a', end=2)")
+    assert hash(a2) == hash(("a", 2)) and a2.partner == a1
+    left, right = HalfEdgeSegment(a1, "L"), HalfEdgeSegment(a1, "R")
+    assert sorted([HalfEdgeSegment(b1, "L"), right, HalfEdgeSegment(a2, "L"), left]) == [
+        left, right, HalfEdgeSegment(a2, "L"), HalfEdgeSegment(b1, "L")
+    ]
+    assert str(right) == "a.1R"
+    assert repr(right) == "HalfEdgeSegment(end=EdgeEnd(edge='a', end=1), side='R')"
+    assert hash(right) == hash((("a", 1), "R"))
+
+
+def test_vertex_rotation_is_coerced_to_a_tuple():
+    ends = [EdgeEnd("a", 1), EdgeEnd("a", 2)]
+    listed, tupled = Vertex("u", ends), Vertex("u", tuple(ends))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert isinstance(listed.rotation, tuple)
+
+
+def test_ribbon_graph_builder_is_linear_and_keeps_order():
+    g = random_graph(10_000, 3)
+    rebuilt = ribbon_graph({v.name: v.rotation for v in g.vertices}, g.signs())
+    assert rebuilt == g and str(rebuilt) == str(g)
 
 
 def test_ribbon_graph_builder_accepts_strings():
@@ -337,6 +365,24 @@ def test_undeclared_edge_error_points_at_first_use():
     with pytest.raises(TextFormatError) as info:
         parse_graph("vertex u: a.1 a.2\nvertex v:  c.2 c.1\nedge a: +\n")
     assert (info.value.line, info.value.column) == (2, 12)
+
+
+def test_structural_error_points_at_offending_token():
+    # a repeated edge-end: its second token
+    with pytest.raises(TextFormatError) as info:
+        parse_graph("vertex u: a.1 a.1\nvertex v: a.2\nedge a: +\n")
+    assert (info.value.line, info.value.column) == (1, 15)
+    # an edge-end in no rotation: its edge's declaration
+    with pytest.raises(TextFormatError) as info:
+        parse_graph("vertex u: a.1 b.1 b.2\n  edge a: +\nedge b: -\n")
+    assert (info.value.line, info.value.column) == (2, 3)
+    # both: whichever comes first in the text
+    with pytest.raises(TextFormatError) as info:
+        parse_graph("vertex u: b.1 b.2\nvertex v:  a.1 b.2\nedge b: +\nedge a: +\n")
+    assert (info.value.line, info.value.column) == (2, 16)
+    with pytest.raises(TextFormatError) as info:
+        parse_graph("edge a: +\nvertex u: b.1 b.2\nvertex v:  a.1 b.2\nedge b: +\n")
+    assert (info.value.line, info.value.column) == (1, 1)
 
 
 def test_parse_rejects_structural_violations():

@@ -1,17 +1,22 @@
 import itertools
+import random
 
 from ribbonlab import (
+    RibbonGraph,
+    Vertex,
     are_isomorphic,
     canonical_graph,
     canonical_key,
     canonical_text,
     flip_vertex,
+    geometric_dual,
     graph_to_text,
     parse_graph,
+    partial_dual,
     partial_petrial,
 )
 
-from helpers import graph
+from helpers import backtracking_labelled_search, graph, random_graph
 
 
 def test_reflexive():
@@ -85,3 +90,33 @@ def test_canonical_key_invariant_under_twist_relabelling():
 def test_not_isomorphic_when_signs_unfixable():
     g = partial_petrial(graph("torus"), ["a"])
     assert not are_isomorphic(g, graph("torus"))
+
+
+def _labelled_reference(g, h) -> bool:
+    if len(g.edges) != len(h.edges) or len(g.vertices) != len(h.vertices):
+        return False
+    return sorted(g.edge_names) == sorted(h.edge_names) and backtracking_labelled_search(g, h)
+
+
+def test_labelled_search_matches_backtracking(raw_universe3):
+    rng = random.Random(5)
+    by_size: dict[int, list[RibbonGraph]] = {}
+    for g in raw_universe3:
+        by_size.setdefault(len(g.edges), []).append(g)
+    for g in raw_universe3:
+        names = g.edge_names
+        partners = [geometric_dual(geometric_dual(g)), rng.choice(by_size[len(names)])]
+        for r in range(len(names) + 1):
+            for subset in itertools.combinations(names, r):
+                partners += [partial_dual(g, subset), partial_petrial(g, subset)]
+        for h in partners:
+            assert are_isomorphic(g, h, match_edge_labels=True) == _labelled_reference(g, h)
+
+
+def test_labelled_search_scales():
+    isolated = RibbonGraph(tuple(Vertex(f"v{i}") for i in range(1100)))
+    assert are_isomorphic(isolated, isolated, match_edge_labels=True)
+    g = random_graph(2000, 1)
+    twice = geometric_dual(geometric_dual(g))
+    assert are_isomorphic(g, twice, match_edge_labels=True)
+    assert not are_isomorphic(g, partial_petrial(twice, ["e7"]), match_edge_labels=True)

@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 
 from ribbonlab import (
     TWIST_ELEMENTS,
+    Edge,
+    EdgeEnd,
+    InvalidGraphError,
+    RibbonGraph,
     UnknownEdgeError,
+    Vertex,
     apply_twist_word,
     are_isomorphic,
     contract,
@@ -18,11 +23,59 @@ from ribbonlab import (
     partial_dual,
     partial_petrial,
     petrial,
+    to_arrow_presentation,
     trace_boundary,
     twist_compose,
+    validate,
 )
 
-from helpers import graph, random_graph
+from helpers import arrow_splice_partial_dual, graph, random_graph
+
+
+# ---------------------------------------------------------------------------
+# validation: once per graph, still on every operator
+# ---------------------------------------------------------------------------
+
+INVALID = {
+    "duplicate-end": RibbonGraph(
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 1))),), (Edge("e"),)
+    ),
+    "unplaced-end": RibbonGraph((Vertex("u", (EdgeEnd("e", 1),)),), (Edge("e"),)),
+    "bad-sign": RibbonGraph(
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e", 0),)
+    ),
+}
+CHECKED_OPS = {
+    "delete": lambda g: delete(g, ["e"]),
+    "partial_petrial": lambda g: partial_petrial(g, ["e"]),
+    "partial_dual": lambda g: partial_dual(g, ["e"]),
+    "contract": lambda g: contract(g, ["e"]),
+    "trace_boundary": trace_boundary,
+    "to_arrow_presentation": to_arrow_presentation,
+}
+
+
+@pytest.mark.parametrize("op", sorted(CHECKED_OPS))
+@pytest.mark.parametrize("kind", sorted(INVALID))
+def test_invalid_graph_rejected_on_every_call(kind, op):
+    g = INVALID[kind]
+    with pytest.raises(InvalidGraphError) as first:
+        CHECKED_OPS[op](g)
+    with pytest.raises(InvalidGraphError) as second:
+        CHECKED_OPS[op](g)
+    assert first.value.violations == second.value.violations == tuple(validate(g))
+
+
+def test_operator_outputs_validate_afresh(universe3):
+    ops = (delete, partial_petrial, partial_dual, contract)
+    for g in universe3:
+        names = g.edge_names
+        for r in range(len(names) + 1):
+            for subset in itertools.combinations(names, r):
+                for op in ops:
+                    out = op(g, subset)
+                    # A rebuilt copy carries no cached verdict.
+                    assert validate(RibbonGraph(out.vertices, out.edges)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +182,19 @@ def test_one_pass_partial_dual_matches_staged_splices():
         staged = g
         for name in subset:
             staged = partial_dual(staged, [name])
-        assert are_isomorphic(partial_dual(g, subset), staged, match_edge_labels=True)
+        d = partial_dual(g, subset)
+        assert are_isomorphic(d, staged, match_edge_labels=True)
+        assert str(d) == str(arrow_splice_partial_dual(g, subset))
+
+
+def test_partial_dual_matches_arrow_splice_exactly(raw_universe3):
+    for g in raw_universe3:
+        names = g.edge_names
+        for r in range(len(names) + 1):
+            for subset in itertools.combinations(names, r):
+                d = partial_dual(g, subset)
+                ref = arrow_splice_partial_dual(g, subset)
+                assert d == ref and str(d) == str(ref)
 
 
 def test_partial_dual_vertex_and_face_counts_at_scale():
