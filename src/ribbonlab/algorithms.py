@@ -126,10 +126,10 @@ class TwistedDualCertificate:
     colouring: FaceColouring
 
     def twist_word(self) -> dict[str, str]:
-        """The per-edge word carrying the input to ``result``."""
+        """The per-edge word carrying the input to ``result``, in edge-name order."""
         a, d = set(self.petrial_set), set(self.dual_set)
         out = {}
-        for name in a | d:
+        for name in sorted(a | d):
             if name in a and name in d:
                 out[name] = "dt"
             elif name in a:

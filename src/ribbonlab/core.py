@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 L = "L"
@@ -124,6 +125,9 @@ class Vertex:
         return len(self.rotation)
 
 
+_edge_name = attrgetter("name")
+
+
 @dataclass(frozen=True)
 class RibbonGraph:
     """An immutable ribbon graph; all operations return new graphs.
@@ -138,9 +142,7 @@ class RibbonGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: e.name))
-        )
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_name)))
 
     @cached_property
     def _violations(self) -> tuple["Violation", ...]:

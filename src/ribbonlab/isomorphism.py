@@ -4,7 +4,7 @@ Two ribbon graphs are isomorphic when some bijection of vertices and edges,
 combined with any set of vertex flips, carries rotations to rotations (up to
 cyclic shift) and signs to signs.  The canonical form relabels darts along a
 deterministic traversal and minimises the serialization over every choice of
-start dart and flip assignment, so equality of canonical keys decides
+start dart and start orientation, so equality of canonical keys decides
 isomorphism.  Everything here also runs on a bare dart-level encoding so the
 enumerator can deduplicate without building graph objects.
 """
@@ -89,67 +89,79 @@ def _components(sigma: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _serialize(sigma_map: dict[int, int], signs_map: dict[int, int], start: int) -> tuple:
-    ids = {start: 0}
-    order = [start]
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for nb in (sigma_map[d], d ^ 1):
-            if nb not in ids:
-                ids[nb] = len(ids)
-                order.append(nb)
-    return (
-        tuple(ids[sigma_map[d]] for d in order),
-        tuple(ids[d ^ 1] for d in order),
-        tuple(signs_map[d >> 1] for d in order),
-    )
+def _component_key(
+    sigma: tuple[int, ...],
+    inverse: list[int],
+    signs: tuple[int, ...],
+    vertex_of: list[int],
+    comp: list[int],
+) -> tuple:
+    """The least serialization of one component over every start dart and
+    start orientation.
 
-
-def _component_key(sigma: tuple[int, ...], signs: tuple[int, ...], comp: list[int]) -> tuple:
-    # vertices of the component, as sigma-cycles
-    cycles: list[list[int]] = []
-    placed: set[int] = set()
-    for d0 in comp:
-        if d0 in placed:
-            continue
-        cyc = []
-        d = d0
-        while d not in placed:
-            placed.add(d)
-            cyc.append(d)
-            d = sigma[d]
-        cycles.append(cyc)
-    vertex_of = {d: ci for ci, cyc in enumerate(cycles) for d in cyc}
-    edges = sorted({d >> 1 for d in comp})
-
+    A serialization is a breadth-first walk from the start dart that visits
+    each dart's successor around its vertex (``sigma``, or its inverse if
+    the vertex is read reversed) and then its partner.  A vertex's reading
+    direction is fixed when its first dart is reached across an edge, so
+    that the edge reads untwisted; every other edge records its sign
+    relative to the directions of both ends.  Reversing vertices therefore
+    never changes the set of serializations, and 4E candidates suffice.
+    """
     best: tuple | None = None
-    for mask in range(1 << len(cycles)):
-        smap: dict[int, int] = {}
-        for ci, cyc in enumerate(cycles):
-            if mask >> ci & 1:
-                for j, d in enumerate(cyc):
-                    smap[d] = cyc[j - 1]
+    for start in comp:
+        for o0 in (1, -1):
+            ori = {vertex_of[start]: o0}
+            ids = {start: 0}
+            order = [start]
+            S = []
+            # While S matches the best candidate's so far, a larger entry
+            # loses at once (keys compare S first).
+            tied = best is not None
+            for i, d in enumerate(order):
+                o = ori[vertex_of[d]]
+                nxt = sigma[d] if o > 0 else inverse[d]
+                if nxt not in ids:
+                    ids[nxt] = len(order)
+                    order.append(nxt)
+                x = ids[nxt]
+                if tied:
+                    y = best[0][i]
+                    if x > y:
+                        break
+                    tied = x == y
+                S.append(x)
+                p = d ^ 1
+                if p not in ids:
+                    ids[p] = len(order)
+                    order.append(p)
+                    v = vertex_of[p]
+                    if v not in ori:
+                        ori[v] = o * signs[d >> 1]
             else:
-                for j, d in enumerate(cyc):
-                    smap[d] = cyc[(j + 1) % len(cyc)]
-        gmap: dict[int, int] = {}
-        for e in edges:
-            f1 = mask >> vertex_of[2 * e] & 1
-            f2 = mask >> vertex_of[2 * e + 1] & 1
-            gmap[e] = -signs[e] if f1 != f2 else signs[e]
-        for start in comp:
-            key = _serialize(smap, gmap, start)
-            if best is None or key < best:
-                best = key
+                key = (
+                    tuple(S),
+                    tuple([ids[d ^ 1] for d in order]),
+                    tuple([signs[d >> 1] * ori[vertex_of[d]] * ori[vertex_of[d ^ 1]] for d in order]),
+                )
+                if best is None or key < best:
+                    best = key
     assert best is not None
     return best
 
 
 def canonical_key_darts(dg: DartGraph) -> tuple:
     sigma, signs, isolated = dg
-    keys = sorted(_component_key(sigma, signs, comp) for comp in _components(sigma))
+    n = len(sigma)
+    inverse = [0] * n
+    vertex_of = [-1] * n
+    for d0 in range(n):
+        inverse[sigma[d0]] = d0
+        if vertex_of[d0] < 0:
+            d = d0
+            while vertex_of[d] < 0:
+                vertex_of[d] = d0
+                d = sigma[d]
+    keys = sorted(_component_key(sigma, inverse, signs, vertex_of, comp) for comp in _components(sigma))
     return (tuple(keys), isolated)
 
 
@@ -161,40 +173,21 @@ def canonical_key(g: RibbonGraph) -> tuple:
 def canonical_graph(g: RibbonGraph) -> RibbonGraph:
     """A canonical representative of g's isomorphism class, with names v0.., e0.. ."""
     keys, isolated = canonical_key(g)
-    # stitch component serializations back into one dart graph
-    sigma: list[int] = []
+    # Stitch the component serializations into one dart graph: serialized
+    # dart d of a component becomes global dart at[d], numbered so that
+    # partners pair as (2i, 2i+1).
+    sigma = [0] * sum(len(S) for S, _, _ in keys)
     signs: list[int] = []
-    offset = 0
     for S, T, G in keys:
-        n = len(S)
-        relabel = _edge_relabel(T)
-        sigma.extend(_permute_component(S, T, G, relabel, offset, sigma, signs))
-        offset += n
-    return from_dart_graph((tuple(sigma[:]), tuple(signs), isolated))
-
-
-def _edge_relabel(T: tuple[int, ...]) -> dict[int, int]:
-    # map serialized dart -> global-convention dart so that edge darts pair as (2i, 2i+1)
-    out: dict[int, int] = {}
-    nxt = 0
-    for d in range(len(T)):
-        if d in out:
-            continue
-        out[d] = nxt
-        out[T[d]] = nxt + 1
-        nxt += 2
-    return out
-
-
-def _permute_component(S, T, G, relabel, offset, sigma_acc, signs_acc) -> list[int]:
-    n = len(S)
-    local = [0] * n
-    for d in range(n):
-        local[relabel[d]] = relabel[S[d]] + offset
-    for d in range(n):
-        if relabel[d] % 2 == 0:
-            signs_acc.append(G[d])
-    return local
+        at: dict[int, int] = {}
+        for d in range(len(S)):
+            if d not in at:
+                at[d] = 2 * len(signs)
+                at[T[d]] = 2 * len(signs) + 1
+                signs.append(G[d])
+        for d in range(len(S)):
+            sigma[at[d]] = at[S[d]]
+    return from_dart_graph((tuple(sigma), tuple(signs), isolated))
 
 
 def canonical_text(g: RibbonGraph) -> str:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from .core import (
     RibbonGraph,
@@ -235,16 +234,11 @@ def _is_connected(sigma: tuple[int, ...], isolated: int) -> bool:
     return reached == n
 
 
-_relabel_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _relabelling_group(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All dart relabellings preserving the pairing 2i <-> 2i+1, with
-    inverses and positional weights for integer row encoding."""
-    if k in _relabel_cache:
-        return _relabel_cache[k]
+def _relabellings(k: int) -> list[tuple[bytes, bytes]]:
+    """Every dart relabelling g preserving the pairing 2i <-> 2i+1, as the
+    byte table of g (padded for ``bytes.translate``) and the bytes of g⁻¹."""
     n = 2 * k
-    rows = []
+    out = []
     for perm in itertools.permutations(range(k)):
         for mask in range(1 << k):
             g = [0] * n
@@ -252,34 +246,46 @@ def _relabelling_group(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 swap = mask >> i & 1
                 g[2 * i] = 2 * perm[i] + swap
                 g[2 * i + 1] = 2 * perm[i] + 1 - swap
-            rows.append(g)
-    G = np.array(rows, dtype=np.int64)
-    Ginv = np.empty_like(G)
-    ar = np.arange(n)
-    for r in range(G.shape[0]):
-        Ginv[r, G[r]] = ar
-    weights = np.array([16 ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    _relabel_cache[k] = (G, Ginv, weights)
-    return G, Ginv, weights
+            inverse = [0] * n
+            for d, x in enumerate(g):
+                inverse[x] = d
+            out.append((bytes(g).ljust(256, b"\0"), bytes(inverse)))
+    return out
 
 
 def _minimal_sigma_reps(k: int) -> Iterator[tuple[int, ...]]:
-    """Permutations that are minimal in their relabelling orbit.
+    """Permutations that are minimal in their relabelling orbit, in lex order.
 
     Conjugating the rotation permutation by a pairing-preserving dart
     relabelling gives the same ribbon graph with renamed edges and ends, so
     it suffices to keep the lexicographically least member of each orbit;
     canonical-form deduplication afterwards handles flips and anything the
     stabilizers leave over.
+
+    The walk is over permutations in lex order: the first one not marked is
+    the least of its orbit, so it is yielded and the rest of its orbit is
+    marked (each mark is dropped when the walk reaches it).  A least member
+    σ has σ(0) ≤ 2: relabel any dart d as 0, and σ(d) becomes 0 if it is d,
+    1 if it is d's partner, and 2 otherwise.  So the walk stops before
+    σ(0) = 3, and only orbit members below that are marked.
     """
-    G, Ginv, weights = _relabelling_group(k)
     n = 2 * k
-    for sigma in itertools.permutations(range(n)):
-        arr = np.array(sigma, dtype=np.int64)
-        conj = np.take_along_axis(G, arr[Ginv], axis=1)
-        vals = conj @ weights
-        if int(vals.min()) >= int(arr @ weights):
-            yield sigma
+    group = _relabellings(k)
+    stop = bytes([3])
+    marked: set[bytes] = set()
+    walk = itertools.permutations(range(n))
+    for sigma in itertools.islice(walk, 3 * math.factorial(n - 1)):
+        b = bytes(sigma)
+        if b in marked:
+            marked.remove(b)
+            continue
+        yield sigma
+        table = b.ljust(256, b"\0")
+        for g, inverse in group:
+            # g∘σ∘g⁻¹ as bytes: d -> g[σ[g⁻¹[d]]]
+            h = inverse.translate(table).translate(g)
+            if b < h < stop:
+                marked.add(h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Shared graph builders and paths for the test suite."""
+"""Shared graph builders, reference implementations and paths for the test suite."""
 
+import itertools
+import math
 import random
 from pathlib import Path
 
@@ -175,3 +177,148 @@ def backtracking_labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
         return False
 
     return extend(0, set(), {}, {})
+
+
+def flip_mask_canonical_key_darts(dg) -> tuple:
+    """Reference canonical key on a dart graph ``(sigma, signs, isolated)``:
+    each component's least serialization over every start dart and every
+    assignment of flips to its vertices (2^V masks)."""
+    sigma, signs, isolated = dg
+    n = len(sigma)
+    seen = [False] * n
+    keys = []
+    for d0 in range(n):
+        if seen[d0]:
+            continue
+        comp, stack = [], [d0]
+        seen[d0] = True
+        while stack:
+            d = stack.pop()
+            comp.append(d)
+            for nb in (sigma[d], d ^ 1):
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        keys.append(_flip_mask_component_key(sigma, signs, sorted(comp)))
+    return (tuple(sorted(keys)), isolated)
+
+
+def _flip_mask_component_key(sigma, signs, comp) -> tuple:
+    cycles: list[list[int]] = []
+    placed: set[int] = set()
+    for d0 in comp:
+        if d0 in placed:
+            continue
+        cyc = []
+        d = d0
+        while d not in placed:
+            placed.add(d)
+            cyc.append(d)
+            d = sigma[d]
+        cycles.append(cyc)
+    vertex_of = {d: ci for ci, cyc in enumerate(cycles) for d in cyc}
+    edges = sorted({d >> 1 for d in comp})
+
+    best = None
+    for mask in range(1 << len(cycles)):
+        smap: dict[int, int] = {}
+        for ci, cyc in enumerate(cycles):
+            step = -1 if mask >> ci & 1 else 1
+            for j, d in enumerate(cyc):
+                smap[d] = cyc[(j + step) % len(cyc)]
+        gmap: dict[int, int] = {}
+        for e in edges:
+            f1 = mask >> vertex_of[2 * e] & 1
+            f2 = mask >> vertex_of[2 * e + 1] & 1
+            gmap[e] = -signs[e] if f1 != f2 else signs[e]
+        for start in comp:
+            key = _flip_mask_serialize(smap, gmap, start)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def _flip_mask_serialize(sigma_map, signs_map, start) -> tuple:
+    ids = {start: 0}
+    order = [start]
+    i = 0
+    while i < len(order):
+        d = order[i]
+        i += 1
+        for nb in (sigma_map[d], d ^ 1):
+            if nb not in ids:
+                ids[nb] = len(ids)
+                order.append(nb)
+    return (
+        tuple(ids[sigma_map[d]] for d in order),
+        tuple(ids[d ^ 1] for d in order),
+        tuple(signs_map[d >> 1] for d in order),
+    )
+
+
+def same_partition(items, key_a, key_b) -> bool:
+    """Whether two key functions split ``items`` into the same classes."""
+    pairs = {(key_a(x), key_b(x)) for x in items}
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+def _double_factorial(m: int) -> int:
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
+def _involutions_commuting(cycle_lengths: dict[int, int]) -> int:
+    """Fixed-point-free involutions commuting with a permutation of the
+    given cycle type ({length: multiplicity}).  Such an involution maps
+    each l-cycle onto an l-cycle: two cycles can be swapped in l ways, and
+    an even cycle can also be turned half-way onto itself."""
+    out = 1
+    for l, m in cycle_lengths.items():
+        if l % 2:
+            out *= 0 if m % 2 else _double_factorial(m - 1) * l ** (m // 2)
+        else:
+            out *= sum(
+                math.comb(m, 2 * j) * _double_factorial(2 * j - 1) * l**j
+                for j in range(m // 2 + 1)
+            )
+    return out
+
+
+def burnside_class_count(k: int) -> int:
+    """Isomorphism classes of ribbon graphs with k ≥ 1 edges and no
+    isolated vertex, counted by Burnside's lemma with no graph built.
+
+    A ribbon graph is a fixed-point-free involution (the vertex corners)
+    on the 4k flags, four per edge; the group W = (Z2×Z2)≀S_k permutes the
+    edges and acts on each edge's flags by swapping its ends and its sides,
+    and the classes are the orbits of W acting by conjugation.  For an
+    element (π, a), each c-cycle of π whose product of a's is trivial
+    (4^(c-1) choices) gives four flag c-cycles, and each with a nontrivial
+    product (3·4^(c-1) choices) gives two flag 2c-cycles.
+    """
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        cycles = []
+        seen = [False] * k
+        for i in range(k):
+            c = 0
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+                c += 1
+            if c:
+                cycles.append(c)
+        for twisted in itertools.product((False, True), repeat=len(cycles)):
+            weight = 1
+            lengths: dict[int, int] = {}
+            for c, t in zip(cycles, twisted):
+                weight *= (3 if t else 1) * 4 ** (c - 1)
+                l, m = (2 * c, 2) if t else (c, 4)
+                lengths[l] = lengths.get(l, 0) + m
+            total += weight * _involutions_commuting(lengths)
+    order = 4**k * math.factorial(k)
+    assert total % order == 0
+    return total // order

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
-from ribbonlab import parse_graph, load_graph, is_checkerboard_colourable
+from ribbonlab import graph_to_text, parse_graph, load_graph, is_checkerboard_colourable
 from ribbonlab.cli import main
 
-from helpers import FIXTURES
+from helpers import FIXTURES, REPO, random_graph
 
 
 def run(capsys, *argv):
@@ -103,6 +106,25 @@ def test_theorem1(capsys):
     assert "petrial set A: ['e1']" in out
     assert "dual set D: ['e1']" in out
     assert "red" in out and "blue" in out
+
+
+def test_theorem1_output_ignores_the_hash_seed(tmp_path):
+    path = tmp_path / "g100.rg"
+    path.write_text(graph_to_text(random_graph(100, 3)))
+    outputs = []
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "ribbonlab.cli", "theorem1", str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert "twist word:" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_theorem2_torus(capsys):

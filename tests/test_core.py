@@ -90,6 +90,14 @@ def test_ribbon_graph_builder_is_linear_and_keeps_order():
     assert rebuilt == g and str(rebuilt) == str(g)
 
 
+def test_edges_are_stored_in_name_order():
+    edges = [Edge("e10", -1), Edge("b"), Edge("e2"), Edge("a", -1), Edge("e1")]
+    g = RibbonGraph((), edges)
+    assert g.edge_names == ("a", "b", "e1", "e10", "e2")
+    assert g == RibbonGraph((), g.edges) == RibbonGraph((), reversed(edges))
+    assert [e.sign for e in g.edges] == [-1, 1, 1, -1, 1]
+
+
 def test_ribbon_graph_builder_accepts_strings():
     g = ribbon_graph({"u": ["a.1", "a.2"]}, {"a": -1})
     assert g == graph("twisted_loop")

@@ -1,7 +1,10 @@
 import itertools
 import random
+import time
 
 from ribbonlab import (
+    Edge,
+    EdgeEnd,
     RibbonGraph,
     Vertex,
     are_isomorphic,
@@ -16,7 +19,16 @@ from ribbonlab import (
     partial_petrial,
 )
 
-from helpers import backtracking_labelled_search, graph, random_graph
+from ribbonlab.isomorphism import canonical_key_darts, to_dart_graph
+from ribbonlab.workbench import _minimal_sigma_reps
+
+from helpers import (
+    backtracking_labelled_search,
+    flip_mask_canonical_key_darts,
+    graph,
+    random_graph,
+    same_partition,
+)
 
 
 def test_reflexive():
@@ -120,3 +132,57 @@ def test_labelled_search_scales():
     twice = geometric_dual(geometric_dual(g))
     assert are_isomorphic(g, twice, match_edge_labels=True)
     assert not are_isomorphic(g, partial_petrial(twice, ["e7"]), match_edge_labels=True)
+
+
+def test_key_partition_matches_flip_mask_reference_on_raw_universe(raw_universe3):
+    darts = [to_dart_graph(g) for g in raw_universe3]
+    assert len(darts) == 5861
+    assert same_partition(darts, canonical_key_darts, flip_mask_canonical_key_darts)
+
+
+def test_key_partition_matches_flip_mask_reference_on_four_edge_candidates():
+    darts = [
+        (sigma, signs, 0)
+        for sigma in _minimal_sigma_reps(4)
+        for signs in itertools.product((1, -1), repeat=4)
+    ]
+    assert len(darts) == 2912
+    assert same_partition(darts, canonical_key_darts, flip_mask_canonical_key_darts)
+    assert len({canonical_key_darts(dg) for dg in darts}) == 850
+
+
+def _path(n: int) -> RibbonGraph:
+    return RibbonGraph(
+        tuple(
+            Vertex(f"v{i}", tuple([EdgeEnd(f"e{i - 1}", 2)] * (i > 0) + [EdgeEnd(f"e{i}", 1)] * (i < n - 1)))
+            for i in range(n)
+        ),
+        tuple(Edge(f"e{i}") for i in range(n - 1)),
+    )
+
+
+def _renamed(g: RibbonGraph, seed: int) -> RibbonGraph:
+    names = list(g.edge_names)
+    shuffled = names[:]
+    random.Random(seed).shuffle(shuffled)
+    new = {old: "x" + other for old, other in zip(names, shuffled)}
+    return RibbonGraph(
+        tuple(Vertex(v.name, tuple(EdgeEnd(new[d.edge], d.end) for d in v.rotation)) for v in g.vertices),
+        tuple(Edge(new[e.name], e.sign) for e in g.edges),
+    )
+
+
+def test_canonical_key_scales_and_stays_invariant():
+    # Keys over every flip mask took 33 s on the 16-vertex path.
+    big = random_graph(300, 2)
+    for g in (_path(16), big):
+        start = time.perf_counter()
+        key = canonical_key(g)
+        assert time.perf_counter() - start < 5
+        flipped = g
+        for v in g.vertex_names[::3]:
+            flipped = flip_vertex(flipped, v)
+        assert canonical_key(flipped) == key
+        assert canonical_key(_renamed(g, 1)) == key
+        assert canonical_key(canonical_graph(g)) == key
+    assert canonical_key(partial_petrial(big, ["e5"])) != canonical_key(big)

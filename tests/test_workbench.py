@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -15,7 +16,9 @@ from ribbonlab import (
     search_converse_counterexample,
 )
 
-from helpers import FIXTURES
+from ribbonlab.workbench import _minimal_sigma_reps
+
+from helpers import FIXTURES, burnside_class_count
 
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 3, 2: 17, 3: 106, 4: 850}
 
@@ -44,6 +47,34 @@ def test_golden_class_counts(universe3, universe4):
         counts[len(g.edges)] = counts.get(len(g.edges), 0) + 1
     assert counts == GOLDEN_CLASS_COUNTS
     assert len(universe3) == sum(GOLDEN_CLASS_COUNTS[k] for k in range(4))
+    # the independent oracle: Burnside's lemma over the flag encoding
+    assert counts == {0: 1, **{k: burnside_class_count(k) for k in range(1, 5)}}
+    assert burnside_class_count(5) == 9284
+
+
+def _relabelling_orbit(sigma: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """σ conjugated by every dart relabelling that keeps the pairs
+    (2i, 2i+1) together."""
+    k = len(sigma) // 2
+    orbit = set()
+    for perm in itertools.permutations(range(k)):
+        for swaps in itertools.product((0, 1), repeat=k):
+            g = [2 * perm[d >> 1] + ((d & 1) ^ swaps[d >> 1]) for d in range(2 * k)]
+            h = [0] * (2 * k)
+            for d in range(2 * k):
+                h[g[d]] = g[sigma[d]]
+            orbit.add(tuple(h))
+    return orbit
+
+
+def test_minimal_sigma_reps_are_the_orbit_minima():
+    for k in range(1, 4):
+        brute = [s for s in itertools.permutations(range(2 * k)) if min(_relabelling_orbit(s)) == s]
+        assert list(_minimal_sigma_reps(k)) == brute
+    reps = list(_minimal_sigma_reps(4))
+    assert len(reps) == 182
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+    assert all(min(_relabelling_orbit(s)) == s for s in reps)
 
 
 def test_raw_counts():
