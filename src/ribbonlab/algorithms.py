@@ -14,15 +14,14 @@ Two pipelines, both returning certificates that carry the witness data:
   components of the twisted graph become monochromatic with opposite
   colours across every edge.
 
-:func:`has_alternating_boundary_orientation` is the brute-force boundary
-criterion equivalent to checkerboard colourability of the partial dual; it
-is deliberately independent of the dual computation so the two can check
-each other.
+:func:`has_alternating_boundary_orientation` is the boundary criterion
+equivalent to checkerboard colourability of the partial dual, decided by
+2-colouring a constraint graph in linear time; it is deliberately
+independent of the dual computation so the two can check each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -265,13 +264,15 @@ def checkerboard_partial_petrial(
 # ---------------------------------------------------------------------------
 
 def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
-    """Brute-force boundary-orientation criterion for ``delete(g, edges)``.
+    """Boundary-orientation criterion for ``delete(g, edges)``.
 
-    Searches every +/- assignment to the boundary components of the deleted
-    graph for one where each kept edge has one positive and one negative
-    ribbon side and each removed edge one positive and one negative
-    attachment arc.  (A component's sign applies to all segments on it, the
-    graph being orientable.)  This holds exactly when
+    Decides whether some +/- assignment to the boundary components of the
+    deleted graph gives each kept edge one positive and one negative ribbon
+    side and each removed edge one positive and one negative attachment
+    arc.  (A component's sign applies to all segments on it, the graph
+    being orientable.)  Every constraint says "these two components
+    differ", so this is 2-colourability of the constraint graph, decided
+    by one graph search.  It holds exactly when
     ``partial_dual(g, edges)`` is checkerboard colourable, which the tests
     verify independently.
 
@@ -300,21 +301,35 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     arc_comp: dict[EdgeEnd, int] = {}
     for v in oriented.vertices:
         rot = v.rotation
-        m = len(rot)
         kept = [i for i, d in enumerate(rot) if d.edge not in removed_set]
+        # A removed end's arc follows the last kept end before it, cyclically.
+        last = kept[-1] if kept else -1
         for i, d in enumerate(rot):
             if d.edge not in removed_set:
-                continue
-            if not kept:
+                last = i
+            elif last < 0:
                 arc_comp[d] = isolated_comp[v.name]
             else:
-                j = max((p for p in kept if p < i), default=max(kept))
-                arc_comp[d] = comp_of[HalfEdgeSegment(rot[j], R)]
+                arc_comp[d] = comp_of[HalfEdgeSegment(rot[last], R)]
     for name in removed:
         constraints.append((arc_comp[EdgeEnd(name, 1)], arc_comp[EdgeEnd(name, 2)]))
 
-    n = decomp.count
-    for assignment in itertools.product((1, -1), repeat=n):
-        if all(assignment[a] != assignment[b] for a, b in constraints):
-            return True
-    return False
+    differ: list[list[int]] = [[] for _ in range(decomp.count)]
+    for a, b in constraints:
+        differ[a].append(b)
+        differ[b].append(a)
+    sign = [0] * decomp.count
+    for start in range(decomp.count):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for other in differ[cur]:
+                if not sign[other]:
+                    sign[other] = -sign[cur]
+                    stack.append(other)
+                elif sign[other] == sign[cur]:
+                    return False
+    return True

@@ -150,6 +150,11 @@ class RibbonGraph:
         # its lifetime.  Not a dataclass field: eq, hash and repr ignore it.
         return tuple(validate(self))
 
+    @cached_property
+    def _boundary(self) -> "BoundaryDecomposition":
+        # Read only through trace_boundary, which validates first.
+        return _trace_boundary(self)
+
     @property
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
@@ -351,8 +356,15 @@ def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     segment (``R`` side continues to the next end's ``L`` side, ``L`` to the
     previous end's ``R``).  Isolated vertices contribute one empty component
     each, appended after the traced ones.
+
+    Each graph is traced at most once: later calls return the same
+    decomposition, while an invalid graph raises on every call.
     """
     require_valid(g)
+    return g._boundary
+
+
+def _trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     signs = g.signs()
     nxt, prv = _rotation_maps(g)
 

@@ -11,8 +11,10 @@ pass: for every chosen edge the two arrows are replaced by two fresh
 labelled arrows joining their endpoints head-to-tail crosswise, and the
 circles of the result are traced once.  Its vertices are named ``v0``,
 ``v1``, ... in the order that single trace meets them.  Contraction is
-defined from it (contract = dualise then delete), which handles loops and
-twisted loops with no special cases.
+defined from it, G/C = G^C - C, which handles loops and twisted loops with
+no special cases; contraction and minors run the same pass and drop the
+deleted and contracted edges' ends while they build the result's
+rotations, so no intermediate graph is built.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> tuple[str, ...]:
 def delete(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Remove the edges; vertices stay (possibly becoming isolated)."""
     require_valid(g)
-    gone = set(_check_edges(g, edges))
+    return _without(g, set(_check_edges(g, edges)))
+
+
+def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
     vertices = tuple(
         Vertex(v.name, tuple(d for d in v.rotation if d.edge not in gone))
         for v in g.vertices
@@ -118,6 +123,19 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     chosen = set(_check_edges(g, edges))
     if not chosen:
         return g
+    return _dual_without(g, chosen, set())
+
+
+def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGraph:
+    """``delete(partial_dual(g, chosen), gone)`` for a valid ``g``, in one pass.
+
+    The splice and trace are :func:`partial_dual`'s; the ends and edges in
+    ``gone`` are left out while the result is built.  Deletion keeps vertex
+    order and names, so vertices that lose every end stay as isolated
+    vertices, exactly as the two-step chain leaves them.
+    """
+    if not chosen:
+        return _without(g, gone)
     # Arrow i sits at the i-th edge-end in vertex order, with tail point 2i
     # and head point 2i + 1; mate[i] is the arrow at the other end of its
     # edge.
@@ -189,11 +207,18 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
 
     traced = len(starts) - 1
     isolated = sum(1 for v in g.vertices if not v.rotation)
-    vertices = [Vertex(f"v{k}", tuple(result[starts[k]:starts[k + 1]])) for k in range(traced)]
+    vertices = [
+        Vertex(f"v{k}", tuple(d for d in result[starts[k]:starts[k + 1]] if d.edge not in gone))
+        for k in range(traced)
+    ]
     vertices.extend(Vertex(f"v{k}") for k in range(traced, traced + isolated))
     out = RibbonGraph(
         tuple(vertices),
-        tuple(e if e.sign == new_sign[e.name] else Edge(e.name, new_sign[e.name]) for e in g.edges),
+        tuple(
+            e if e.sign == new_sign[e.name] else Edge(e.name, new_sign[e.name])
+            for e in g.edges
+            if e.name not in gone
+        ),
     )
     require_valid(out)
     return out
@@ -208,19 +233,29 @@ def geometric_dual(g: RibbonGraph) -> RibbonGraph:
 # ---------------------------------------------------------------------------
 
 def contract(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
-    """Contract edges via dualise-then-delete; twisted loops need no special case."""
-    chosen = _check_edges(g, edges)
-    return delete(partial_dual(g, chosen), chosen)
+    """Contract edges as G/C = G^C - C; twisted loops need no special case.
+
+    One pass of the partial-dual splice that leaves the contracted edges
+    out of the result it builds.
+    """
+    chosen = set(_check_edges(g, edges))
+    require_valid(g)
+    return _dual_without(g, chosen, chosen)
 
 
 def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> RibbonGraph:
-    """Delete one edge set and contract a disjoint one; order is immaterial."""
+    """Delete one edge set and contract a disjoint one; order is immaterial.
+
+    The same single pass as :func:`contract`, dropping both sets.
+    """
     dset = set(deleted)
     cset = set(contracted)
     overlap = dset & cset
     if overlap:
         raise ValueError(f"cannot both delete and contract: {sorted(overlap)}")
-    return delete(contract(g, cset), dset)
+    chosen = set(_check_edges(g, cset))
+    require_valid(g)
+    return _dual_without(g, chosen, set(_check_edges(g, dset)) | chosen)
 
 
 def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:

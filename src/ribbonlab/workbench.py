@@ -571,19 +571,24 @@ def _prop_contract_vs_splice(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_pdual_minor_exchange(g: RibbonGraph) -> Iterator[Instance]:
+    # Neither the minors nor the partial duals depend on the other loop, so
+    # each is built once.
+    minors = [(b, c, set(b) | set(c), minor(g, b, c)) for b, c in _disjoint_pairs(g)]
     for a in _edge_subsets(g):
         aset = set(a)
-        for b, c in _disjoint_pairs(g):
-            lhs = partial_dual(minor(g, b, c), [x for x in a if x not in set(b) | set(c)])
+        dual = partial_dual(g, a)
+        for b, c, bc, m in minors:
+            lhs = partial_dual(m, [x for x in a if x not in bc])
             bp = tuple(sorted((set(b) - aset) | (set(c) & aset)))
             cp = tuple(sorted((set(c) - aset) | (set(b) & aset)))
-            rhs = minor(partial_dual(g, a), bp, cp)
+            rhs = minor(dual, bp, cp)
             yield {"A": list(a), "B": list(b), "C": list(c)}, are_isomorphic(
                 lhs, rhs, match_edge_labels=True
             ), "partial duality must exchange deleted and contracted sets"
 
 
 def _prop_pdual_deletion_identities(g: RibbonGraph) -> Iterator[Instance]:
+    gdual = geometric_dual(g)
     for a in _edge_subsets(g):
         comp = _complement(g, a)
         dual = partial_dual(g, a)
@@ -592,7 +597,7 @@ def _prop_pdual_deletion_identities(g: RibbonGraph) -> Iterator[Instance]:
         yield {"A": list(a)}, are_isomorphic(lhs1, rhs1, match_edge_labels=True), (
             "dualising after deleting the complement must match deleting it from the partial dual"
         )
-        lhs2 = geometric_dual(delete(geometric_dual(g), a))
+        lhs2 = geometric_dual(delete(gdual, a))
         rhs2 = delete(dual, a)
         yield {"A": list(a)}, are_isomorphic(lhs2, rhs2, match_edge_labels=True), (
             "the dual-side deletion identity must hold"
@@ -600,23 +605,25 @@ def _prop_pdual_deletion_identities(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_pdual_bipartite_minors(g: RibbonGraph) -> Iterator[Instance]:
+    gdual = geometric_dual(g)
     for a in _edge_subsets(g):
         if not is_bipartite(partial_dual(g, a)):
             continue
         comp = _complement(g, a)
         m1 = geometric_dual(delete(g, comp))
-        m2 = geometric_dual(delete(geometric_dual(g), a))
+        m2 = geometric_dual(delete(gdual, a))
         ok = is_bipartite(m1) and is_bipartite(m2)
         yield {"A": list(a)}, ok, "bipartite partial dual forces bipartite minors"
 
 
 def _prop_pdual_checkerboard_minors(g: RibbonGraph) -> Iterator[Instance]:
+    gdual = geometric_dual(g)
     for a in _edge_subsets(g):
         if not is_checkerboard_colourable(partial_dual(g, a)):
             continue
         comp = _complement(g, a)
         kept = delete(g, a)
-        dual_kept = delete(geometric_dual(g), comp)
+        dual_kept = delete(gdual, comp)
         ok = (
             is_checkerboard_colourable(kept)
             and is_eulerian(kept)
@@ -900,12 +907,13 @@ def search_converse_counterexample(universe: GraphUniverse) -> ConverseWitness |
     """First witness, in universe-then-subset order, or None within bounds."""
     for g in universe:
         names = sorted(g.edge_names)
+        gdual = geometric_dual(g)
         for mask in range(1 << len(names)):
             a = tuple(names[i] for i in range(len(names)) if mask >> i & 1)
             comp = _complement(g, a)
             if not is_bipartite(geometric_dual(delete(g, comp))):
                 continue
-            if not is_bipartite(geometric_dual(delete(geometric_dual(g), a))):
+            if not is_bipartite(geometric_dual(delete(gdual, a))):
                 continue
             if is_bipartite(partial_dual(g, a)):
                 continue

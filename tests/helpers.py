@@ -8,14 +8,19 @@ from pathlib import Path
 from ribbonlab import (
     Edge,
     EdgeEnd,
+    HalfEdgeSegment,
     MalformedPresentationError,
     RibbonGraph,
     Vertex,
+    delete,
     from_arrow_presentation,
+    oriented_form,
     parse_graph,
+    partial_dual,
     to_arrow_presentation,
+    trace_boundary,
 )
-from ribbonlab.core import Arrow, ArrowPresentation, Circle, require_valid
+from ribbonlab.core import L, R, Arrow, ArrowPresentation, Circle, require_valid
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -124,6 +129,60 @@ def arrow_splice_partial_dual(g: RibbonGraph, edges) -> RibbonGraph:
     return from_arrow_presentation(
         ArrowPresentation(tuple(Circle(f"v{i}", arrows) for i, arrows in enumerate(traced)))
     )
+
+
+def chain_contract(g: RibbonGraph, edges) -> RibbonGraph:
+    """Reference contraction, G/C = G^C - C, as two operator calls: dualise
+    the edges, then delete them from the dual."""
+    chosen = tuple(sorted(set(edges)))
+    return delete(partial_dual(g, chosen), chosen)
+
+
+def chain_minor(g: RibbonGraph, deleted, contracted) -> RibbonGraph:
+    """Reference minor: the contraction chain, then a second deletion."""
+    return delete(chain_contract(g, contracted), deleted)
+
+
+def brute_force_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
+    """Reference for ``has_alternating_boundary_orientation``: try every
+    +/- assignment to the boundary components of ``delete(g, edges)``."""
+    removed = tuple(sorted(set(edges)))
+    oriented, _ = oriented_form(g)
+    remaining = delete(oriented, removed)
+    decomp = trace_boundary(remaining)
+    comp_of = decomp.component_of()
+
+    constraints: list[tuple[int, int]] = []
+    removed_set = set(removed)
+    for e in remaining.edges:
+        a = HalfEdgeSegment(EdgeEnd(e.name, 1), L)
+        b = HalfEdgeSegment(EdgeEnd(e.name, 1), R)
+        constraints.append((comp_of[a], comp_of[b]))
+
+    isolated_comp = {
+        comp.isolated_vertex: i
+        for i, comp in enumerate(decomp.components)
+        if comp.isolated_vertex is not None
+    }
+    arc_comp: dict[EdgeEnd, int] = {}
+    for v in oriented.vertices:
+        rot = v.rotation
+        kept = [i for i, d in enumerate(rot) if d.edge not in removed_set]
+        for i, d in enumerate(rot):
+            if d.edge not in removed_set:
+                continue
+            if not kept:
+                arc_comp[d] = isolated_comp[v.name]
+            else:
+                j = max((p for p in kept if p < i), default=max(kept))
+                arc_comp[d] = comp_of[HalfEdgeSegment(rot[j], R)]
+    for name in removed:
+        constraints.append((arc_comp[EdgeEnd(name, 1)], arc_comp[EdgeEnd(name, 2)]))
+
+    for assignment in itertools.product((1, -1), repeat=decomp.count):
+        if all(assignment[a] != assignment[b] for a, b in constraints):
+            return True
+    return False
 
 
 def backtracking_labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:

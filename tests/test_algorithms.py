@@ -22,13 +22,18 @@ from ribbonlab import (
     parse_graph,
     partial_dual,
     partial_petrial,
+    ribbon_graph,
     trace_boundary,
     vertex_checkerboard_colouring,
 )
 
 from ribbonlab.core import L, R
 
-from helpers import graph, random_graph
+from helpers import (
+    brute_force_alternating_boundary_orientation,
+    graph,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +274,55 @@ def test_criterion_handles_fully_deleted_vertices():
     assert has_alternating_boundary_orientation(g, ["a", "b"]) == (
         is_checkerboard_colourable(geometric_dual(g))
     )
+
+
+def test_criterion_matches_brute_force_reference(raw_universe3):
+    import itertools
+
+    for g in raw_universe3:
+        if not is_orientable(g):
+            continue
+        names = g.edge_names
+        for r in range(len(names) + 1):
+            for subset in itertools.combinations(names, r):
+                assert has_alternating_boundary_orientation(g, subset) == (
+                    brute_force_alternating_boundary_orientation(g, subset)
+                )
+
+
+def test_criterion_is_linear_in_components():
+    import time
+
+    # Removing every edge of a 200-vertex path leaves 200 components whose
+    # constraints form a path; of a 201-vertex cycle, an odd cycle.  The
+    # brute force would try 2^200 sign vectors.
+    for n, closed in ((200, False), (201, True)):
+        rotations = {f"v{i}": [] for i in range(n)}
+        for i in range(n if closed else n - 1):
+            rotations[f"v{i}"].append(f"e{i}.1")
+            rotations[f"v{(i + 1) % n}"].append(f"e{i}.2")
+        g = ribbon_graph(rotations)
+        start = time.perf_counter()
+        crit = has_alternating_boundary_orientation(g, g.edge_names)
+        assert time.perf_counter() - start < 1.0
+        assert crit == (not closed)
+        assert crit == is_checkerboard_colourable(partial_dual(g, g.edge_names))
+
+
+def test_criterion_equivalence_at_scale():
+    import random
+
+    for seed in range(5):
+        g = random_graph(200, seed)
+        g = partial_petrial(g, [e.name for e in g.edges if e.sign < 0])
+        rng = random.Random(seed)
+        subset = [name for name in g.edge_names if rng.random() < 0.5]
+        crit = has_alternating_boundary_orientation(g, subset)
+        assert crit == is_checkerboard_colourable(partial_dual(g, subset))
+        # The theorem 1 dual set of an orientable graph is a "yes" instance.
+        cert = checkerboard_twisted_dual(g)
+        assert cert.petrial_set == ()
+        assert has_alternating_boundary_orientation(g, cert.dual_set)
 
 
 def test_criterion_equivalence_on_random_larger_graphs():

@@ -28,6 +28,19 @@ def test_check_torus(capsys):
     assert lines["euler characteristic"] == "0"
 
 
+def test_pipeline_commands_trace_their_input_once(capsys, monkeypatch):
+    from ribbonlab import core
+
+    traced = []
+    real = core._trace_boundary
+    monkeypatch.setattr(core, "_trace_boundary", lambda g: traced.append(g) or real(g))
+    for command in ("check", "theorem2"):
+        traced.clear()
+        code, _, _ = run(capsys, command, str(FIXTURES / "torus2loop.rg"))
+        assert code == 0
+        assert len(traced) == len({id(g) for g in traced}) == 1
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no/such/file.rg")
     assert code == 2
@@ -162,12 +175,51 @@ def test_verify_single_property(capsys):
     assert "pass" in out
 
 
+# Instances per suite of `verify all --max-edges 3`, as the seed
+# implementation counted them; they sum to 43,083.
+VERIFY_INSTANCES_AT_THREE_EDGES = {
+    "boundary-partition": 381,
+    "checkerboard-implies-eulerian": 18,
+    "bipartite-implies-even-face": 18,
+    "checkerboard-iff-dual-bipartite": 127,
+    "even-face-iff-dual-eulerian": 127,
+    "orientability-flip-invariant": 287,
+    "flip-involution": 287,
+    "arrow-roundtrip": 414,
+    "text-roundtrip": 254,
+    "canonical-stability": 541,
+    "petrial-involution": 923,
+    "dual-involution": 923,
+    "pdual-disjoint-union": 3025,
+    "delta-tau-commute": 670,
+    "group-relations": 355,
+    "twist-word-grouping": 4447,
+    "minor-commute": 3025,
+    "contract-vs-splice": 129,
+    "pdual-minor-exchange": 23527,
+    "pdual-deletion-identities": 1846,
+    "pdual-bipartite-minors": 90,
+    "pdual-checkerboard-minors": 90,
+    "boundary-criterion-equivalence": 309,
+    "all-crossing": 180,
+    "smoothing-signs": 90,
+    "curves-match-boundary": 90,
+    "d-edges-eulerian-minors": 45,
+    "petrial-orientable-implies-dual-eulerian": 45,
+    "orienting-set": 172,
+    "theorem1-endtoend": 508,
+    "theorem2-endtoend": 140,
+}
+
+
 def test_verify_all_at_three_edges_passes(capsys):
-    code, out, _ = run(capsys, "verify", "all", "--max-edges", "3")
+    code, out, _ = run(capsys, "verify", "all", "--max-edges", "3", "--json")
     assert code == 0
-    lines = [l for l in out.strip().splitlines() if ":" in l]
-    assert len(lines) >= 30
-    assert all("pass" in l for l in lines)
+    reports = json.loads(out)
+    assert all(r["failures"] == [] for r in reports)
+    checked = {r["property"]: r["checked"] for r in reports}
+    assert checked == VERIFY_INSTANCES_AT_THREE_EDGES
+    assert sum(checked.values()) == 43_083
 
 
 def test_verify_json(capsys):

@@ -63,6 +63,21 @@ def test_trace_rejects_invalid_graph():
         trace_boundary(g)
 
 
+def test_trace_boundary_traces_each_graph_once(monkeypatch):
+    from ribbonlab import core
+
+    traced = []
+    real = core._trace_boundary
+    monkeypatch.setattr(core, "_trace_boundary", lambda g: traced.append(g) or real(g))
+    g = graph("torus")
+    first = trace_boundary(g)
+    assert trace_boundary(g) is first
+    assert traced == [g]
+    # An equal graph built afresh is traced afresh, to the same result.
+    assert trace_boundary(graph("torus")) == first
+    assert len(traced) == 2
+
+
 def test_edge_end_and_segment_keep_order_text_and_hash():
     a1, a2, b1 = EdgeEnd("a", 1), EdgeEnd("a", 2), EdgeEnd("b", 1)
     assert sorted([b1, a2, a1]) == [a1, a2, b1]

@@ -17,6 +17,7 @@ from ribbonlab import (
     contract,
     delete,
     geometric_dual,
+    graph_to_text,
     is_checkerboard_colourable,
     minor,
     parse_graph,
@@ -29,7 +30,13 @@ from ribbonlab import (
     validate,
 )
 
-from helpers import arrow_splice_partial_dual, graph, random_graph
+from helpers import (
+    arrow_splice_partial_dual,
+    chain_contract,
+    chain_minor,
+    graph,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +57,7 @@ CHECKED_OPS = {
     "partial_petrial": lambda g: partial_petrial(g, ["e"]),
     "partial_dual": lambda g: partial_dual(g, ["e"]),
     "contract": lambda g: contract(g, ["e"]),
+    "minor": lambda g: minor(g, [], ["e"]),
     "trace_boundary": trace_boundary,
     "to_arrow_presentation": to_arrow_presentation,
 }
@@ -76,6 +84,18 @@ def test_operator_outputs_validate_afresh(universe3):
                     out = op(g, subset)
                     # A rebuilt copy carries no cached verdict.
                     assert validate(RibbonGraph(out.vertices, out.edges)) == []
+        for b, c in _disjoint_pairs(names):
+            out = minor(g, b, c)
+            assert validate(RibbonGraph(out.vertices, out.edges)) == []
+
+
+def _disjoint_pairs(names):
+    """Every (deleted, contracted) pair of disjoint subsets of ``names``."""
+    for lot in itertools.product((0, 1, 2), repeat=len(names)):
+        yield (
+            [n for n, x in zip(names, lot) if x == 1],
+            [n for n, x in zip(names, lot) if x == 2],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +275,50 @@ def test_minor_of_nothing_is_identity():
     assert minor(g, [], []) == g
 
 
+def test_contract_and_minor_match_the_chain_exactly(raw_universe3):
+    # Every disjoint (B, C) once: the chain's contraction is built once per
+    # C and each B is deleted from it, as chain_minor does.
+    for g in raw_universe3:
+        names = g.edge_names
+        for r in range(len(names) + 1):
+            for c in itertools.combinations(names, r):
+                contracted = chain_contract(g, c)
+                assert graph_to_text(contract(g, c)) == graph_to_text(contracted)
+                rest = [n for n in names if n not in c]
+                for k in range(len(rest) + 1):
+                    for b in itertools.combinations(rest, k):
+                        assert graph_to_text(minor(g, b, c)) == graph_to_text(
+                            delete(contracted, b)
+                        )
+
+
+def test_contract_and_minor_match_the_chain_at_scale():
+    for seed in range(20):
+        g = random_graph(200, seed)
+        rng = random.Random(seed)
+        lot = {name: rng.randrange(3) for name in g.edge_names}
+        b = [name for name, x in lot.items() if x == 1]
+        c = [name for name, x in lot.items() if x == 2]
+        assert graph_to_text(minor(g, b, c)) == graph_to_text(chain_minor(g, b, c))
+        assert graph_to_text(contract(g, c)) == graph_to_text(chain_contract(g, c))
+
+
+def test_minor_keeps_the_chains_error_order():
+    # Overlap, then an unknown contracted edge, then an invalid graph, then
+    # an unknown deleted edge.
+    bad = INVALID["bad-sign"]
+    with pytest.raises(ValueError):
+        minor(bad, ["e"], ["e"])
+    with pytest.raises(UnknownEdgeError, match="^y$"):
+        minor(bad, ["x"], ["y"])
+    with pytest.raises(InvalidGraphError):
+        minor(bad, ["x"], ["e"])
+    with pytest.raises(UnknownEdgeError, match="^x$"):
+        minor(graph("torus"), ["x", "y"], ["a"])
+    with pytest.raises(UnknownEdgeError, match="^y$"):
+        contract(bad, ["y"])
+
+
 def test_minor_order_immaterial(universe2):
     for g in universe2:
         names = sorted(g.edge_names)
@@ -359,6 +423,22 @@ def test_involutions_and_minor_exchange_on_random_larger_graphs():
             cp = tuple(sorted((set(c) - aset) | (set(b) & aset)))
             rhs = minor(partial_dual(g, subset), bp, cp)
             assert are_isomorphic(lhs, rhs, match_edge_labels=True)
+
+
+def test_minor_exchange_and_contraction_at_scale():
+    for edges in (50, 500):
+        for seed in range(3):
+            g = random_graph(edges, seed)
+            rng = random.Random(f"exchange:{edges}:{seed}")
+            a = [name for name in g.edge_names if rng.random() < 0.5]
+            lot = {name: rng.randrange(3) for name in g.edge_names}
+            b = {name for name, x in lot.items() if x == 1}
+            c = {name for name, x in lot.items() if x == 2}
+            aset = set(a)
+            lhs = partial_dual(minor(g, b, c), [x for x in a if x not in b | c])
+            rhs = minor(partial_dual(g, a), (b - aset) | (c & aset), (c - aset) | (b & aset))
+            assert are_isomorphic(lhs, rhs, match_edge_labels=True)
+            assert are_isomorphic(contract(g, c), chain_contract(g, c), match_edge_labels=True)
 
 
 @given(data=st.data())
