@@ -16,8 +16,9 @@ Two pipelines, both returning certificates that carry the witness data:
 
 :func:`has_alternating_boundary_orientation` is the boundary criterion
 equivalent to checkerboard colourability of the partial dual, decided by
-2-colouring a constraint graph in linear time; it is deliberately
-independent of the dual computation so the two can check each other.
+2-colouring a constraint graph in linear time.  It never builds the dual,
+but it shares the parity solver with the dual's colouring, so the tests
+check both against brute-force references that share no code with them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .core import (
     L,
     R,
     RibbonGraph,
-    NotOrientableError,
     RibbonGraphError,
+    _edge_endpoints,
+    _parity_colouring,
     cross_edge,
     oriented_form,
     require_valid,
@@ -50,6 +52,7 @@ from .predicates import (
     RED,
     FaceColouring,
     checkerboard_colouring,
+    face_adjacency,
     is_eulerian,
 )
 
@@ -65,50 +68,15 @@ class NotEulerianError(RibbonGraphError):
 def orienting_petrial_set(g: RibbonGraph) -> tuple[str, ...]:
     """An edge set whose half-twists make the graph orientable.
 
-    Spanning-tree vertex bits force tree edges to be compatible; the set is
-    the incompatible non-tree edges plus every twisted loop.  An orientable
-    graph yields the empty set.  Not minimised beyond that: any orientable
-    partial Petrial will do.
+    Breadth-first spanning-tree vertex bits force tree edges to be
+    compatible; the set is the edges they leave incompatible, which are
+    non-tree edges and every twisted loop.  An orientable graph yields the
+    empty set.  Not minimised beyond that: any orientable partial Petrial
+    will do.
     """
     require_valid(g)
-    at: dict[str, list[str]] = {}
-    for v in g.vertices:
-        for d in v.rotation:
-            at.setdefault(d.edge, []).append(v.name)
-    loops: list[str] = []
-    adj: dict[str, list[tuple[str, str, int]]] = {v.name: [] for v in g.vertices}
-    for e in g.edges:
-        u, w = at[e.name]
-        if u == w:
-            if e.sign < 0:
-                loops.append(e.name)
-        else:
-            adj[u].append((w, e.name, e.sign))
-            adj[w].append((u, e.name, e.sign))
-
-    bit: dict[str, int] = {}
-    tree: set[str] = set()
-    for v in g.vertices:
-        if v.name in bit:
-            continue
-        bit[v.name] = 0
-        queue = [v.name]
-        while queue:
-            cur = queue.pop(0)
-            for other, name, sign in adj[cur]:
-                if other not in bit:
-                    bit[other] = bit[cur] ^ (1 if sign < 0 else 0)
-                    tree.add(name)
-                    queue.append(other)
-
-    out = set(loops)
-    for e in g.edges:
-        u, w = at[e.name]
-        if u == w or e.name in tree:
-            continue
-        if (bit[u] ^ bit[w]) != (1 if e.sign < 0 else 0):
-            out.add(e.name)
-    return tuple(sorted(out))
+    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, _edge_endpoints(g))]
+    return tuple(g.edges[i].name for i in _parity_colouring(len(g.vertices), links)[1])
 
 
 @dataclass(frozen=True)
@@ -272,9 +240,9 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     arc.  (A component's sign applies to all segments on it, the graph
     being orientable.)  Every constraint says "these two components
     differ", so this is 2-colourability of the constraint graph, decided
-    by one graph search.  It holds exactly when
-    ``partial_dual(g, edges)`` is checkerboard colourable, which the tests
-    verify independently.
+    by the parity solver that also colours faces.  It holds exactly when
+    ``partial_dual(g, edges)`` is checkerboard colourable; as the two share
+    that solver, the tests check each against a brute-force reference.
 
     Raises :class:`NotOrientableError` for non-orientable input.
     """
@@ -283,15 +251,8 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     remaining = delete(oriented, removed)
     decomp = trace_boundary(remaining)
     comp_of = decomp.component_of()
-
-    constraints: list[tuple[int, int]] = []
+    links = [(c1, c2, 1) for _, c1, c2 in face_adjacency(remaining, decomp)]
     removed_set = set(removed)
-    for e in remaining.edges:
-        a = HalfEdgeSegment(EdgeEnd(e.name, 1), L)
-        b = HalfEdgeSegment(EdgeEnd(e.name, 1), R)
-        constraints.append(
-            (comp_of[a], comp_of[b])
-        )
 
     isolated_comp = {
         comp.isolated_vertex: i
@@ -312,24 +273,5 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
             else:
                 arc_comp[d] = comp_of[HalfEdgeSegment(rot[last], R)]
     for name in removed:
-        constraints.append((arc_comp[EdgeEnd(name, 1)], arc_comp[EdgeEnd(name, 2)]))
-
-    differ: list[list[int]] = [[] for _ in range(decomp.count)]
-    for a, b in constraints:
-        differ[a].append(b)
-        differ[b].append(a)
-    sign = [0] * decomp.count
-    for start in range(decomp.count):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for other in differ[cur]:
-                if not sign[other]:
-                    sign[other] = -sign[cur]
-                    stack.append(other)
-                elif sign[other] == sign[cur]:
-                    return False
-    return True
+        links.append((arc_comp[EdgeEnd(name, 1)], arc_comp[EdgeEnd(name, 2)], 1))
+    return not _parity_colouring(decomp.count, links)[1]

@@ -155,6 +155,10 @@ class RibbonGraph:
         # Read only through trace_boundary, which validates first.
         return _trace_boundary(self)
 
+    @cached_property
+    def _edge_name_set(self) -> frozenset[str]:
+        return frozenset(e.name for e in self.edges)
+
     @property
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
@@ -420,48 +424,80 @@ def edge_side_pairs(g: RibbonGraph, edge: str) -> tuple[tuple[HalfEdgeSegment, H
 # Connectivity, Euler characteristic, orientability
 # ---------------------------------------------------------------------------
 
+def _edge_endpoints(g: RibbonGraph) -> list[list[int]]:
+    """Each edge's two vertex indices (lower first), in stored edge order."""
+    at: dict[str, list[int]] = {}
+    for i, v in enumerate(g.vertices):
+        for d in v.rotation:
+            at.setdefault(d.edge, []).append(i)
+    return [at[e.name] for e in g.edges]
+
+
+def _parity_colouring(n: int, links: Sequence[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
+    """Bits for nodes ``0..n-1`` asked to satisfy ``bit[u] ^ bit[w] == p``
+    for every link ``(u, w, p)``, and the indices of the links they violate.
+
+    This is balance of a signed graph: it holds exactly when no link is
+    violated.  Each piece is searched breadth-first from its lowest node,
+    which gets bit 0, following links in the order given; the links that
+    discover nodes form a spanning forest and are never violated.  A loop
+    ``(u, u, 1)`` is always violated.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, w, p in links:
+        if u != w:
+            adj[u].append((w, p))
+            adj[w].append((u, p))
+    bit = [-1] * n
+    for start in range(n):
+        if bit[start] >= 0:
+            continue
+        bit[start] = 0
+        queue = [start]
+        for cur in queue:
+            b = bit[cur]
+            for other, p in adj[cur]:
+                if bit[other] < 0:
+                    bit[other] = b ^ p
+                    queue.append(other)
+    return bit, [i for i, (u, w, p) in enumerate(links) if bit[u] ^ bit[w] != p]
+
+
 def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected pieces of the underlying multigraph as (vertices, edges), in stored vertex order."""
-    parent: dict[str, str] = {v.name: v.name for v in g.vertices}
+    parent = list(range(len(g.vertices)))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    at: dict[str, list[str]] = {}
-    for v in g.vertices:
-        for d in v.rotation:
-            at.setdefault(d.edge, []).append(v.name)
-    for e in g.edges:
-        u, w = at[e.name]
+    ends = _edge_endpoints(g)
+    for u, w in ends:
         parent[find(u)] = find(w)
 
     # Keys are inserted in the order of each piece's first vertex.
-    groups: dict[str, list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v.name), []).append(v.name)
-    edges_of: dict[str, list[str]] = {root: [] for root in groups}
-    for e in g.edges:
-        edges_of[find(at[e.name][0])].append(e.name)
+    groups: dict[int, list[str]] = {}
+    for i, v in enumerate(g.vertices):
+        groups.setdefault(find(i), []).append(v.name)
+    edges_of: dict[int, list[str]] = {root: [] for root in groups}
+    for e, (u, _) in zip(g.edges, ends):
+        edges_of[find(u)].append(e.name)
     return [(tuple(vs), tuple(edges_of[root])) for root, vs in groups.items()]
 
 
 def euler_characteristic_by_component(g: RibbonGraph) -> list[int]:
     """V - E + F for each connected piece (an isolated vertex counts 1 - 0 + 1 = 2)."""
     decomp = trace_boundary(g)
-    vertex_home: dict[str, int] = {}
     pieces = connected_components(g)
-    for i, (vs, _) in enumerate(pieces):
-        for name in vs:
-            vertex_home[name] = i
-    faces = [0] * len(pieces)
+    # A face lies in the piece of any edge on it; a piece without edges is
+    # an isolated vertex, with one empty face.
+    piece_of = {name: i for i, (_, es) in enumerate(pieces) for name in es}
+    faces = [0 if es else 1 for _, es in pieces]
     for comp in decomp.components:
-        if comp.isolated_vertex is not None:
-            faces[vertex_home[comp.isolated_vertex]] += 1
-        else:
-            faces[vertex_home[g.vertex_of(comp.segments[0].end)]] += 1
+        if comp.segments:
+            faces[piece_of[comp.segments[0].end.edge]] += 1
     return [len(vs) - len(es) + faces[i] for i, (vs, es) in enumerate(pieces)]
 
 
@@ -477,35 +513,11 @@ def orientation_flips(g: RibbonGraph) -> set[str] | None:
     the underlying surface is non-orientable.
     """
     require_valid(g)
-    at: dict[str, list[str]] = {}
-    for v in g.vertices:
-        for d in v.rotation:
-            at.setdefault(d.edge, []).append(v.name)
-    adj: dict[str, list[tuple[str, int]]] = {v.name: [] for v in g.vertices}
-    for e in g.edges:
-        u, w = at[e.name]
-        if u == w:
-            if e.sign < 0:
-                return None
-        else:
-            adj[u].append((w, e.sign))
-            adj[w].append((u, e.sign))
-    bit: dict[str, int] = {}
-    for v in g.vertices:
-        if v.name in bit:
-            continue
-        bit[v.name] = 0
-        stack = [v.name]
-        while stack:
-            cur = stack.pop()
-            for other, sign in adj[cur]:
-                want = bit[cur] ^ (1 if sign < 0 else 0)
-                if other not in bit:
-                    bit[other] = want
-                    stack.append(other)
-                elif bit[other] != want:
-                    return None
-    return {name for name, b in bit.items() if b}
+    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, _edge_endpoints(g))]
+    bit, bad = _parity_colouring(len(g.vertices), links)
+    if bad:
+        return None
+    return {v.name for v, b in zip(g.vertices, bit) if b}
 
 
 def is_orientable(g: RibbonGraph) -> bool:

@@ -45,11 +45,18 @@ def to_dart_graph(g: RibbonGraph) -> DartGraph:
 def from_dart_graph(dg: DartGraph) -> RibbonGraph:
     """Materialise a dart-level encoding with generated names v0.., e0.. ."""
     sigma, signs, isolated = dg
-    n = len(sigma)
-    seen = [False] * n
-    vertices: list[Vertex] = []
-    vi = 0
-    for d0 in range(n):
+    rotations = [tuple(EdgeEnd(f"e{x // 2}", x % 2 + 1) for x in cycle) for cycle in _cycles(sigma)]
+    rotations += [()] * isolated
+    vertices = tuple(Vertex(f"v{i}", rot) for i, rot in enumerate(rotations))
+    return RibbonGraph(vertices, tuple(Edge(f"e{i}", sign) for i, sign in enumerate(signs)))
+
+
+def _cycles(sigma: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of ``sigma`` (the vertices), each listed from its least
+    dart, in order of that dart."""
+    seen = [False] * len(sigma)
+    out: list[list[int]] = []
+    for d0 in range(len(sigma)):
         if seen[d0]:
             continue
         cycle = []
@@ -58,14 +65,8 @@ def from_dart_graph(dg: DartGraph) -> RibbonGraph:
             seen[d] = True
             cycle.append(d)
             d = sigma[d]
-        rot = tuple(EdgeEnd(f"e{x // 2}", x % 2 + 1) for x in cycle)
-        vertices.append(Vertex(f"v{vi}", rot))
-        vi += 1
-    for _ in range(isolated):
-        vertices.append(Vertex(f"v{vi}"))
-        vi += 1
-    edges = tuple(Edge(f"e{i}", signs[i]) for i in range(n // 2))
-    return RibbonGraph(tuple(vertices), edges)
+        out.append(cycle)
+    return out
 
 
 def _components(sigma: tuple[int, ...]) -> list[list[int]]:
@@ -153,14 +154,12 @@ def canonical_key_darts(dg: DartGraph) -> tuple:
     sigma, signs, isolated = dg
     n = len(sigma)
     inverse = [0] * n
-    vertex_of = [-1] * n
-    for d0 in range(n):
-        inverse[sigma[d0]] = d0
-        if vertex_of[d0] < 0:
-            d = d0
-            while vertex_of[d] < 0:
-                vertex_of[d] = d0
-                d = sigma[d]
+    vertex_of = [0] * n
+    for cycle in _cycles(sigma):
+        head = cycle[0]
+        for d in cycle:
+            inverse[sigma[d]] = d
+            vertex_of[d] = head
     keys = sorted(_component_key(sigma, inverse, signs, vertex_of, comp) for comp in _components(sigma))
     return (tuple(keys), isolated)
 

@@ -58,7 +58,7 @@ def twist_compose(after: str, before: str) -> str:
 
 
 def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> tuple[str, ...]:
-    known = set(g.edge_names)
+    known = g._edge_name_set
     out = tuple(sorted(set(edges)))
     for name in out:
         if name not in known:

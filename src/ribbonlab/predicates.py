@@ -19,6 +19,8 @@ from .core import (
     L,
     R,
     RibbonGraph,
+    _edge_endpoints,
+    _parity_colouring,
     require_valid,
     trace_boundary,
 )
@@ -47,32 +49,8 @@ def is_eulerian(g: RibbonGraph) -> bool:
 def is_bipartite(g: RibbonGraph) -> bool:
     """Bipartiteness of the underlying multigraph; any loop is an odd cycle."""
     require_valid(g)
-    at: dict[str, list[str]] = {}
-    for v in g.vertices:
-        for d in v.rotation:
-            at.setdefault(d.edge, []).append(v.name)
-    adj: dict[str, list[str]] = {v.name: [] for v in g.vertices}
-    for e in g.edges:
-        u, w = at[e.name]
-        if u == w:
-            return False
-        adj[u].append(w)
-        adj[w].append(u)
-    colour: dict[str, int] = {}
-    for v in g.vertices:
-        if v.name in colour:
-            continue
-        colour[v.name] = 0
-        stack = [v.name]
-        while stack:
-            cur = stack.pop()
-            for other in adj[cur]:
-                if other not in colour:
-                    colour[other] = colour[cur] ^ 1
-                    stack.append(other)
-                elif colour[other] == colour[cur]:
-                    return False
-    return True
+    links = [(u, w, 1) for u, w in _edge_endpoints(g)]
+    return not _parity_colouring(len(g.vertices), links)[1]
 
 
 def face_degrees(g: RibbonGraph) -> Counter:
@@ -104,31 +82,11 @@ def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     component is coloured red.
     """
     decomp = trace_boundary(g)
-    links = face_adjacency(g, decomp)
-    n = decomp.count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for _, c1, c2 in links:
-        if c1 == c2:
-            return None
-        adj[c1].append(c2)
-        adj[c2].append(c1)
-    colours: list[str | None] = [None] * n
-    for start in range(n):
-        if colours[start] is not None:
-            continue
-        colours[start] = RED
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            want = BLUE if colours[cur] == RED else RED
-            for other in adj[cur]:
-                if colours[other] is None:
-                    colours[other] = want
-                    stack.append(other)
-                elif colours[other] != want:
-                    return None
-    assert all(c is not None for c in colours)
-    return FaceColouring(decomp, tuple(colours))  # type: ignore[arg-type]
+    links = [(c1, c2, 1) for _, c1, c2 in face_adjacency(g, decomp)]
+    bit, bad = _parity_colouring(decomp.count, links)
+    if bad:
+        return None
+    return FaceColouring(decomp, tuple(BLUE if b else RED for b in bit))
 
 
 def is_checkerboard_colourable(g: RibbonGraph) -> bool:

@@ -36,6 +36,8 @@ from .core import (
     trace_boundary,
 )
 from .isomorphism import (
+    _components,
+    _cycles,
     are_isomorphic,
     canonical_graph,
     canonical_key,
@@ -127,11 +129,10 @@ class GraphUniverse:
         seen: set = set()
         for k in range(self.max_edges + 1):
             for dg in self._dart_graphs(k):
-                sigma, signs, isolated = dg
-                nverts = _cycle_count(sigma) + isolated
-                if self.max_vertices is not None and nverts > self.max_vertices:
+                sigma, _, isolated = dg
+                if self.max_vertices is not None and len(_cycles(sigma)) + isolated > self.max_vertices:
                     continue
-                if self.connected and not _is_connected(sigma, isolated):
+                if self.connected and len(_components(sigma)) + isolated != 1:
                     continue
                 if self.dedup:
                     key = canonical_key_darts(dg)
@@ -178,60 +179,11 @@ def sample_graphs(
         darts = list(range(2 * edges))
         rng.shuffle(darts)
         sigma = tuple(darts)
-        if eulerian and not _all_cycles_even(sigma):
+        if eulerian and any(len(c) % 2 for c in _cycles(sigma)):
             continue
         signs = tuple(rng.choice((1, -1)) for _ in range(edges))
         out.append(from_dart_graph((sigma, signs, 0)))
     return out
-
-
-def _all_cycles_even(sigma: tuple[int, ...]) -> bool:
-    seen = [False] * len(sigma)
-    for d0 in range(len(sigma)):
-        if seen[d0]:
-            continue
-        length = 0
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            length += 1
-            d = sigma[d]
-        if length % 2:
-            return False
-    return True
-
-
-def _cycle_count(sigma: tuple[int, ...]) -> int:
-    seen = [False] * len(sigma)
-    count = 0
-    for d in range(len(sigma)):
-        if seen[d]:
-            continue
-        count += 1
-        while not seen[d]:
-            seen[d] = True
-            d = sigma[d]
-    return count
-
-
-def _is_connected(sigma: tuple[int, ...], isolated: int) -> bool:
-    n = len(sigma)
-    if n == 0:
-        return isolated == 1
-    if isolated:
-        return False
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    reached = 1
-    while stack:
-        d = stack.pop()
-        for nb in (sigma[d], d ^ 1):
-            if not seen[nb]:
-                seen[nb] = True
-                reached += 1
-                stack.append(nb)
-    return reached == n
 
 
 def _relabellings(k: int) -> list[tuple[bytes, bytes]]:

@@ -185,6 +185,16 @@ def brute_force_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     return False
 
 
+def brute_force_parity(n: int, links):
+    """Reference for the parity solver: the first of the 2^n bit vectors, in
+    ``itertools.product`` order, with ``bits[u] ^ bits[w] == p`` for every
+    link ``(u, w, p)``, or None when none satisfies them all."""
+    for bits in itertools.product((0, 1), repeat=n):
+        if all(bits[u] ^ bits[w] == p for u, w, p in links):
+            return bits
+    return None
+
+
 def backtracking_labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     """Reference for ``isomorphism._labelled_search``: try every vertex
     image, flip and rotation shift, then check edge names and signs."""

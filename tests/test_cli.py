@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from ribbonlab import graph_to_text, parse_graph, load_graph, is_checkerboard_colourable
 from ribbonlab.cli import main
@@ -138,6 +141,29 @@ def test_theorem1_output_ignores_the_hash_seed(tmp_path):
         outputs.append(done.stdout)
     assert "twist word:" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+#: SHA-256 of ``theorem1`` and ``check`` output on ``random_graph(300, s)``.
+#: They pin the breadth-first spanning tree that picks the petrial set, and
+#: the rule that the lowest-indexed face of each piece is red.
+GOLDEN_300 = {
+    (1, "theorem1"): "284ca0483900a2ef28ec3514cbff1e3cab996291b53f82a69c414892938ba93e",
+    (1, "check"): "a62ad162525501ed71a994d1d66b3e1868ffeac92789f28c3641bba706800d10",
+    (2, "theorem1"): "f48684d6644e5f89900e43eda983ad971f181f0db98132b6cd7495ce97a37146",
+    (2, "check"): "63dd90d9a48533117e74b0b7dfd58eaff067ec9b552dea80a88c99db8ff28b0d",
+    (3, "theorem1"): "256aac308b9f1c56552e401c5b37a1b4dbd525734462ce923ea759d956a2b78e",
+    (3, "check"): "f9de4aa84c96b58b3bffca37338b38a115afbdffc6ea818a515581f9d16acc8a",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_300_edge_output_is_pinned(capsys, tmp_path, seed):
+    path = tmp_path / "g300.rg"
+    path.write_text(graph_to_text(random_graph(300, seed)))
+    for command in ("theorem1", "check"):
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_300[seed, command]
 
 
 def test_theorem2_torus(capsys):

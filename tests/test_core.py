@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,9 +32,9 @@ from ribbonlab import (
     trace_boundary,
     validate,
 )
-from ribbonlab.core import Arrow, ArrowPresentation, Circle
+from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring
 
-from helpers import graph, random_graph
+from helpers import brute_force_parity, graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,49 @@ def test_euler_characteristic_per_component():
 def test_sphere_fixtures_have_chi_two():
     for name in ("loop", "path2", "bouquet", "digon", "triangle"):
         assert euler_characteristic(graph(name)) == 2
+
+
+def test_euler_characteristic_is_linear_on_a_digon_chain():
+    """4,000 digons in a row: a sphere with 4,001 faces.  The boundary is
+    traced first, so the bound times only what the Euler characteristic
+    adds; looking each face's piece up by vertex scan took ~1.5 s on it."""
+    k = 4000
+    rotations: list[list[EdgeEnd]] = [[] for _ in range(k + 1)]
+    for i in range(k):
+        rotations[i] += [EdgeEnd(f"a{i}", 1), EdgeEnd(f"b{i}", 1)]
+        rotations[i + 1] += [EdgeEnd(f"b{i}", 2), EdgeEnd(f"a{i}", 2)]
+    g = RibbonGraph(
+        tuple(Vertex(f"v{i}", tuple(rot)) for i, rot in enumerate(rotations)),
+        tuple(Edge(f"{c}{i}") for i in range(k) for c in "ab"),
+    )
+    assert trace_boundary(g).count == k + 1
+    start = time.perf_counter()
+    assert euler_characteristic(g) == 2
+    assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the parity solver
+# ---------------------------------------------------------------------------
+
+def test_parity_colouring_matches_brute_force():
+    rng = random.Random("parity")
+    for _ in range(600):
+        n = rng.randrange(8)
+        m = rng.randrange(12) if n else 0
+        links = [(rng.randrange(n), rng.randrange(n), rng.randrange(2)) for _ in range(m)]
+        # Parallel links, with equal and with opposite parities.
+        links += [rng.choice(links)[:2] + (rng.randrange(2),) for _ in range(m // 3)]
+        bit, bad = _parity_colouring(n, links)
+        assert len(bit) == n and set(bit) <= {0, 1}
+        assert bad == [i for i, (u, w, p) in enumerate(links) if bit[u] ^ bit[w] != p]
+        assert (not bad) == (brute_force_parity(n, links) is not None)
+        # The lowest node of every piece gets bit 0.
+        low = list(range(n))
+        for _ in range(n):
+            for u, w, _ in links:
+                low[u] = low[w] = min(low[u], low[w])
+        assert all(bit[low[u]] == 0 for u in range(n))
 
 
 # ---------------------------------------------------------------------------

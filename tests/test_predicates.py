@@ -9,10 +9,13 @@ from ribbonlab import (
     is_checkerboard_colourable,
     is_eulerian,
     is_even_face,
+    orientation_flips,
     partial_petrial,
+    trace_boundary,
 )
+from ribbonlab.core import HalfEdgeSegment, L, R
 
-from helpers import graph
+from helpers import brute_force_parity, graph
 
 
 def test_eulerian_examples():
@@ -98,3 +101,34 @@ def test_duality_equivalences(universe2):
 def test_eulerian_does_not_imply_checkerboard():
     g = graph("torus")
     assert is_eulerian(g) and not is_checkerboard_colourable(g)
+
+
+def test_parity_predicates_match_brute_force(raw_universe3):
+    """Bipartiteness, orientability and face colourability each ask for
+    bits satisfying parity links; every answer is checked against trying
+    all assignments, and every returned colouring against every link."""
+    for g in raw_universe3:
+        index = {v.name: i for i, v in enumerate(g.vertices)}
+        home = {d: index[v.name] for v in g.vertices for d in v.rotation}
+        ends = [(home[e.ends[0]], home[e.ends[1]]) for e in g.edges]
+        n = len(g.vertices)
+
+        assert is_bipartite(g) == (brute_force_parity(n, [(u, w, 1) for u, w in ends]) is not None)
+
+        twist_links = [(u, w, int(e.sign < 0)) for e, (u, w) in zip(g.edges, ends)]
+        flips = orientation_flips(g)
+        assert (flips is None) == (brute_force_parity(n, twist_links) is None)
+        if flips is not None:
+            bit = [int(v.name in flips) for v in g.vertices]
+            assert all(bit[u] ^ bit[w] == p for u, w, p in twist_links)
+
+        decomp = trace_boundary(g)
+        comp_of = decomp.component_of()
+        face_links = [
+            (comp_of[HalfEdgeSegment(e.ends[0], L)], comp_of[HalfEdgeSegment(e.ends[0], R)], 1)
+            for e in g.edges
+        ]
+        colouring = checkerboard_colouring(g)
+        assert (colouring is None) == (brute_force_parity(decomp.count, face_links) is None)
+        if colouring is not None:
+            assert all(colouring.colours[a] != colouring.colours[b] for a, b, _ in face_links)
