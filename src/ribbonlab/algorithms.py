@@ -33,6 +33,7 @@ from .core import (
     RibbonGraph,
     RibbonGraphError,
     _edge_endpoints,
+    _orbits,
     _parity_colouring,
     cross_edge,
     oriented_form,
@@ -46,13 +47,12 @@ from .medial import (
     d_edges,
     straight_ahead_direction,
 )
-from .operators import delete, partial_dual, partial_petrial
+from .operators import _check_edges, partial_dual, partial_petrial
 from .predicates import (
     BLUE,
     RED,
     FaceColouring,
     checkerboard_colouring,
-    face_adjacency,
     is_eulerian,
 )
 
@@ -238,40 +238,33 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     deleted graph gives each kept edge one positive and one negative ribbon
     side and each removed edge one positive and one negative attachment
     arc.  (A component's sign applies to all segments on it, the graph
-    being orientable.)  Every constraint says "these two components
-    differ", so this is 2-colourability of the constraint graph, decided
-    by the parity solver that also colours faces.  It holds exactly when
+    being orientable.)  The components are the orbits of the oriented
+    host's flags under corner and, per end, ``side`` if kept or ``end`` if
+    removed, so a removed end lies on its attachment arc's component.
+    Every constraint says "these two components differ", so this is
+    2-colourability of the constraint graph, decided by the parity solver
+    that also colours faces.  It holds exactly when
     ``partial_dual(g, edges)`` is checkerboard colourable; as the two share
     that solver, the tests check each against a brute-force reference.
 
-    Raises :class:`NotOrientableError` for non-orientable input.
+    Raises :class:`NotOrientableError` for non-orientable input and
+    :class:`UnknownEdgeError` for an unknown edge name.
     """
-    removed = tuple(sorted(set(edges)))
     oriented, _ = oriented_form(g)  # raises NotOrientableError when impossible
-    remaining = delete(oriented, removed)
-    decomp = trace_boundary(remaining)
-    comp_of = decomp.component_of()
-    links = [(c1, c2, 1) for _, c1, c2 in face_adjacency(remaining, decomp)]
-    removed_set = set(removed)
-
-    isolated_comp = {
-        comp.isolated_vertex: i
-        for i, comp in enumerate(decomp.components)
-        if comp.isolated_vertex is not None
-    }
-    arc_comp: dict[EdgeEnd, int] = {}
-    for v in oriented.vertices:
-        rot = v.rotation
-        kept = [i for i, d in enumerate(rot) if d.edge not in removed_set]
-        # A removed end's arc follows the last kept end before it, cyclically.
-        last = kept[-1] if kept else -1
-        for i, d in enumerate(rot):
-            if d.edge not in removed_set:
-                last = i
-            elif last < 0:
-                arc_comp[d] = isolated_comp[v.name]
-            else:
-                arc_comp[d] = comp_of[HalfEdgeSegment(rot[last], R)]
-    for name in removed:
-        links.append((arc_comp[EdgeEnd(name, 1)], arc_comp[EdgeEnd(name, 2)], 1))
-    return not _parity_colouring(decomp.count, links)[1]
+    removed = set(_check_edges(oriented, edges))
+    ends, mate, corner, side, _ = oriented._flags
+    cut = [d.edge in removed for d in ends]
+    across = [f ^ 1 if cut[f >> 1] else s for f, s in enumerate(side)]
+    orbits = _orbits(corner, across, range(len(across)))
+    comp = [0] * len(across)
+    for k, orbit in enumerate(orbits):
+        for f in orbit:
+            comp[f] = comp[across[f]] = k
+    # One link per edge, at its end 1: a kept edge's two ribbon sides, a
+    # removed edge's two attachment arcs.
+    links = [
+        (comp[2 * i], comp[2 * mate[i] if cut[i] else 2 * i + 1], 1)
+        for i, d in enumerate(ends)
+        if d.end == 1
+    ]
+    return not _parity_colouring(len(orbits), links)[1]

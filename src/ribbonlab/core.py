@@ -2,9 +2,9 @@
 
 A ribbon graph is stored as a cyclic order of edge-ends around each vertex
 plus a twist sign per edge (+1 untwisted, -1 half-twisted).  This module
-holds the data model, structural validation, boundary tracing (faces),
-orientability, vertex flips, the arrow-presentation view and the plain-text
-file format.
+holds the data model, structural validation, the flag structure and its
+orbit walker, boundary tracing (faces), orientability, vertex flips, the
+arrow-presentation view and the plain-text file format.
 
 Conventions used throughout (all derived ones are pinned by round-trip and
 involution identities exercised in the test suite):
@@ -17,6 +17,13 @@ involution identities exercised in the test suite):
   sense, and the two ends of a flat ribbon see opposite senses.)
 * Arrow presentations mark an edge untwisted exactly when its two arrows
   point the same way relative to their circles.
+* The half-edge segments are the flags (Lins' graph-encoded maps): flag
+  ``2i`` is the ``L`` side of the i-th edge-end in vertex order, ``2i + 1``
+  its ``R`` side.  The involution ``corner`` rounds a vertex line segment,
+  ``side`` crosses a ribbon and ``end`` is ``f ^ 1``.  Faces are the orbits
+  of <corner, side>, vertices those of <corner, end>; boundary tracing,
+  partial duality, the boundary criterion and the straight-ahead walks
+  each walk orbits with :func:`_orbits`.
 """
 
 from __future__ import annotations
@@ -156,6 +163,11 @@ class RibbonGraph:
         return _trace_boundary(self)
 
     @cached_property
+    def _flags(self) -> "_Flags":
+        # Read only after validation, like _boundary.
+        return _flag_structure(self)
+
+    @cached_property
     def _edge_name_set(self) -> frozenset[str]:
         return frozenset(e.name for e in self.edges)
 
@@ -292,6 +304,77 @@ def require_valid(g: RibbonGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Flags and their orbits
+# ---------------------------------------------------------------------------
+
+class _Flags(NamedTuple):
+    """The flag structure of a valid graph, shared and never mutated:
+    ``ends[i]`` is the i-th edge-end in vertex order, ``mate[i]`` its
+    partner's position and ``forward[i]`` its arrow's direction in
+    :func:`to_arrow_presentation`."""
+
+    ends: list[EdgeEnd]
+    mate: list[int]
+    corner: list[int]
+    side: list[int]
+    forward: list[bool]
+
+
+def _flag_structure(g: RibbonGraph) -> _Flags:
+    ends = [d for v in g.vertices for d in v.rotation]
+    n = len(ends)
+    mate = [0] * n
+    first: dict[str, int] = {}
+    for i, d in enumerate(ends):
+        # j == i at an edge's first end; its second end sets both entries.
+        j = first.setdefault(d.edge, i)
+        mate[i], mate[j] = j, i
+    signs = g.signs()
+    corner = [0] * (2 * n)
+    side = [0] * (2 * n)
+    forward = [False] * n
+    base = 0
+    for v in g.vertices:
+        stop = base + len(v.rotation)
+        for i in range(base, stop):
+            j = i + 1 if i + 1 < stop else base
+            corner[2 * i + 1] = 2 * j
+            corner[2 * j] = 2 * i + 1
+            d, m = ends[i], mate[i]
+            twisted = signs[d.edge] < 0
+            side[2 * i], side[2 * i + 1] = 2 * m + 1 - twisted, 2 * m + twisted
+            forward[i] = (twisted or i < m) == (d.end == 1)
+        base = stop
+    return _Flags(ends, mate, corner, side, forward)
+
+
+def _orbits(step: Sequence[int], across: Sequence[int], starts: Iterable[int]) -> list[list[int]]:
+    """The orbits of two involutions on flags, walked alternately.
+
+    From each start not yet met, the walk applies ``across`` and then
+    ``step`` until it is back at the start; an orbit is the list of flags
+    ``across`` was applied to, and both flags of every such pair count as
+    met.
+    """
+    seen = bytearray(len(across))
+    out = []
+    for f0 in starts:
+        if seen[f0]:
+            continue
+        orbit = []
+        f = f0
+        while True:
+            orbit.append(f)
+            h = across[f]
+            seen[f] = seen[h] = 1
+            f = step[h]
+            if f == f0:
+                break
+        out.append(orbit)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Boundary tracing
 # ---------------------------------------------------------------------------
 
@@ -331,18 +414,6 @@ class BoundaryDecomposition:
         return [c.face_degree for c in self.components]
 
 
-def _rotation_maps(g: RibbonGraph) -> tuple[dict[EdgeEnd, EdgeEnd], dict[EdgeEnd, EdgeEnd]]:
-    nxt: dict[EdgeEnd, EdgeEnd] = {}
-    prv: dict[EdgeEnd, EdgeEnd] = {}
-    for v in g.vertices:
-        rot = v.rotation
-        m = len(rot)
-        for i, d in enumerate(rot):
-            nxt[d] = rot[(i + 1) % m]
-            prv[d] = rot[i - 1]
-    return nxt, prv
-
-
 def cross_edge(g: RibbonGraph, seg: HalfEdgeSegment, signs: Mapping[str, int] | None = None) -> HalfEdgeSegment:
     """Continue along the same ribbon side to the other end of the edge."""
     signs = signs if signs is not None else g.signs()
@@ -355,11 +426,12 @@ def cross_edge(g: RibbonGraph, seg: HalfEdgeSegment, signs: Mapping[str, int] | 
 def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     """Partition all half-edge segments into boundary components.
 
-    The walk alternates crossing a ribbon (same physical side, so the side
-    letter swaps iff the edge is untwisted) with rounding one vertex line
-    segment (``R`` side continues to the next end's ``L`` side, ``L`` to the
-    previous end's ``R``).  Isolated vertices contribute one empty component
-    each, appended after the traced ones.
+    The components are the orbits of <corner, side> on the flags, started
+    in flag order: the walk alternates crossing a ribbon (same physical
+    side, so the side letter swaps iff the edge is untwisted) with rounding
+    one vertex line segment (``R`` side continues to the next end's ``L``
+    side, ``L`` to the previous end's ``R``).  Isolated vertices contribute
+    one empty component each, appended after the traced ones.
 
     Each graph is traced at most once: later calls return the same
     decomposition, while an invalid graph raises on every call.
@@ -369,46 +441,16 @@ def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
 
 
 def _trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
-    signs = g.signs()
-    nxt, prv = _rotation_maps(g)
-
-    def estep(seg: HalfEdgeSegment) -> HalfEdgeSegment:
-        side = seg.side
-        if signs[seg.end.edge] > 0:
-            side = _OTHER_SIDE[side]
-        return HalfEdgeSegment(seg.end.partner, side)
-
-    def vstep(seg: HalfEdgeSegment) -> HalfEdgeSegment:
-        if seg.side == R:
-            return HalfEdgeSegment(nxt[seg.end], L)
-        return HalfEdgeSegment(prv[seg.end], R)
-
-    order: list[HalfEdgeSegment] = []
-    for v in g.vertices:
-        for d in v.rotation:
-            order.append(HalfEdgeSegment(d, L))
-            order.append(HalfEdgeSegment(d, R))
-
-    seen: set[HalfEdgeSegment] = set()
-    components: list[BoundaryComponent] = []
-    for start in order:
-        if start in seen:
-            continue
-        seq: list[HalfEdgeSegment] = []
-        cur = start
-        while True:
-            seq.append(cur)
-            seen.add(cur)
-            cur = estep(cur)
-            seq.append(cur)
-            seen.add(cur)
-            cur = vstep(cur)
-            if cur == start:
-                break
-        components.append(BoundaryComponent(tuple(seq)))
-    for v in g.vertices:
-        if not v.rotation:
-            components.append(BoundaryComponent((), isolated_vertex=v.name))
+    # One component per orbit of <corner, side>; each step contributes the
+    # segment it starts from and the one across the ribbon.
+    fl = g._flags
+    segs = [HalfEdgeSegment(d, letter) for d in fl.ends for letter in (L, R)]
+    side = fl.side
+    components = [
+        BoundaryComponent(tuple(seg for f in orbit for seg in (segs[f], segs[side[f]])))
+        for orbit in _orbits(fl.corner, side, range(len(side)))
+    ]
+    components.extend(BoundaryComponent((), isolated_vertex=v.name) for v in g.vertices if not v.rotation)
     return BoundaryDecomposition(tuple(components))
 
 
@@ -600,35 +642,14 @@ def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
     :func:`from_arrow_presentation` reproduces the graph exactly.
     """
     require_valid(g)
-    ends, _, forward = _arrow_layout(g)
-    arrows = [Arrow(d.edge, f) for d, f in zip(ends, forward)]
+    fl = g._flags
+    arrows = [Arrow(d.edge, f) for d, f in zip(fl.ends, fl.forward)]
     circles = []
     pos = 0
     for v in g.vertices:
         circles.append(Circle(v.name, tuple(arrows[pos:pos + len(v.rotation)])))
         pos += len(v.rotation)
     return ArrowPresentation(tuple(circles))
-
-
-def _arrow_layout(g: RibbonGraph) -> tuple[list[EdgeEnd], list[int], list[bool]]:
-    """The arrows of :func:`to_arrow_presentation` as edge-end positions.
-
-    Returns every edge-end in vertex order, the position of each one's
-    partner end, and whether the arrow there points along its circle.
-    """
-    ends = [d for v in g.vertices for d in v.rotation]
-    mate = [0] * len(ends)
-    first: dict[str, int] = {}
-    for i, d in enumerate(ends):
-        # j == i at an edge's first end; its second end sets both entries.
-        j = first.setdefault(d.edge, i)
-        mate[i], mate[j] = j, i
-    signs = g.signs()
-    forward = [
-        d.end == 1 if signs[d.edge] < 0 else (i < mate[i]) == (d.end == 1)
-        for i, d in enumerate(ends)
-    ]
-    return ends, mate, forward
 
 
 def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:

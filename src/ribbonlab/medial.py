@@ -43,6 +43,7 @@ from .core import (
     NotOrientableError,
     RibbonGraphError,
     Vertex,
+    _orbits,
     oriented_form,
     require_valid,
 )
@@ -187,32 +188,26 @@ def straight_ahead_direction(m: MedialGraph, *, seed: int = 0) -> AllCrossingDir
     vertex for orientable hosts; a violation raises
     :class:`InternalInvariantError`.
     """
-    edge_at = m.edge_at()
-    directions: dict[int, tuple[HalfEdgeSegment, HalfEdgeSegment]] = {}
+    # Ports are the host's flags: corner edge i joins flag 2i + 1 to
+    # corner[2i + 1], and straight ahead (other end, same side letter) is
+    # 2 mate + letter.  The walks are the orbits of <corner, ahead> from
+    # tail flags.
+    ends, mate, corner, _, _ = m.host._flags
+    ahead = [2 * mate[f >> 1] | f & 1 for f in range(len(corner))]
+    segs = [HalfEdgeSegment(d, letter) for d in ends for letter in (L, R)]
+    tails = [2 * i + 1 if seed == 0 else corner[2 * i + 1] for i in range(len(ends))]
+    directions: list[tuple[HalfEdgeSegment, HalfEdgeSegment] | None] = [None] * len(ends)
     walks: list[tuple[int, ...]] = []
-    for c0 in m.corner_edges:
-        if c0.index in directions:
-            continue
-        head0 = c0.ports[1] if seed == 0 else c0.ports[0]
-        walk: list[int] = []
-        cur, head = c0, head0
-        while True:
-            tail = cur.other(head)
-            if cur.index in directions:
-                if directions[cur.index] != (tail, head):
-                    raise InternalInvariantError(
-                        f"straight-ahead walk traverses corner edge {cur.index} both ways"
-                    )
-                break
-            directions[cur.index] = (tail, head)
-            walk.append(cur.index)
-            out_port = MedialGraph.opposite(head)
-            nxt = edge_at[out_port]
-            cur, head = nxt, nxt.other(out_port)
+    for orbit in _orbits(ahead, corner, tails):
+        walk = [t >> 1 if t & 1 else corner[t] >> 1 for t in orbit]
+        for t, index in zip(orbit, walk):
+            if directions[index] is not None:
+                raise InternalInvariantError(
+                    f"straight-ahead walk traverses corner edge {index} both ways"
+                )
+            directions[index] = (segs[t], segs[corner[t]])
         walks.append(tuple(walk))
-    result = AllCrossingDirection(
-        tuple(directions[i] for i in range(len(m.corner_edges))), tuple(walks)
-    )
+    result = AllCrossingDirection(tuple(directions), tuple(walks))
     bad = _all_crossing_violations(m, result)
     if bad:
         raise InternalInvariantError(
@@ -310,7 +305,6 @@ def smooth(
             partner[mv.ports[i]] = mv.ports[j]
             partner[mv.ports[j]] = mv.ports[i]
 
-    edge_at = m.edge_at()
     tails = {tail: idx for idx, (tail, _) in enumerate(direction.directions)}
     curves: list[SmoothedCurve] = []
     done: set[int] = set()

@@ -6,19 +6,21 @@ generated by the dual ``d`` and the twist ``t`` subject to
 ``dd = tt = (dt)^3 = 1``.  The full geometric dual and Petrial are the
 all-edge specialisations.
 
-Partial duality is computed through the arrow presentation in one linear
-pass: for every chosen edge the two arrows are replaced by two fresh
-labelled arrows joining their endpoints head-to-tail crosswise, and the
-circles of the result are traced once.  Its vertices are named ``v0``,
-``v1``, ... in the order that single trace meets them.  Contraction is
-defined from it, G/C = G^C - C, which handles loops and twisted loops with
-no special cases; contraction and minors run the same pass and drop the
-deleted and contracted edges' ends while they build the result's
-rotations, so no intermediate graph is built.
+Partial duality is one orbit walk over the flags of the graph (see
+:mod:`ribbonlab.core`): the vertices of G^A are the boundary components of
+the spanning subgraph (V, A), so the walk rounds vertex corners and crosses
+ribbons on A's ends, and steps across the other ends.  This is the arrow
+presentation's crosswise splice of every chosen edge, read in flag terms.
+Its vertices are named ``v0``, ``v1``, ... in the order the walk meets
+them.  Contraction is defined from it, G/C = G^C - C, which handles loops
+and twisted loops with no special cases; contraction and minors run the
+same walk and drop the deleted and contracted edges' ends while they build
+the result's rotations, so no intermediate graph is built.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .core import (
@@ -27,7 +29,7 @@ from .core import (
     RibbonGraph,
     UnknownEdgeError,
     Vertex,
-    _arrow_layout,
+    _orbits,
     require_valid,
 )
 
@@ -106,12 +108,13 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Dualise along the listed edges only.
 
     The arrow presentation of ``g`` (see :func:`to_arrow_presentation`) has
-    one arrow at each edge-end.  Every listed edge is spliced in one pass:
-    the endpoints of its two arrows are re-paired crosswise, head to tail,
-    and the circles are traced once.  A splice touches only its own edge's
-    arrows, never the plain arcs between arrows, so splicing all edges at
-    once gives the same ribbon graph as splicing them one at a time.  The
-    presentation is never built: arrows are edge-end positions.
+    one arrow at each edge-end, its endpoints the end's two flags.  Every
+    listed edge is spliced in one pass: the endpoints of its two arrows are
+    re-paired crosswise, head to tail, joining each flag to the one across
+    the ribbon, and the circles are traced once as orbits of the flags.  A
+    splice touches only its own edge's arrows, never the plain arcs between
+    arrows, so splicing all edges at once gives the same ribbon graph as
+    splicing them one at a time.
 
     Edge labels survive; vertex labels of the result are freshly generated
     (``v0``, ``v1``, ... in the order the single trace meets them) since the
@@ -136,56 +139,22 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
     """
     if not chosen:
         return _without(g, gone)
-    # Arrow i sits at the i-th edge-end in vertex order, with tail point 2i
-    # and head point 2i + 1; mate[i] is the arrow at the other end of its
-    # edge.
-    ends, mate, forward = _arrow_layout(g)
+    ends, mate, corner, side, forward = g._flags
     n = len(ends)
     spliced = [d.edge in chosen for d in ends]
 
-    # ``plain`` joins the circle-sense exit of each arrow to the entry of the
-    # next on its circle; ``across`` leads from the point where an arrow is
-    # entered to the point where it is left.
-    plain = [0] * (2 * n)
-    base = 0
-    for v in g.vertices:
-        stop = base + len(v.rotation)
-        for i in range(base, stop):
-            j = i + 1 if i + 1 < stop else base
-            exit_pt = 2 * i + forward[i]
-            entry_pt = 2 * j + 1 - forward[j]
-            plain[exit_pt] = entry_pt
-            plain[entry_pt] = exit_pt
-        base = stop
-    across = [p ^ 1 for p in range(2 * n)]
-    for b1 in range(n):
-        b2 = mate[b1]
-        if spliced[b1] and b1 < b2:
-            across[2 * b1 + 1], across[2 * b2] = 2 * b2, 2 * b1 + 1
-            across[2 * b2 + 1], across[2 * b1] = 2 * b1, 2 * b2 + 1
-
-    # Trace the circles.  Entering an unspliced arrow at its tail, or a
-    # spliced one at its head, traverses it forward.  Slot s of the result
-    # carries edge ``label[s]`` (an edge's lower arrow) in direction fwd[s].
-    label: list[int] = []
-    fwd: list[bool] = []
-    starts: list[int] = []
-    visited = bytearray(2 * n)
-    for p0 in range(2 * n):
-        if visited[p0]:
-            continue
-        starts.append(len(label))
-        cur = p0
-        while True:
-            a = cur >> 1
-            label.append(min(a, mate[a]))
-            fwd.append((cur & 1) == spliced[a])
-            other = across[cur]
-            visited[cur] = visited[other] = 1
-            cur = plain[other]
-            if cur == p0:
-                break
-    starts.append(len(label))
+    # A spliced arrow is crossed to the partner end, an unspliced one from
+    # L flag to R flag.  Each end is started at its arrow's tail, then its
+    # head; the walk meets an arrow forward iff it enters an unspliced one
+    # at its tail or a spliced one at its head.  Slot s of the result
+    # carries edge ``label[s]`` (an edge's lower end) in direction fwd[s].
+    across = [side[f] if spliced[f >> 1] else f ^ 1 for f in range(2 * n)]
+    starts = [f ^ 1 ^ forward[f >> 1] for f in range(2 * n)]
+    orbits = _orbits(corner, across, starts)
+    slots = [f for orbit in orbits for f in orbit]
+    low = [i if i < m else m for i, m in enumerate(mate)]
+    label = [low[f >> 1] for f in slots]
+    fwd = [(f & 1 ^ 1 ^ forward[f >> 1]) == spliced[f >> 1] for f in slots]
 
     # As from_arrow_presentation reads it back: matching directions mean an
     # untwisted edge, and end 1 is the first slot of the edge if that arrow
@@ -205,10 +174,11 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
         result[one], result[two] = d1, d2
         new_sign[d1.edge] = 1 if fwd[f] == fwd[s] else -1
 
-    traced = len(starts) - 1
+    bounds = list(accumulate(map(len, orbits), initial=0))
+    traced = len(orbits)
     isolated = sum(1 for v in g.vertices if not v.rotation)
     vertices = [
-        Vertex(f"v{k}", tuple(d for d in result[starts[k]:starts[k + 1]] if d.edge not in gone))
+        Vertex(f"v{k}", tuple(d for d in result[bounds[k]:bounds[k + 1]] if d.edge not in gone))
         for k in range(traced)
     ]
     vertices.extend(Vertex(f"v{k}") for k in range(traced, traced + isolated))

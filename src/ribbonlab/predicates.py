@@ -62,17 +62,6 @@ def is_even_face(g: RibbonGraph) -> bool:
     return all(d % 2 == 0 for d in trace_boundary(g).face_degrees())
 
 
-def face_adjacency(g: RibbonGraph, decomp: BoundaryDecomposition | None = None) -> list[tuple[str, int, int]]:
-    """One link per edge, joining the components its two ribbon sides lie on."""
-    decomp = decomp if decomp is not None else trace_boundary(g)
-    comp_of = decomp.component_of()
-    out = []
-    for e in g.edges:
-        end = EdgeEnd(e.name, 1)
-        out.append((e.name, comp_of[HalfEdgeSegment(end, L)], comp_of[HalfEdgeSegment(end, R)]))
-    return out
-
-
 def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     """A proper red/blue face colouring, or None when the face-adjacency
     structure has an odd cycle (in particular when any edge has both sides
@@ -82,7 +71,10 @@ def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     component is coloured red.
     """
     decomp = trace_boundary(g)
-    links = [(c1, c2, 1) for _, c1, c2 in face_adjacency(g, decomp)]
+    comp_of = decomp.component_of()
+    # One link per edge, joining the components its two ribbon sides lie on.
+    ends = [EdgeEnd(e.name, 1) for e in g.edges]
+    links = [(comp_of[HalfEdgeSegment(d, L)], comp_of[HalfEdgeSegment(d, R)], 1) for d in ends]
     bit, bad = _parity_colouring(decomp.count, links)
     if bad:
         return None

@@ -167,12 +167,13 @@ def sample_graphs(
 ) -> list[RibbonGraph]:
     """Deterministic random signed rotation systems at an exact edge count.
 
-    Complements exhaustive enumeration where the class counts explode; with
-    ``eulerian`` only graphs with all-even degrees are kept (rejection
+    Complements exhaustive enumeration where the class counts explode, so
+    it is not held to the enumeration cap: sampling is linear in ``edges``.
+    With ``eulerian`` only graphs with all-even degrees are kept (rejection
     sampling).
     """
-    if edges > HARD_EDGE_CAP:
-        raise EnumerationLimitError(f"edges {edges} above the hard cap {HARD_EDGE_CAP}")
+    if edges < 0:
+        raise EnumerationLimitError("edges must be nonnegative")
     rng = random.Random(f"sample:{edges}:{seed}")
     out: list[RibbonGraph] = []
     while len(out) < count:

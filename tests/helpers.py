@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 from ribbonlab import (
+    BoundaryComponent,
+    BoundaryDecomposition,
     Edge,
     EdgeEnd,
     HalfEdgeSegment,
@@ -21,6 +23,7 @@ from ribbonlab import (
     trace_boundary,
 )
 from ribbonlab.core import L, R, Arrow, ArrowPresentation, Circle, require_valid
+from ribbonlab.medial import AllCrossingDirection, MedialGraph
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -129,6 +132,81 @@ def arrow_splice_partial_dual(g: RibbonGraph, edges) -> RibbonGraph:
     return from_arrow_presentation(
         ArrowPresentation(tuple(Circle(f"v{i}", arrows) for i, arrows in enumerate(traced)))
     )
+
+
+def segment_trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
+    """Reference for ``trace_boundary``: walk named half-edge segments,
+    crossing a ribbon (the side letter swaps iff the edge is untwisted)
+    and then rounding a vertex line segment (``R`` to the next end's ``L``,
+    ``L`` to the previous end's ``R``), from every segment in vertex order."""
+    require_valid(g)
+    signs = g.signs()
+    nxt: dict[EdgeEnd, EdgeEnd] = {}
+    prv: dict[EdgeEnd, EdgeEnd] = {}
+    for v in g.vertices:
+        rot = v.rotation
+        for i, d in enumerate(rot):
+            nxt[d] = rot[(i + 1) % len(rot)]
+            prv[d] = rot[i - 1]
+
+    def estep(seg: HalfEdgeSegment) -> HalfEdgeSegment:
+        side = seg.side
+        if signs[seg.end.edge] > 0:
+            side = R if side == L else L
+        return HalfEdgeSegment(seg.end.partner, side)
+
+    def vstep(seg: HalfEdgeSegment) -> HalfEdgeSegment:
+        if seg.side == R:
+            return HalfEdgeSegment(nxt[seg.end], L)
+        return HalfEdgeSegment(prv[seg.end], R)
+
+    seen: set[HalfEdgeSegment] = set()
+    components: list[BoundaryComponent] = []
+    for start in (HalfEdgeSegment(d, side) for v in g.vertices for d in v.rotation for side in (L, R)):
+        if start in seen:
+            continue
+        seq: list[HalfEdgeSegment] = []
+        cur = start
+        while True:
+            seq.append(cur)
+            seen.add(cur)
+            cur = estep(cur)
+            seq.append(cur)
+            seen.add(cur)
+            cur = vstep(cur)
+            if cur == start:
+                break
+        components.append(BoundaryComponent(tuple(seq)))
+    for v in g.vertices:
+        if not v.rotation:
+            components.append(BoundaryComponent((), isolated_vertex=v.name))
+    return BoundaryDecomposition(tuple(components))
+
+
+def corner_edge_straight_ahead(m: MedialGraph, seed: int = 0) -> AllCrossingDirection:
+    """Reference for ``straight_ahead_direction``: walk ``CornerEdge``
+    objects, leaving each crossing by the port opposite the one entered,
+    from every undirected corner edge in index order."""
+    edge_at = m.edge_at()
+    directions: dict[int, tuple[HalfEdgeSegment, HalfEdgeSegment]] = {}
+    walks: list[tuple[int, ...]] = []
+    for c0 in m.corner_edges:
+        if c0.index in directions:
+            continue
+        walk: list[int] = []
+        cur, head = c0, c0.ports[1] if seed == 0 else c0.ports[0]
+        while True:
+            tail = cur.other(head)
+            if cur.index in directions:
+                assert directions[cur.index] == (tail, head), f"corner edge {cur.index} both ways"
+                break
+            directions[cur.index] = (tail, head)
+            walk.append(cur.index)
+            out_port = MedialGraph.opposite(head)
+            cur = edge_at[out_port]
+            head = cur.other(out_port)
+        walks.append(tuple(walk))
+    return AllCrossingDirection(tuple(directions[i] for i in range(len(m.corner_edges))), tuple(walks))
 
 
 def chain_contract(g: RibbonGraph, edges) -> RibbonGraph:

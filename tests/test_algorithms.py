@@ -7,6 +7,7 @@ from ribbonlab import (
     EdgeEnd,
     NotEulerianError,
     NotOrientableError,
+    UnknownEdgeError,
     apply_twist_word,
     are_isomorphic,
     checkerboard_colouring,
@@ -254,6 +255,16 @@ def test_criterion_matches_known_duals():
 def test_criterion_requires_orientable():
     with pytest.raises(NotOrientableError):
         has_alternating_boundary_orientation(graph("twisted_loop"), [])
+
+
+def test_criterion_rejects_unknown_edge_names():
+    with pytest.raises(UnknownEdgeError):
+        has_alternating_boundary_orientation(graph("torus"), ["zz"])
+    with pytest.raises(UnknownEdgeError):
+        has_alternating_boundary_orientation(graph("torus"), ["a", "zz"])
+    # Orientability is checked first, as before the names.
+    with pytest.raises(NotOrientableError):
+        has_alternating_boundary_orientation(graph("twisted_loop"), ["zz"])
 
 
 def test_criterion_equivalence_small(universe2):

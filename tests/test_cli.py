@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from ribbonlab import graph_to_text, parse_graph, load_graph, is_checkerboard_colourable
+from ribbonlab import (
+    graph_to_text,
+    is_checkerboard_colourable,
+    load_graph,
+    orienting_petrial_set,
+    parse_graph,
+    partial_petrial,
+)
 from ribbonlab.cli import main
 
 from helpers import FIXTURES, REPO, random_graph
@@ -143,27 +150,45 @@ def test_theorem1_output_ignores_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-#: SHA-256 of ``theorem1`` and ``check`` output on ``random_graph(300, s)``.
-#: They pin the breadth-first spanning tree that picks the petrial set, and
-#: the rule that the lowest-indexed face of each piece is red.
+#: SHA-256 of command output on ``g = random_graph(300, s)``.  ``theorem1``
+#: and ``check`` read ``g`` and pin the breadth-first spanning tree that
+#: picks the petrial set, and the rule that the lowest-indexed face of each
+#: piece is red.  ``medial --dot`` reads ``g`` with its orienting set
+#: twisted and pins the straight-ahead directions; ``op --pdual`` dualises
+#: the lower half of the edge names and pins the dual's vertex order.
 GOLDEN_300 = {
     (1, "theorem1"): "284ca0483900a2ef28ec3514cbff1e3cab996291b53f82a69c414892938ba93e",
     (1, "check"): "a62ad162525501ed71a994d1d66b3e1868ffeac92789f28c3641bba706800d10",
+    (1, "medial --dot"): "e5953a1c23335034b6563e4dcce2fe0064af9376f1da5eb86d9e34f6b08c4274",
+    (1, "op --pdual"): "8061f1a06e207a2f0ec626529494fdbaad82fbea5677ffaa8fcb673433a760fd",
     (2, "theorem1"): "f48684d6644e5f89900e43eda983ad971f181f0db98132b6cd7495ce97a37146",
     (2, "check"): "63dd90d9a48533117e74b0b7dfd58eaff067ec9b552dea80a88c99db8ff28b0d",
+    (2, "medial --dot"): "0c1d0168badd59b9e1dd59e923906cc9b493b37430e23a09fc9ae81a048e48c3",
+    (2, "op --pdual"): "2af2597e72af11441ca4fb7fc43b923a3081f7f12186569f6bab7d7be7f80593",
     (3, "theorem1"): "256aac308b9f1c56552e401c5b37a1b4dbd525734462ce923ea759d956a2b78e",
     (3, "check"): "f9de4aa84c96b58b3bffca37338b38a115afbdffc6ea818a515581f9d16acc8a",
+    (3, "medial --dot"): "266f3fd9bca73756e843cbea3bc9955938486245e812131b1a189ead721b6870",
+    (3, "op --pdual"): "7681dc6d89afc0216d3b3d39a4f43a3f2115177b325e08d37ef30e2e268b49eb",
 }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_300_edge_output_is_pinned(capsys, tmp_path, seed):
+    g = random_graph(300, seed)
     path = tmp_path / "g300.rg"
-    path.write_text(graph_to_text(random_graph(300, seed)))
-    for command in ("theorem1", "check"):
-        code, out, _ = run(capsys, command, str(path))
+    path.write_text(graph_to_text(g))
+    oriented = tmp_path / "oriented300.rg"
+    oriented.write_text(graph_to_text(partial_petrial(g, orienting_petrial_set(g))))
+    commands = {
+        "theorem1": ["theorem1", str(path)],
+        "check": ["check", str(path)],
+        "medial --dot": ["medial", str(oriented), "--dot"],
+        "op --pdual": ["op", str(path), "--pdual", ",".join(g.edge_names[:150])],
+    }
+    for name, argv in commands.items():
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_300[seed, command]
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_300[seed, name]
 
 
 def test_theorem2_torus(capsys):

@@ -32,9 +32,9 @@ from ribbonlab import (
     trace_boundary,
     validate,
 )
-from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring
+from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring, require_valid
 
-from helpers import brute_force_parity, graph, random_graph
+from helpers import brute_force_parity, graph, random_graph, segment_trace_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,40 @@ def test_isolated_vertex_component_is_empty():
     assert comp.segments == ()
     assert comp.isolated_vertex == "u"
     assert comp.face_degree == 0
+
+
+def test_trace_matches_segment_walk(raw_universe3):
+    for g in raw_universe3 + [random_graph(300, 1), random_graph(2000, 2)]:
+        assert trace_boundary(g) == segment_trace_boundary(g)
+
+
+def test_flag_structure_invariants(raw_universe3):
+    for g in raw_universe3 + [random_graph(300, 1), random_graph(2000, 2)]:
+        require_valid(g)
+        flags = g._flags
+        n = 2 * len(flags.ends)
+        for inv in (flags.corner, flags.side):
+            assert len(inv) == n
+            assert all(inv[f] != f and inv[inv[f]] == f for f in range(n))
+        # <corner, end> has one orbit per non-isolated vertex, made of the
+        # 2 * degree flags of that vertex's ends.
+        orbit_of = [-1] * n
+        sizes: list[int] = []
+        for f0 in range(n):
+            if orbit_of[f0] >= 0:
+                continue
+            orbit_of[f0] = len(sizes)
+            stack, size = [f0], 0
+            while stack:
+                f = stack.pop()
+                size += 1
+                for h in (flags.corner[f], f ^ 1):
+                    if orbit_of[h] < 0:
+                        orbit_of[h] = len(sizes)
+                        stack.append(h)
+            sizes.append(size)
+        assert sizes == [2 * v.degree for v in g.vertices if v.rotation]
+        assert orbit_of == sorted(orbit_of)
 
 
 # ---------------------------------------------------------------------------

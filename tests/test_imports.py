@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name a function assigns is read in that function.
 
 There is no linter in the toolchain, so this reads the source with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -28,6 +29,29 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
+def unused_locals(source: str) -> list[str]:
+    """Names a function assigns but never reads, nested functions included;
+    ``_`` is the conventional throwaway name and is never flagged."""
+    found: dict[tuple[int, str], str] = {}
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read: set[str] = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        for name, line in stored.items():
+            if name != "_" and name not in read:
+                found[line, name] = f"line {line}: {name}"
+    return [found[key] for key in sorted(found)]
+
+
 def test_checker_flags_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"
@@ -43,3 +67,26 @@ def test_checker_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_local_checker_flags_unread_and_keeps_read():
+    source = (
+        "def f(xs):\n"
+        "    total = 0\n"
+        "    table = dict(xs)\n"
+        "    for _, x in xs:\n"
+        "        total += x\n"
+        "    def g():\n"
+        "        return total\n"
+        "    (spare := 1)\n"
+        "    return g\n"
+        "def h():\n"
+        "    global seen\n"
+        "    seen = 1\n"
+    )
+    assert unused_locals(source) == ["line 3: table", "line 8: spare"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []

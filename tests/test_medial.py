@@ -15,13 +15,15 @@ from ribbonlab import (
     is_all_crossing,
     is_orientable,
     medial_to_dot,
+    orienting_petrial_set,
+    partial_petrial,
     smooth,
     straight_ahead_direction,
     to_ribbon_graph,
     trace_boundary,
 )
 
-from helpers import graph
+from helpers import corner_edge_straight_ahead, graph, random_graph
 
 
 def test_loop_medial_shape():
@@ -95,6 +97,17 @@ def test_straight_ahead_all_crossing(universe3):
             cls = classify_cd(m, direction)
             assert set(cls) == set(g.edge_names)
             assert all(v in ("c", "d") for v in cls.values())
+
+
+def test_straight_ahead_matches_corner_edge_walk(raw_universe3):
+    hosts = [g for g in raw_universe3 if is_orientable(g)]
+    for edges, seed in ((300, 1), (2000, 2)):
+        g = random_graph(edges, seed)
+        hosts.append(partial_petrial(g, orienting_petrial_set(g)))
+    for g in hosts:
+        m = build_medial(g)
+        for seed in (0, 1):
+            assert straight_ahead_direction(m, seed=seed) == corner_edge_straight_ahead(m, seed)
 
 
 def test_walks_partition_corner_edges(universe2):

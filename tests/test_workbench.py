@@ -10,9 +10,11 @@ from ribbonlab import (
     are_isomorphic,
     enumerate_graphs,
     graph_to_text,
+    is_eulerian,
     load_graph,
     predicate_implication_table,
     run_property_suite,
+    sample_graphs,
     search_converse_counterexample,
 )
 
@@ -119,6 +121,16 @@ def test_extra_isolated_vertices():
 def test_hard_cap():
     with pytest.raises(EnumerationLimitError):
         enumerate_graphs(7)
+
+
+def test_sampling_is_not_held_to_the_enumeration_cap():
+    graphs = sample_graphs(50, 2, seed=1)
+    assert [len(g.edges) for g in graphs] == [50, 50]
+    eulerian = sample_graphs(40, 2, seed=1, eulerian=True)
+    assert [len(g.edges) for g in eulerian] == [40, 40]
+    assert all(is_eulerian(g) for g in eulerian)
+    with pytest.raises(EnumerationLimitError):
+        sample_graphs(-1, 2)
 
 
 def test_enumeration_deterministic():
