@@ -26,27 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    EdgeEnd,
     HalfEdgeSegment,
-    L,
-    R,
     RibbonGraph,
     RibbonGraphError,
     _edge_endpoints,
+    _orbit_ids,
     _orbits,
     _parity_colouring,
-    cross_edge,
     oriented_form,
     require_valid,
     trace_boundary,
 )
-from .medial import (
-    InternalInvariantError,
-    build_medial,
-    classify_cd,
-    d_edges,
-    straight_ahead_direction,
-)
+from .medial import InternalInvariantError, _straight_ahead, d_edges
 from .operators import _check_edges, partial_dual, partial_petrial
 from .predicates import (
     BLUE,
@@ -110,16 +101,15 @@ def checkerboard_twisted_dual(g: RibbonGraph, *, seed: int = 0) -> TwistedDualCe
     """Produce a checkerboard colourable twisted dual of any ribbon graph.
 
     Twist the orienting set, direct the medial along straight-ahead walks,
-    dualise along the d-edges.  A missing final colouring would be an
-    implementation bug, never a valid outcome, and raises
-    :class:`InternalInvariantError`.
+    dualise along the d-edges.  The walks and the c/d rule run on the flags
+    of the oriented host, the medial graph's ports, without building it.  A
+    missing final colouring would be an implementation bug, never a valid
+    outcome, and raises :class:`InternalInvariantError`.
     """
     petrial_set = orienting_petrial_set(g)
     oriented = partial_petrial(g, petrial_set)
-    m = build_medial(oriented)
-    direction = straight_ahead_direction(m, seed=seed)
-    cls = classify_cd(m, direction)
-    dual_set = d_edges(cls)
+    host, _ = oriented_form(oriented)
+    dual_set = d_edges(_straight_ahead(host._flags, seed)[1])
     result = partial_dual(oriented, dual_set)
     colouring = checkerboard_colouring(result)
     if colouring is None:
@@ -149,26 +139,45 @@ class VertexColouring:
         return self.half_edge[segment]
 
 
+def _colour_pair(first_colour: str) -> tuple[str, str]:
+    if first_colour not in (RED, BLUE):
+        raise ValueError(f"unknown colour {first_colour!r}")
+    return first_colour, BLUE if first_colour == RED else RED
+
+
+def _corner_bits(g: RibbonGraph) -> bytes:
+    """Per flag, 0 for the first corner colour and 1 for the second, on a
+    valid graph of even degrees.
+
+    Corner ``k`` of a vertex gets bit ``k % 2``; flag ``2i + 1`` (the ``R``
+    side of edge-end ``i``) touches corner ``i`` and flag ``2i`` the one
+    before it.  Every vertex starts at an even position, so the bits repeat
+    1, 0, 0, 1 over each two edge-ends.
+    """
+    return b"\x01\x00\x00\x01" * (len(g._flags.ends) // 2)
+
+
+def _inconsistent(g: RibbonGraph, col) -> tuple[str, ...]:
+    """The edges, by name, whose ribbon side at end 1's ``L`` flag joins
+    two flags of different colours ``col``."""
+    ends, _, _, side, _ = g._flags
+    return tuple(sorted(d.edge for i, d in enumerate(ends) if d.end == 1 and col[2 * i] != col[side[2 * i]]))
+
+
 def vertex_checkerboard_colouring(g: RibbonGraph, *, first_colour: str = RED) -> VertexColouring:
     """Colour every vertex's corners alternately, starting ``first_colour``
     at rotation index 0.  Odd-degree vertices make alternation impossible
     and raise :class:`NotEulerianError`."""
     require_valid(g)
-    if first_colour not in (RED, BLUE):
-        raise ValueError(f"unknown colour {first_colour!r}")
-    second = BLUE if first_colour == RED else RED
-    corners: list[tuple[str, tuple[str, ...]]] = []
-    half: dict[HalfEdgeSegment, str] = {}
+    colour = _colour_pair(first_colour)
+    col = [colour[b] for b in _corner_bits(g)]
+    corners, pos = [], 0
     for v in g.vertices:
-        m = v.degree
-        if m % 2:
-            raise NotEulerianError(f"vertex {v.name} has odd degree {m}")
-        cols = tuple(first_colour if i % 2 == 0 else second for i in range(m))
-        corners.append((v.name, cols))
-        for i, d in enumerate(v.rotation):
-            half[HalfEdgeSegment(d, R)] = cols[i]
-            half[HalfEdgeSegment(d, L)] = cols[i - 1]
-    return VertexColouring(tuple(corners), half)
+        if v.degree % 2:
+            raise NotEulerianError(f"vertex {v.name} has odd degree {v.degree}")
+        corners.append((v.name, tuple(col[2 * pos + 1:2 * (pos + v.degree):2])))
+        pos += v.degree
+    return VertexColouring(tuple(corners), dict(zip(g._segments, col)))
 
 
 def inconsistent_edges(g: RibbonGraph, vc: VertexColouring) -> tuple[str, ...]:
@@ -180,13 +189,8 @@ def inconsistent_edges(g: RibbonGraph, vc: VertexColouring) -> tuple[str, ...]:
     differ).  Half-twisting an edge swaps which far-end segments its sides
     meet, so a twist toggles membership here.
     """
-    signs = g.signs()
-    out = []
-    for e in g.edges:
-        seg = HalfEdgeSegment(EdgeEnd(e.name, 1), L)
-        if vc.colour(seg) != vc.colour(cross_edge(g, seg, signs)):
-            out.append(e.name)
-    return tuple(sorted(out))
+    require_valid(g)
+    return _inconsistent(g, [vc.colour(seg) for seg in g._segments])
 
 
 @dataclass(frozen=True)
@@ -210,12 +214,15 @@ def checkerboard_partial_petrial(
     """
     if not is_eulerian(g):
         raise NotEulerianError("graph has a vertex of odd degree")
-    vc = vertex_checkerboard_colouring(g, first_colour=first_colour)
-    twisted = inconsistent_edges(g, vc)
+    _colour_pair(first_colour)  # swapping the two colours changes no output
+    col = _corner_bits(g)
+    twisted = _inconsistent(g, col)
     result = partial_petrial(g, twisted)
-    for comp in trace_boundary(result).components:
-        colours = {vc.colour(seg) for seg in comp.segments}
-        if len(colours) > 1:
+    # A partial Petrial keeps the rotations, so ``col`` colours its flags.
+    trace_boundary(result)
+    side = result._flags.side
+    for orbit in result._faces:
+        if len({col[h] for f in orbit for h in (f, side[f])}) > 1:
             raise InternalInvariantError(
                 "boundary component of the twisted graph is not monochromatic"
             )
@@ -256,10 +263,7 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     cut = [d.edge in removed for d in ends]
     across = [f ^ 1 if cut[f >> 1] else s for f, s in enumerate(side)]
     orbits = _orbits(corner, across, range(len(across)))
-    comp = [0] * len(across)
-    for k, orbit in enumerate(orbits):
-        for f in orbit:
-            comp[f] = comp[across[f]] = k
+    comp = _orbit_ids(orbits, across)
     # One link per edge, at its end 1: a kept edge's two ribbon sides, a
     # removed edge's two attachment arcs.
     links = [

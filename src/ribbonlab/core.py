@@ -28,14 +28,14 @@ involution identities exercised in the test suite):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 L = "L"
 R = "R"
-_OTHER_SIDE = {L: R, R: L}
 
 
 class RibbonGraphError(Exception):
@@ -166,6 +166,17 @@ class RibbonGraph:
     def _flags(self) -> "_Flags":
         # Read only after validation, like _boundary.
         return _flag_structure(self)
+
+    @cached_property
+    def _segments(self) -> list["HalfEdgeSegment"]:
+        # Flag f as a half-edge segment; read only after validation.
+        return [HalfEdgeSegment(d, letter) for d in self._flags.ends for letter in (L, R)]
+
+    @cached_property
+    def _faces(self) -> list[list[int]]:
+        # The orbits of <corner, side>: one per traced boundary component.
+        fl = self._flags
+        return _orbits(fl.corner, fl.side, range(len(fl.side)))
 
     @cached_property
     def _edge_name_set(self) -> frozenset[str]:
@@ -374,6 +385,15 @@ def _orbits(step: Sequence[int], across: Sequence[int], starts: Iterable[int]) -
     return out
 
 
+def _orbit_ids(orbits: list[list[int]], across: Sequence[int]) -> list[int]:
+    """The index of the orbit each flag lies on, for orbits from :func:`_orbits`."""
+    ids = [0] * len(across)
+    for k, orbit in enumerate(orbits):
+        for f in orbit:
+            ids[f] = ids[across[f]] = k
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # Boundary tracing
 # ---------------------------------------------------------------------------
@@ -414,15 +434,6 @@ class BoundaryDecomposition:
         return [c.face_degree for c in self.components]
 
 
-def cross_edge(g: RibbonGraph, seg: HalfEdgeSegment, signs: Mapping[str, int] | None = None) -> HalfEdgeSegment:
-    """Continue along the same ribbon side to the other end of the edge."""
-    signs = signs if signs is not None else g.signs()
-    side = seg.side
-    if signs[seg.end.edge] > 0:
-        side = _OTHER_SIDE[side]
-    return HalfEdgeSegment(seg.end.partner, side)
-
-
 def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     """Partition all half-edge segments into boundary components.
 
@@ -443,23 +454,13 @@ def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
 def _trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     # One component per orbit of <corner, side>; each step contributes the
     # segment it starts from and the one across the ribbon.
-    fl = g._flags
-    segs = [HalfEdgeSegment(d, letter) for d in fl.ends for letter in (L, R)]
-    side = fl.side
+    segs, side = g._segments, g._flags.side
     components = [
         BoundaryComponent(tuple(seg for f in orbit for seg in (segs[f], segs[side[f]])))
-        for orbit in _orbits(fl.corner, side, range(len(side)))
+        for orbit in g._faces
     ]
     components.extend(BoundaryComponent((), isolated_vertex=v.name) for v in g.vertices if not v.rotation)
     return BoundaryDecomposition(tuple(components))
-
-
-def edge_side_pairs(g: RibbonGraph, edge: str) -> tuple[tuple[HalfEdgeSegment, HalfEdgeSegment], tuple[HalfEdgeSegment, HalfEdgeSegment]]:
-    """The two ribbon sides of an edge, each as its pair of half-edge segments."""
-    signs = g.signs()
-    a = HalfEdgeSegment(EdgeEnd(edge, 1), L)
-    b = HalfEdgeSegment(EdgeEnd(edge, 1), R)
-    return (a, cross_edge(g, a, signs)), (b, cross_edge(g, b, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +719,10 @@ def parse_graph(text: str) -> RibbonGraph:
     vertices: list[Vertex] = []
     sign_decls: list[tuple[str, int]] = []
     seen_vertices: set[str] = set()
-    # edge name -> (line, column) of its first edge-end token
-    mentioned: dict[str, tuple[int, int]] = {}
+    # (line number, text, offset of the rotation) of each vertex line
+    vertex_lines: list[tuple[int, str, int]] = []
     # edge name -> (line, column) of its declaration
     declared_at: dict[str, tuple[int, int]] = {}
-    # edge-end -> (line, column) of each of its tokens
-    end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -738,25 +737,21 @@ def parse_graph(text: str) -> RibbonGraph:
         if len(parts) != 2 or parts[0] not in ("vertex", "edge"):
             raise TextFormatError(lineno, indent + 1, "expected 'vertex <name>:' or 'edge <name>:'")
         kind, name = parts
-        if not _is_name(name):
+        if not _NAME.fullmatch(name):
             raise TextFormatError(lineno, line.index(name) + 1, f"bad name {name!r}")
         if kind == "vertex":
             if name in seen_vertices:
                 raise TextFormatError(lineno, indent + 1, f"vertex {name!r} declared twice")
             seen_vertices.add(name)
             ends = []
-            col = len(line) - len(rest) + 1
-            for token in rest.split():
-                col = line.index(token, col - 1) + 1
+            for k, token in enumerate(rest.split()):
                 try:
-                    end = _parse_end(token)
+                    ends.append(_parse_end(token))
                 except ValueError as exc:
+                    col = list(_token_columns(line, len(line) - len(rest)))[k]
                     raise TextFormatError(lineno, col, str(exc)) from None
-                ends.append(end)
-                mentioned.setdefault(end.edge, (lineno, col))
-                end_at.setdefault(end, []).append((lineno, col))
-                col += len(token)
             vertices.append(Vertex(name, tuple(ends)))
+            vertex_lines.append((lineno, line, len(line) - len(rest)))
         else:
             if name in declared_at:
                 raise TextFormatError(lineno, indent + 1, f"edge {name!r} declared twice")
@@ -766,28 +761,39 @@ def parse_graph(text: str) -> RibbonGraph:
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
             sign_decls.append((name, 1 if sig == "+" else -1))
 
-    signs = dict(sign_decls)
-    order = [name for name, _ in sign_decls]
-    missing = [name for name in mentioned if name not in signs]
-    if missing:
-        line, col = mentioned[missing[0]]
-        raise TextFormatError(line, col, f"edges used but never declared: {', '.join(sorted(missing))}")
-    g = RibbonGraph(tuple(vertices), tuple(Edge(n, signs[n]) for n in order))
+    g = RibbonGraph(tuple(vertices), tuple(Edge(n, s) for n, s in sign_decls))
     violations = g._violations
-    if violations:
-        # Text that got this far can only repeat an edge-end or leave one
-        # out: a repeat is shown at its second token, a missing end at its
-        # edge's declaration.
-        line, col = min(
-            end_at[v.end][1] if v.kind == "duplicate-edge-end" else declared_at[v.end.edge]
-            for v in violations
-        )
-        raise TextFormatError(line, col, "; ".join(v.message for v in violations))
-    return g
+    if not violations:
+        return g
+    # Positions are found only now: edge-end -> (line, column) of each token.
+    end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
+    for (lineno, line, start), v in zip(vertex_lines, vertices):
+        for d, col in zip(v.rotation, _token_columns(line, start)):
+            end_at.setdefault(d, []).append((lineno, col))
+    missing = [v.end for v in violations if v.kind == "unknown-edge-end"]
+    if missing:
+        line, col = end_at[missing[0]][0]
+        names = ", ".join(sorted({d.edge for d in missing}))
+        raise TextFormatError(line, col, f"edges used but never declared: {names}")
+    # Text that got this far can only repeat an edge-end or leave one out: a
+    # repeat is shown at its second token, a missing end at its edge's
+    # declaration.
+    line, col = min(
+        end_at[v.end][1] if v.kind == "duplicate-edge-end" else declared_at[v.end.edge]
+        for v in violations
+    )
+    raise TextFormatError(line, col, "; ".join(v.message for v in violations))
 
 
-def _is_name(token: str) -> bool:
-    return bool(token) and all(ch.isalnum() or ch == "_" for ch in token)
+_NAME = re.compile(r"\w+")
+
+
+def _token_columns(line: str, start: int) -> Iterator[int]:
+    """The 1-based column of each whitespace-separated token of ``line[start:]``."""
+    for token in line[start:].split():
+        start = line.index(token, start)
+        yield start + 1
+        start += len(token)
 
 
 def load_graph(path) -> RibbonGraph:

@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from .core import (
     EdgeEnd,
     HalfEdgeSegment,
-    L,
-    R,
     RibbonGraph,
     Edge,
     NotOrientableError,
     RibbonGraphError,
     Vertex,
+    _Flags,
     _orbits,
     oriented_form,
     require_valid,
@@ -81,14 +80,6 @@ class CornerEdge:
     host_vertex: str
     ports: tuple[HalfEdgeSegment, HalfEdgeSegment]
 
-    def other(self, port: HalfEdgeSegment) -> HalfEdgeSegment:
-        a, b = self.ports
-        if port == a:
-            return b
-        if port == b:
-            return a
-        raise KeyError(port)
-
 
 @dataclass(frozen=True)
 class MedialGraph:
@@ -97,19 +88,6 @@ class MedialGraph:
     vertices: tuple[MedialVertex, ...]
     corner_edges: tuple[CornerEdge, ...]
     free_loops: tuple[str, ...]
-
-    def vertex_for(self, edge: str) -> MedialVertex:
-        for mv in self.vertices:
-            if mv.edge == edge:
-                return mv
-        raise KeyError(edge)
-
-    def edge_at(self) -> dict[HalfEdgeSegment, CornerEdge]:
-        out: dict[HalfEdgeSegment, CornerEdge] = {}
-        for c in self.corner_edges:
-            for p in c.ports:
-                out[p] = c
-        return out
 
     @staticmethod
     def opposite(port: HalfEdgeSegment) -> HalfEdgeSegment:
@@ -130,40 +108,30 @@ def build_medial(h: RibbonGraph) -> MedialGraph:
     except NotOrientableError as exc:
         raise UnsupportedHostError(str(exc)) from None
 
-    vertices = tuple(
-        MedialVertex(
-            e.name,
-            (
-                HalfEdgeSegment(EdgeEnd(e.name, 1), L),
-                HalfEdgeSegment(EdgeEnd(e.name, 2), R),
-                HalfEdgeSegment(EdgeEnd(e.name, 2), L),
-                HalfEdgeSegment(EdgeEnd(e.name, 1), R),
-            ),
-        )
-        for e in host.edges
+    fl = host._flags
+    segs = host._segments
+    at = {d: i for i, d in enumerate(fl.ends)}
+    vertices = []
+    for e in host.edges:
+        p = at[EdgeEnd(e.name, 1)]
+        q = fl.mate[p]
+        vertices.append(MedialVertex(e.name, (segs[2 * p], segs[2 * q + 1], segs[2 * q], segs[2 * p + 1])))
+    names = [v.name for v in host.vertices for _ in v.rotation]
+    corners = tuple(
+        CornerEdge(i, name, (segs[2 * i + 1], segs[fl.corner[2 * i + 1]])) for i, name in enumerate(names)
     )
-    corners: list[CornerEdge] = []
-    for v in host.vertices:
-        rot = v.rotation
-        m = len(rot)
-        for i in range(m):
-            corners.append(
-                CornerEdge(
-                    len(corners),
-                    v.name,
-                    (
-                        HalfEdgeSegment(rot[i], R),
-                        HalfEdgeSegment(rot[(i + 1) % m], L),
-                    ),
-                )
-            )
     free = tuple(v.name for v in host.vertices if not v.rotation)
-    return MedialGraph(host, flipped, vertices, tuple(corners), free)
+    return MedialGraph(host, flipped, tuple(vertices), corners, free)
 
 
 # ---------------------------------------------------------------------------
-# Straight-ahead walks and all-crossing directions
+# Straight-ahead walks, all-crossing directions and the c/d rule
 # ---------------------------------------------------------------------------
+#
+# The ports are the host's flags: edge ``i``'s ports ``(end1,L), (end2,R),
+# (end2,L), (end1,R)`` are the flags ``2p, 2q + 1, 2q, 2p + 1`` for its
+# end-1 and end-2 positions ``p`` and ``q``, and corner edge ``i`` joins flag
+# ``2i + 1`` to ``corner[2i + 1]``.  A direction is a head bit per flag.
 
 @dataclass(frozen=True)
 class AllCrossingDirection:
@@ -173,8 +141,80 @@ class AllCrossingDirection:
     directions: tuple[tuple[HalfEdgeSegment, HalfEdgeSegment], ...]
     walks: tuple[tuple[int, ...], ...]
 
-    def head_ports(self) -> set[HalfEdgeSegment]:
-        return {head for _, head in self.directions}
+
+CDClassification = dict[str, str]
+
+
+def _straight_ahead(fl: _Flags, seed: int) -> tuple[list[list[int]], CDClassification]:
+    """The straight-ahead walks of an oriented host, as tail flags, and the
+    c/d classification of the direction they induce.
+
+    Straight ahead (other end, same side letter) is flag ``2 mate + letter``,
+    so the walks are the orbits of <corner, ahead> from tail flags; ``seed``
+    picks which flag of each corner edge a walk may start from.  A corner
+    edge walked both ways, or heads that are not all-crossing, raise
+    :class:`InternalInvariantError`.
+    """
+    ends, mate, corner = fl.ends, fl.mate, fl.corner
+    ahead = [2 * mate[f >> 1] | f & 1 for f in range(len(corner))]
+    tails = [2 * i + 1 if seed == 0 else corner[2 * i + 1] for i in range(len(ends))]
+    head = bytearray(len(corner))
+    walks = _orbits(ahead, corner, tails)
+    for walk in walks:
+        for t in walk:
+            if head[t]:
+                raise InternalInvariantError(
+                    f"straight-ahead walk traverses corner edge {_corner_index(corner, t)} both ways"
+                )
+            head[corner[t]] = 1
+    cls, bad = _classify(fl, head)
+    if bad:
+        raise InternalInvariantError(
+            f"straight-ahead direction is not all-crossing at {sorted(bad)}"
+        )
+    return walks, cls
+
+
+def _corner_index(corner: list[int], f: int) -> int:
+    return f >> 1 if f & 1 else corner[f] >> 1
+
+
+def _classify(fl: _Flags, head) -> tuple[CDClassification, list[str]]:
+    """The c/d label of every edge under the head bits ``head``, in flag
+    order of end 1, and the edges whose ports do not read head, head, tail,
+    tail.
+
+    The side smoothing pairs ports 0+1 and 2+3, the end smoothing 0+3 and
+    1+2; an edge is ``c`` when each side strand joins a head to a tail and
+    ``d`` when each end strand does.  Of the 16 head patterns, exactly one
+    smoothing is consistent on precisely the four all-crossing ones, so
+    one test checks both invariants.
+    """
+    cls: CDClassification = {}
+    bad = []
+    mate = fl.mate
+    for p, d in enumerate(fl.ends):
+        if d.end == 1:
+            q = mate[p]
+            h0, h1, h2, h3 = head[2 * p], head[2 * q + 1], head[2 * q], head[2 * p + 1]
+            side_ok = h0 != h1 and h2 != h3
+            if side_ok == (h0 != h3 and h1 != h2):
+                bad.append(d.edge)
+            cls[d.edge] = "c" if side_ok else "d"
+    return cls, bad
+
+
+def _heads(m: MedialGraph, direction: AllCrossingDirection) -> tuple[list[HalfEdgeSegment], list[int | None], bytearray]:
+    """The host's flags as ports, each corner edge's head as a flag (None
+    for a port of another host) and the heads as flag bits."""
+    segs = m.host._segments
+    flag_of = {seg: f for f, seg in enumerate(segs)}
+    heads = [flag_of.get(port) for _, port in direction.directions]
+    bits = bytearray(len(segs))
+    for f in heads:
+        if f is not None:
+            bits[f] = 1
+    return segs, heads, bits
 
 
 def straight_ahead_direction(m: MedialGraph, *, seed: int = 0) -> AllCrossingDirection:
@@ -188,57 +228,22 @@ def straight_ahead_direction(m: MedialGraph, *, seed: int = 0) -> AllCrossingDir
     vertex for orientable hosts; a violation raises
     :class:`InternalInvariantError`.
     """
-    # Ports are the host's flags: corner edge i joins flag 2i + 1 to
-    # corner[2i + 1], and straight ahead (other end, same side letter) is
-    # 2 mate + letter.  The walks are the orbits of <corner, ahead> from
-    # tail flags.
-    ends, mate, corner, _, _ = m.host._flags
-    ahead = [2 * mate[f >> 1] | f & 1 for f in range(len(corner))]
-    segs = [HalfEdgeSegment(d, letter) for d in ends for letter in (L, R)]
-    tails = [2 * i + 1 if seed == 0 else corner[2 * i + 1] for i in range(len(ends))]
-    directions: list[tuple[HalfEdgeSegment, HalfEdgeSegment] | None] = [None] * len(ends)
-    walks: list[tuple[int, ...]] = []
-    for orbit in _orbits(ahead, corner, tails):
-        walk = [t >> 1 if t & 1 else corner[t] >> 1 for t in orbit]
-        for t, index in zip(orbit, walk):
-            if directions[index] is not None:
-                raise InternalInvariantError(
-                    f"straight-ahead walk traverses corner edge {index} both ways"
-                )
-            directions[index] = (segs[t], segs[corner[t]])
-        walks.append(tuple(walk))
-    result = AllCrossingDirection(tuple(directions), tuple(walks))
-    bad = _all_crossing_violations(m, result)
-    if bad:
-        raise InternalInvariantError(
-            f"straight-ahead direction is not all-crossing at {sorted(bad)}"
-        )
-    return result
-
-
-def _all_crossing_violations(m: MedialGraph, direction: AllCrossingDirection) -> list[str]:
-    heads = direction.head_ports()
-    bad = []
-    for mv in m.vertices:
-        pattern = tuple(p in heads for p in mv.ports)
-        if sum(pattern) != 2 or pattern in ((True, False, True, False), (False, True, False, True)):
-            bad.append(mv.edge)
-    return bad
+    fl = m.host._flags
+    walks, _ = _straight_ahead(fl, seed)
+    corner, segs = fl.corner, m.host._segments
+    directions: list = [None] * len(fl.ends)
+    for walk in walks:
+        for t in walk:
+            directions[_corner_index(corner, t)] = (segs[t], segs[corner[t]])
+    return AllCrossingDirection(
+        tuple(directions),
+        tuple(tuple(_corner_index(corner, t) for t in walk) for walk in walks),
+    )
 
 
 def is_all_crossing(m: MedialGraph, direction: AllCrossingDirection) -> bool:
     """True when the arrowheads read head, head, tail, tail at every crossing."""
-    return not _all_crossing_violations(m, direction)
-
-
-# ---------------------------------------------------------------------------
-# c/d classification and smoothing
-# ---------------------------------------------------------------------------
-
-CDClassification = dict[str, str]
-
-_SIDE_PAIRING = ((0, 1), (2, 3))  # ports (1,L)+(2,R) and (2,L)+(1,R): along the ribbon sides
-_END_PAIRING = ((0, 3), (1, 2))  # ports (1,L)+(1,R) and (2,R)+(2,L): around the attachment arcs
+    return not _classify(m.host._flags, _heads(m, direction)[2])[1]
 
 
 def classify_cd(m: MedialGraph, direction: AllCrossingDirection) -> CDClassification:
@@ -249,19 +254,10 @@ def classify_cd(m: MedialGraph, direction: AllCrossingDirection) -> CDClassifica
     a direction that is not all-crossing raises
     :class:`InvalidDirectionError`.
     """
-    if not is_all_crossing(m, direction):
+    cls, bad = _classify(m.host._flags, _heads(m, direction)[2])
+    if bad:
         raise InvalidDirectionError("direction is not all-crossing")
-    heads = direction.head_ports()
-    out: CDClassification = {}
-    for mv in m.vertices:
-        side_ok = all((mv.ports[i] in heads) != (mv.ports[j] in heads) for i, j in _SIDE_PAIRING)
-        end_ok = all((mv.ports[i] in heads) != (mv.ports[j] in heads) for i, j in _END_PAIRING)
-        if side_ok == end_ok:
-            raise InternalInvariantError(
-                f"smoothing consistency must pick exactly one of c/d at edge {mv.edge}"
-            )
-        out[mv.edge] = "c" if side_ok else "d"
-    return out
+    return {mv.edge: cls[mv.edge] for mv in m.vertices}
 
 
 def d_edges(cls: CDClassification) -> tuple[str, ...]:
@@ -295,48 +291,37 @@ def smooth(
     cls: CDClassification,
 ) -> tuple[SmoothedCurve, ...]:
     """Apply the chosen smoothing at every crossing and trace the directed
-    closed curves.  Free loops come last, one per isolated host vertex."""
-    partner: dict[HalfEdgeSegment, HalfEdgeSegment] = {}
+    closed curves.  Free loops come last, one per isolated host vertex.
+
+    On the oriented host the side smoothing pairs each flag with ``side``
+    and the end smoothing with ``end``, so the curves are the orbits of
+    <corner, pair>, started from each corner edge's head in index order.
+    """
     for mv in m.vertices:
         if mv.edge not in cls:
             raise InvalidDirectionError(f"classification missing edge {mv.edge!r}")
-        pairing = _SIDE_PAIRING if cls[mv.edge] == "c" else _END_PAIRING
-        for i, j in pairing:
-            partner[mv.ports[i]] = mv.ports[j]
-            partner[mv.ports[j]] = mv.ports[i]
-
-    tails = {tail: idx for idx, (tail, _) in enumerate(direction.directions)}
+    ends, _, corner, side, _ = m.host._flags
+    c_edge = [cls[d.edge] == "c" for d in ends]
+    pair = [s if c_edge[f >> 1] else f ^ 1 for f, s in enumerate(side)]
+    segs, heads, head = _heads(m, direction)
     curves: list[SmoothedCurve] = []
-    done: set[int] = set()
-    for start in range(len(m.corner_edges)):
-        if start in done:
-            continue
-        path: list[int] = []
-        segments: list[CurveSegment] = []
-        idx = start
-        while True:
-            path.append(idx)
-            done.add(idx)
-            _, head = direction.directions[idx]
-            out = partner[head]
-            kind = EDGE_LINE if cls[head.end.edge] == "c" else COMMON_LINE
-            segments.append(
-                CurveSegment(
-                    edge=head.end.edge,
-                    kind=kind,
-                    entry=head,
-                    exit=out,
-                    sign=1 if head.side == L else -1,
-                )
-            )
-            if out not in tails:
+    for orbit in _orbits(corner, pair, heads):
+        for f in orbit:
+            if head[pair[f]]:
                 raise InternalInvariantError(
-                    f"smoothed strand at {out} does not continue with the flow"
+                    f"smoothed strand at {segs[pair[f]]} does not continue with the flow"
                 )
-            idx = tails[out]
-            if idx == start:
-                break
-        curves.append(SmoothedCurve(tuple(segments), tuple(path)))
+        strands = tuple(
+            CurveSegment(
+                ends[f >> 1].edge,
+                EDGE_LINE if c_edge[f >> 1] else COMMON_LINE,
+                segs[f],
+                segs[pair[f]],
+                -1 if f & 1 else 1,
+            )
+            for f in orbit
+        )
+        curves.append(SmoothedCurve(strands, tuple(_corner_index(corner, f) for f in orbit)))
     for name in m.free_loops:
         curves.append(SmoothedCurve((), (), free_vertex=name))
     return tuple(curves)

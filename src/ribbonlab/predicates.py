@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 from .core import (
     BoundaryDecomposition,
-    EdgeEnd,
-    HalfEdgeSegment,
-    L,
-    R,
     RibbonGraph,
     _edge_endpoints,
+    _orbit_ids,
     _parity_colouring,
     require_valid,
     trace_boundary,
@@ -35,9 +32,6 @@ class FaceColouring:
 
     decomposition: BoundaryDecomposition
     colours: tuple[str, ...]
-
-    def colour_of_component(self, index: int) -> str:
-        return self.colours[index]
 
 
 def is_eulerian(g: RibbonGraph) -> bool:
@@ -71,10 +65,12 @@ def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     component is coloured red.
     """
     decomp = trace_boundary(g)
-    comp_of = decomp.component_of()
-    # One link per edge, joining the components its two ribbon sides lie on.
-    ends = [EdgeEnd(e.name, 1) for e in g.edges]
-    links = [(comp_of[HalfEdgeSegment(d, L)], comp_of[HalfEdgeSegment(d, R)], 1) for d in ends]
+    fl = g._flags
+    face = _orbit_ids(g._faces, fl.side)
+    # One link per edge, joining the faces its two ribbon sides (the flags
+    # at its end 1) lie on.  The link order cannot change the colours: they
+    # are forced from each piece's lowest face, or there are none.
+    links = [(face[2 * i], face[2 * i + 1], 1) for i, d in enumerate(fl.ends) if d.end == 1]
     bit, bad = _parity_colouring(decomp.count, links)
     if bad:
         return None

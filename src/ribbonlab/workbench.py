@@ -170,7 +170,8 @@ def sample_graphs(
     Complements exhaustive enumeration where the class counts explode, so
     it is not held to the enumeration cap: sampling is linear in ``edges``.
     With ``eulerian`` only graphs with all-even degrees are kept (rejection
-    sampling).
+    sampling).  At 0 edges every sample is the one-vertex graph, the only
+    member of the enumerated 0-edge universe.
     """
     if edges < 0:
         raise EnumerationLimitError("edges must be nonnegative")
@@ -183,7 +184,7 @@ def sample_graphs(
         if eulerian and any(len(c) % 2 for c in _cycles(sigma)):
             continue
         signs = tuple(rng.choice((1, -1)) for _ in range(edges))
-        out.append(from_dart_graph((sigma, signs, 0)))
+        out.append(from_dart_graph((sigma, signs, 0 if edges else 1)))
     return out
 
 

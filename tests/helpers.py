@@ -185,9 +185,16 @@ def segment_trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
 
 def corner_edge_straight_ahead(m: MedialGraph, seed: int = 0) -> AllCrossingDirection:
     """Reference for ``straight_ahead_direction``: walk ``CornerEdge``
-    objects, leaving each crossing by the port opposite the one entered,
-    from every undirected corner edge in index order."""
-    edge_at = m.edge_at()
+    objects, leaving each crossing by the port opposite the one entered
+    (other end, same side letter), from every undirected corner edge in
+    index order."""
+    edge_at = {p: c for c in m.corner_edges for p in c.ports}
+
+    def other(c, port):
+        a, b = c.ports
+        assert port in c.ports
+        return b if port == a else a
+
     directions: dict[int, tuple[HalfEdgeSegment, HalfEdgeSegment]] = {}
     walks: list[tuple[int, ...]] = []
     for c0 in m.corner_edges:
@@ -196,15 +203,15 @@ def corner_edge_straight_ahead(m: MedialGraph, seed: int = 0) -> AllCrossingDire
         walk: list[int] = []
         cur, head = c0, c0.ports[1] if seed == 0 else c0.ports[0]
         while True:
-            tail = cur.other(head)
+            tail = other(cur, head)
             if cur.index in directions:
                 assert directions[cur.index] == (tail, head), f"corner edge {cur.index} both ways"
                 break
             directions[cur.index] = (tail, head)
             walk.append(cur.index)
-            out_port = MedialGraph.opposite(head)
+            out_port = HalfEdgeSegment(EdgeEnd(head.end.edge, 3 - head.end.end), head.side)
             cur = edge_at[out_port]
-            head = cur.other(out_port)
+            head = other(cur, out_port)
         walks.append(tuple(walk))
     return AllCrossingDirection(tuple(directions[i] for i in range(len(m.corner_edges))), tuple(walks))
 

@@ -10,9 +10,12 @@ from ribbonlab import (
     UnknownEdgeError,
     apply_twist_word,
     are_isomorphic,
+    build_medial,
     checkerboard_colouring,
     checkerboard_partial_petrial,
     checkerboard_twisted_dual,
+    classify_cd,
+    d_edges,
     geometric_dual,
     has_alternating_boundary_orientation,
     inconsistent_edges,
@@ -24,6 +27,7 @@ from ribbonlab import (
     partial_dual,
     partial_petrial,
     ribbon_graph,
+    straight_ahead_direction,
     trace_boundary,
     vertex_checkerboard_colouring,
 )
@@ -214,6 +218,16 @@ def test_twisted_dual_on_random_larger_graphs():
             comp = [n for n in g.edge_names if n not in set(cert.dual_set)]
             assert is_eulerian(delete(oriented, cert.dual_set))
             assert is_eulerian(delete(geometric_dual(oriented), comp))
+
+
+def test_twisted_dual_matches_the_medial_views(raw_universe3):
+    # The pipeline classifies on flags without building the medial graph;
+    # the public medial views must reach the same dual set.
+    for g in [*raw_universe3, random_graph(300, 1), random_graph(2000, 1)]:
+        for seed in (0, 1):
+            cert = checkerboard_twisted_dual(g, seed=seed)
+            m = build_medial(partial_petrial(g, cert.petrial_set))
+            assert cert.dual_set == d_edges(classify_cd(m, straight_ahead_direction(m, seed=seed)))
 
 
 def test_twisted_dual_certificate_at_scale():

@@ -13,6 +13,7 @@ from ribbonlab import (
     orienting_petrial_set,
     parse_graph,
     partial_petrial,
+    sample_graphs,
 )
 from ribbonlab.cli import main
 
@@ -156,6 +157,8 @@ def test_theorem1_output_ignores_the_hash_seed(tmp_path):
 #: piece is red.  ``medial --dot`` reads ``g`` with its orienting set
 #: twisted and pins the straight-ahead directions; ``op --pdual`` dualises
 #: the lower half of the edge names and pins the dual's vertex order.
+#: ``theorem2`` reads ``sample_graphs(300, 1, seed=s, eulerian=True)[0]``
+#: and pins the corner colouring and its inconsistent edges.
 GOLDEN_300 = {
     (1, "theorem1"): "284ca0483900a2ef28ec3514cbff1e3cab996291b53f82a69c414892938ba93e",
     (1, "check"): "a62ad162525501ed71a994d1d66b3e1868ffeac92789f28c3641bba706800d10",
@@ -169,6 +172,9 @@ GOLDEN_300 = {
     (3, "check"): "f9de4aa84c96b58b3bffca37338b38a115afbdffc6ea818a515581f9d16acc8a",
     (3, "medial --dot"): "266f3fd9bca73756e843cbea3bc9955938486245e812131b1a189ead721b6870",
     (3, "op --pdual"): "7681dc6d89afc0216d3b3d39a4f43a3f2115177b325e08d37ef30e2e268b49eb",
+    (1, "theorem2"): "43fa9cb0a8fd7fa2fe4072f9e1931c9b6c17be6703ffbb569803548fdc95b96d",
+    (2, "theorem2"): "4e8a49c528aac27bcbab7ab9b9d2badab7791017d2896efc876248e0a6a41eeb",
+    (3, "theorem2"): "9e6300fa9a162720075cf9f47ce325f320cc00378b023c5ffb349423a59f24b3",
 }
 
 
@@ -179,8 +185,11 @@ def test_300_edge_output_is_pinned(capsys, tmp_path, seed):
     path.write_text(graph_to_text(g))
     oriented = tmp_path / "oriented300.rg"
     oriented.write_text(graph_to_text(partial_petrial(g, orienting_petrial_set(g))))
+    eulerian = tmp_path / "eulerian300.rg"
+    eulerian.write_text(graph_to_text(sample_graphs(300, 1, seed=seed, eulerian=True)[0]))
     commands = {
         "theorem1": ["theorem1", str(path)],
+        "theorem2": ["theorem2", str(eulerian)],
         "check": ["check", str(path)],
         "medial --dot": ["medial", str(oriented), "--dot"],
         "op --pdual": ["op", str(path), "--pdual", ",".join(g.edge_names[:150])],

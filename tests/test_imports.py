@@ -1,11 +1,13 @@
-"""Every name a module of the package imports is used in that module, and
-every name a function assigns is read in that function.
+"""Every name a module of the package imports is used in that module,
+every name a function assigns is read in that function, and every function
+and class the package defines is named somewhere besides its definition.
 
 There is no linter in the toolchain, so this reads the source with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import re
 
 import pytest
 
@@ -90,3 +92,35 @@ def test_local_checker_flags_unread_and_keeps_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_definitions(modules: dict[str, str], corpus: list[str]) -> list[str]:
+    """``def``s and ``class``es in ``modules`` (file name -> source) whose
+    name appears, as a whole word, nowhere in ``corpus`` but at the
+    definition itself; ``corpus`` must include the modules."""
+    out = []
+    for file, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                word = re.compile(rf"\b{node.name}\b")
+                if sum(len(word.findall(text)) for text in corpus) <= 1:
+                    out.append(f"{file} line {node.lineno}: {node.name}")
+    return out
+
+
+def test_definition_checker_flags_unnamed_and_keeps_named():
+    source = (
+        "class Used:\n"
+        "    def spare(self):\n"
+        "        return helper()\n"
+        "def helper():\n"
+        "    return Used\n"
+    )
+    caller = "from m import Used\n"
+    assert unnamed_definitions({"m.py": source}, [source, caller]) == ["m.py line 2: spare"]
+
+
+def test_every_definition_is_named_elsewhere():
+    corpus = [p.read_text(encoding="utf-8") for d in ("src", "tests", "perfbench") for p in sorted((REPO / d).rglob("*.py"))]
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted((REPO / "src" / "ribbonlab").glob("*.py"))}
+    assert unnamed_definitions(modules, corpus) == []

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ribbonlab import (
@@ -129,6 +131,23 @@ def test_known_classifications():
 def _medial_and_direction(name):
     m = build_medial(graph(name))
     return m, straight_ahead_direction(m)
+
+
+def test_all_crossing_and_cd_rule_on_every_head_pattern():
+    # Ports read (1,L), (2,R), (2,L), (1,R) around the crossing.  The side
+    # smoothing pairs ports 0+1 and 2+3, the end smoothing 0+3 and 1+2, so
+    # adjacent heads 1+2 or 3+0 make a c-edge and 0+1 or 2+3 a d-edge.
+    m = build_medial(graph("loop"))
+    ports = m.vertices[0].ports
+    crossing = {(0, 1, 1, 0): "c", (1, 0, 0, 1): "c", (1, 1, 0, 0): "d", (0, 0, 1, 1): "d"}
+    for pattern in itertools.product((0, 1), repeat=4):
+        direction = AllCrossingDirection(tuple((p, p) for p, h in zip(ports, pattern) if h), ())
+        assert is_all_crossing(m, direction) == (pattern in crossing)
+        if pattern in crossing:
+            assert classify_cd(m, direction) == {"a": crossing[pattern]}
+        else:
+            with pytest.raises(InvalidDirectionError):
+                classify_cd(m, direction)
 
 
 def test_classify_rejects_bad_direction():

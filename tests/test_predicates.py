@@ -13,7 +13,7 @@ from ribbonlab import (
     partial_petrial,
     trace_boundary,
 )
-from ribbonlab.core import HalfEdgeSegment, L, R
+from ribbonlab.core import EdgeEnd, HalfEdgeSegment, L, R
 
 from helpers import brute_force_parity, graph
 
@@ -69,9 +69,8 @@ def test_colouring_is_deterministic_and_proper():
     assert colouring.colours[0] == RED  # lowest index is red
     comp_of = colouring.decomposition.component_of()
     for e in g.edges:
-        from ribbonlab.core import edge_side_pairs
-
-        (s1, _), (s2, _) = edge_side_pairs(g, e.name)
+        # The two half-edge segments at end 1 lie on the edge's two sides.
+        s1, s2 = (HalfEdgeSegment(EdgeEnd(e.name, 1), side) for side in (L, R))
         assert colouring.colours[comp_of[s1]] != colouring.colours[comp_of[s2]]
 
 

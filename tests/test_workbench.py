@@ -133,6 +133,10 @@ def test_sampling_is_not_held_to_the_enumeration_cap():
         sample_graphs(-1, 2)
 
 
+def test_sampled_empty_graph_is_the_enumerated_one():
+    assert sample_graphs(0, 2, seed=3) == list(enumerate_graphs(0)) * 2
+
+
 def test_enumeration_deterministic():
     run1 = [graph_to_text(g) for g in enumerate_graphs(2)]
     run2 = [graph_to_text(g) for g in enumerate_graphs(2)]
