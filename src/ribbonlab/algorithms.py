@@ -29,13 +29,12 @@ from .core import (
     HalfEdgeSegment,
     RibbonGraph,
     RibbonGraphError,
-    _edge_endpoints,
     _orbit_ids,
     _orbits,
+    _orientation_parity,
     _parity_colouring,
     oriented_form,
     require_valid,
-    trace_boundary,
 )
 from .medial import InternalInvariantError, _straight_ahead, d_edges
 from .operators import _check_edges, partial_dual, partial_petrial
@@ -65,9 +64,7 @@ def orienting_petrial_set(g: RibbonGraph) -> tuple[str, ...]:
     empty set.  Not minimised beyond that: any orientable partial Petrial
     will do.
     """
-    require_valid(g)
-    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, _edge_endpoints(g))]
-    return tuple(g.edges[i].name for i in _parity_colouring(len(g.vertices), links)[1])
+    return tuple(g.edges[i].name for i in _orientation_parity(g)[1])
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def checkerboard_partial_petrial(
     twisted = _inconsistent(g, col)
     result = partial_petrial(g, twisted)
     # A partial Petrial keeps the rotations, so ``col`` colours its flags.
-    trace_boundary(result)
+    require_valid(result)
     side = result._flags.side
     for orbit in result._faces:
         if len({col[h] for f in orbit for h in (f, side[f])}) > 1:

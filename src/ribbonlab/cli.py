@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (or a passing verification), 1 when a property
 fails, a theorem pipeline hits an internal invariant failure, or two graphs
-are not isomorphic, and 2 for usage, file-format and precondition errors.
+are not isomorphic, and 2 for usage, unreadable or malformed files and
+precondition errors.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from .core import (
     graph_to_text,
     is_orientable,
     load_graph,
-    trace_boundary,
 )
 from .isomorphism import are_isomorphic
 from .medial import (
     InternalInvariantError,
-    UnsupportedHostError,
     build_medial,
     classify_cd,
     medial_to_dot,
@@ -32,7 +31,6 @@ from .medial import (
     to_ribbon_graph,
 )
 from .algorithms import (
-    NotEulerianError,
     checkerboard_partial_petrial,
     checkerboard_twisted_dual,
 )
@@ -55,7 +53,6 @@ from .predicates import (
 )
 from .workbench import (
     GraphUniverse,
-    UnknownPropertyError,
     enumerate_graphs,
     predicate_implication_table,
     run_all_properties,
@@ -72,6 +69,10 @@ def _load(path: str) -> RibbonGraph:
         return load_graph(path)
     except FileNotFoundError:
         raise _CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: {exc}")
     except TextFormatError as exc:
         raise _CliError(f"{path}: {exc}")
 
@@ -82,13 +83,13 @@ class _CliError(Exception):
 
 def _cmd_check(args) -> int:
     g = _load(args.file)
-    decomp = trace_boundary(g)
+    degrees = sorted(face_degrees(g).elements())
     colouring = checkerboard_colouring(g)
     rows = [
         ("vertices", len(g.vertices)),
         ("edges", len(g.edges)),
-        ("boundary components", decomp.count),
-        ("face degrees", sorted(face_degrees(g).elements())),
+        ("boundary components", len(degrees)),
+        ("face degrees", degrees),
         ("euler characteristic", euler_characteristic(g)),
         ("orientable", _yesno(is_orientable(g))),
         ("eulerian", _yesno(is_eulerian(g))),
@@ -130,35 +131,35 @@ def _cmd_op(args) -> int:
     if len(chosen) != 1:
         raise _CliError("op needs exactly one of --word/--dual/--petrial/--pdual/--ppetrial/--delete/--contract")
     kind = chosen[0]
-    try:
-        if kind == "word":
-            word = {}
-            for part in _split_edges(args.word):
-                edge, _, elem = part.partition(":")
-                if not _ or elem not in TWIST_ELEMENTS:
-                    raise _CliError(
-                        f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
-                    )
-                word[edge] = elem
-            out = apply_twist_word(g, word)
-        elif kind == "dual":
-            out = geometric_dual(g)
-        elif kind == "petrial":
-            out = petrial(g)
-        elif kind == "pdual":
-            out = partial_dual(g, _split_edges(args.pdual))
-        elif kind == "ppetrial":
-            out = partial_petrial(g, _split_edges(args.ppetrial))
-        elif kind == "delete":
-            out = delete(g, _split_edges(args.delete))
-        else:
-            out = contract(g, _split_edges(args.contract))
-    except RibbonGraphError as exc:
-        raise _CliError(str(exc))
+    if kind == "word":
+        word = {}
+        for part in _split_edges(args.word):
+            edge, _, elem = part.partition(":")
+            if not _ or elem not in TWIST_ELEMENTS:
+                raise _CliError(
+                    f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
+                )
+            word[edge] = elem
+        out = apply_twist_word(g, word)
+    elif kind == "dual":
+        out = geometric_dual(g)
+    elif kind == "petrial":
+        out = petrial(g)
+    elif kind == "pdual":
+        out = partial_dual(g, _split_edges(args.pdual))
+    elif kind == "ppetrial":
+        out = partial_petrial(g, _split_edges(args.ppetrial))
+    elif kind == "delete":
+        out = delete(g, _split_edges(args.delete))
+    else:
+        out = contract(g, _split_edges(args.contract))
     text = graph_to_text(out)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return 0
@@ -166,12 +167,9 @@ def _cmd_op(args) -> int:
 
 def _cmd_medial(args) -> int:
     g = _load(args.file)
-    try:
-        m = build_medial(g)
-        direction = straight_ahead_direction(m)
-        cls = classify_cd(m, direction)
-    except UnsupportedHostError as exc:
-        raise _CliError(str(exc))
+    m = build_medial(g)
+    direction = straight_ahead_direction(m)
+    cls = classify_cd(m, direction)
     if args.dot:
         sys.stdout.write(medial_to_dot(m, direction, cls))
     else:
@@ -203,8 +201,6 @@ def _cmd_theorem2(args) -> int:
     g = _load(args.file)
     try:
         cert = checkerboard_partial_petrial(g)
-    except NotEulerianError as exc:
-        raise _CliError(str(exc))
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return FAILURE
@@ -216,15 +212,12 @@ def _cmd_theorem2(args) -> int:
 
 
 def _universe(args) -> GraphUniverse:
-    try:
-        return enumerate_graphs(
-            args.max_edges,
-            max_vertices=args.max_vertices,
-            connected=args.connected,
-            dedup=not args.no_dedup,
-        )
-    except RibbonGraphError as exc:
-        raise _CliError(str(exc))
+    return enumerate_graphs(
+        args.max_edges,
+        max_vertices=args.max_vertices,
+        connected=args.connected,
+        dedup=not args.no_dedup,
+    )
 
 
 def _cmd_enumerate(args) -> int:
@@ -248,13 +241,10 @@ def _cmd_verify(args) -> int:
         table = predicate_implication_table(universe)
         print(json.dumps(table, indent=2))
         return 0
-    try:
-        if args.property == "all":
-            reports = run_all_properties(universe, workers=args.workers)
-        else:
-            reports = [run_property_suite(universe, args.property, workers=args.workers)]
-    except UnknownPropertyError as exc:
-        raise _CliError(str(exc))
+    if args.property == "all":
+        reports = run_all_properties(universe, workers=args.workers)
+    else:
+        reports = [run_property_suite(universe, args.property, workers=args.workers)]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -361,10 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RibbonGraphError as exc:
+    except (_CliError, RibbonGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -3,7 +3,7 @@
 A ribbon graph is stored as a cyclic order of edge-ends around each vertex
 plus a twist sign per edge (+1 untwisted, -1 half-twisted).  This module
 holds the data model, structural validation, the flag structure and its
-orbit walker, boundary tracing (faces), orientability, vertex flips, the
+orbit walker, faces and their boundary view, orientability, vertex flips, the
 arrow-presentation view and the plain-text file format.
 
 Conventions used throughout (all derived ones are pinned by round-trip and
@@ -21,9 +21,10 @@ involution identities exercised in the test suite):
   ``2i`` is the ``L`` side of the i-th edge-end in vertex order, ``2i + 1``
   its ``R`` side.  The involution ``corner`` rounds a vertex line segment,
   ``side`` crosses a ribbon and ``end`` is ``f ^ 1``.  Faces are the orbits
-  of <corner, side>, vertices those of <corner, end>; boundary tracing,
-  partial duality, the boundary criterion and the straight-ahead walks
-  each walk orbits with :func:`_orbits`.
+  of <corner, side>, memoised per graph and read by every face reader;
+  :func:`trace_boundary` is their view as segments.  Vertices are the
+  orbits of <corner, end>; partial duality, the boundary criterion and the
+  straight-ahead walks each walk orbits with :func:`_orbits`.
 """
 
 from __future__ import annotations
@@ -174,9 +175,12 @@ class RibbonGraph:
 
     @cached_property
     def _faces(self) -> list[list[int]]:
-        # The orbits of <corner, side>: one per traced boundary component.
+        # The orbits of <corner, side>, then one empty orbit per isolated
+        # vertex: the boundary components, in trace_boundary's order.
         fl = self._flags
-        return _orbits(fl.corner, fl.side, range(len(fl.side)))
+        faces = _orbits(fl.corner, fl.side, range(len(fl.side)))
+        faces.extend([] for v in self.vertices if not v.rotation)
+        return faces
 
     @cached_property
     def _edge_name_set(self) -> frozenset[str]:
@@ -437,30 +441,27 @@ class BoundaryDecomposition:
 def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     """Partition all half-edge segments into boundary components.
 
-    The components are the orbits of <corner, side> on the flags, started
-    in flag order: the walk alternates crossing a ribbon (same physical
-    side, so the side letter swaps iff the edge is untwisted) with rounding
-    one vertex line segment (``R`` side continues to the next end's ``L``
-    side, ``L`` to the previous end's ``R``).  Isolated vertices contribute
-    one empty component each, appended after the traced ones.
-
-    Each graph is traced at most once: later calls return the same
-    decomposition, while an invalid graph raises on every call.
+    A view of the faces, the orbits of <corner, side> started in flag
+    order: the walk alternates crossing a ribbon (the side letter swaps iff
+    the edge is untwisted) with rounding one vertex line segment (``R`` to
+    the next end's ``L``, ``L`` to the previous end's ``R``).  Isolated
+    vertices give one empty component each, after the rest.  Each graph
+    builds the view at most once; an invalid graph raises on every call.
     """
     require_valid(g)
     return g._boundary
 
 
 def _trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
-    # One component per orbit of <corner, side>; each step contributes the
-    # segment it starts from and the one across the ribbon.
+    # Each step gives the segment it starts from and the one across the
+    # ribbon; an empty orbit is the next isolated vertex.
     segs, side = g._segments, g._flags.side
-    components = [
+    isolated = (v.name for v in g.vertices if not v.rotation)
+    return BoundaryDecomposition(tuple(
         BoundaryComponent(tuple(seg for f in orbit for seg in (segs[f], segs[side[f]])))
+        if orbit else BoundaryComponent((), isolated_vertex=next(isolated))
         for orbit in g._faces
-    ]
-    components.extend(BoundaryComponent((), isolated_vertex=v.name) for v in g.vertices if not v.rotation)
-    return BoundaryDecomposition(tuple(components))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +533,29 @@ def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[st
 
 def euler_characteristic_by_component(g: RibbonGraph) -> list[int]:
     """V - E + F for each connected piece (an isolated vertex counts 1 - 0 + 1 = 2)."""
-    decomp = trace_boundary(g)
+    require_valid(g)
     pieces = connected_components(g)
-    # A face lies in the piece of any edge on it; a piece without edges is
-    # an isolated vertex, with one empty face.
+    # A face lies in the piece of any edge on it; an empty face is the next
+    # piece without edges, an isolated vertex.
     piece_of = {name: i for i, (_, es) in enumerate(pieces) for name in es}
-    faces = [0 if es else 1 for _, es in pieces]
-    for comp in decomp.components:
-        if comp.segments:
-            faces[piece_of[comp.segments[0].end.edge]] += 1
+    isolated = (i for i, (_, es) in enumerate(pieces) if not es)
+    faces = [0] * len(pieces)
+    ends = g._flags.ends
+    for orbit in g._faces:
+        faces[piece_of[ends[orbit[0] >> 1].edge] if orbit else next(isolated)] += 1
     return [len(vs) - len(es) + faces[i] for i, (vs, es) in enumerate(pieces)]
 
 
 def euler_characteristic(g: RibbonGraph) -> int:
     return sum(euler_characteristic_by_component(g))
+
+
+def _orientation_parity(g: RibbonGraph) -> tuple[list[int], list[int]]:
+    """Flip bits per vertex and the indices of the edges they leave
+    twisted: one link per edge, odd exactly when it is twisted."""
+    require_valid(g)
+    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, _edge_endpoints(g))]
+    return _parity_colouring(len(g.vertices), links)
 
 
 def orientation_flips(g: RibbonGraph) -> set[str] | None:
@@ -555,9 +565,7 @@ def orientation_flips(g: RibbonGraph) -> set[str] | None:
     number of twisted edges forces a parity conflict; either situation means
     the underlying surface is non-orientable.
     """
-    require_valid(g)
-    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, _edge_endpoints(g))]
-    bit, bad = _parity_colouring(len(g.vertices), links)
+    bit, bad = _orientation_parity(g)
     if bad:
         return None
     return {v.name for v, b in zip(g.vertices, bit) if b}

@@ -2,9 +2,9 @@
 
 Eulerian and bipartite are properties of the underlying multigraph;
 even-face and checkerboard colourability depend on the embedding through
-the boundary components.  A face colouring is a red/blue assignment to the
-boundary components such that the two sides of every edge lie on
-differently coloured components.
+the faces, read as the memoised flag orbits.  A face colouring is a
+red/blue assignment to the faces such that the two sides of every edge
+lie on differently coloured faces.
 """
 
 from __future__ import annotations
@@ -28,10 +28,14 @@ BLUE = "blue"
 
 @dataclass(frozen=True)
 class FaceColouring:
-    """A proper 2-colouring of the boundary components of a graph."""
+    """A proper 2-colouring of the faces of ``graph``, in boundary order."""
 
-    decomposition: BoundaryDecomposition
+    graph: RibbonGraph
     colours: tuple[str, ...]
+
+    @property
+    def decomposition(self) -> BoundaryDecomposition:
+        return trace_boundary(self.graph)
 
 
 def is_eulerian(g: RibbonGraph) -> bool:
@@ -49,11 +53,13 @@ def is_bipartite(g: RibbonGraph) -> bool:
 
 def face_degrees(g: RibbonGraph) -> Counter:
     """Multiset of face degrees: edge sides traversed per boundary component."""
-    return Counter(trace_boundary(g).face_degrees())
+    require_valid(g)
+    return Counter(map(len, g._faces))
 
 
 def is_even_face(g: RibbonGraph) -> bool:
-    return all(d % 2 == 0 for d in trace_boundary(g).face_degrees())
+    require_valid(g)
+    return all(len(face) % 2 == 0 for face in g._faces)
 
 
 def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
@@ -64,17 +70,17 @@ def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     Deterministic: the lowest-indexed component of each face-adjacency
     component is coloured red.
     """
-    decomp = trace_boundary(g)
+    require_valid(g)
     fl = g._flags
     face = _orbit_ids(g._faces, fl.side)
     # One link per edge, joining the faces its two ribbon sides (the flags
     # at its end 1) lie on.  The link order cannot change the colours: they
     # are forced from each piece's lowest face, or there are none.
     links = [(face[2 * i], face[2 * i + 1], 1) for i, d in enumerate(fl.ends) if d.end == 1]
-    bit, bad = _parity_colouring(decomp.count, links)
+    bit, bad = _parity_colouring(len(g._faces), links)
     if bad:
         return None
-    return FaceColouring(decomp, tuple(BLUE if b else RED for b in bit))
+    return FaceColouring(g, tuple(BLUE if b else RED for b in bit))
 
 
 def is_checkerboard_colourable(g: RibbonGraph) -> bool:

@@ -767,14 +767,13 @@ PROPERTIES: dict[str, Callable[[RibbonGraph], Iterator[Instance]]] = {
 }
 
 
-def _evaluate(name: str, text: str) -> tuple[int, list[PropertyFailure]]:
-    g = parse_graph(text)
+def _evaluate(name: str, g: RibbonGraph) -> tuple[int, list[PropertyFailure]]:
     checked = 0
     failures = []
     for params, ok, detail in PROPERTIES[name](g):
         checked += 1
         if not ok:
-            failures.append(PropertyFailure(text, params, detail))
+            failures.append(PropertyFailure(graph_to_text(g), params, detail))
     return checked, failures
 
 
@@ -787,16 +786,15 @@ def run_property_suite(
             f"unknown property {selector!r}; known: {', '.join(sorted(PROPERTIES))}"
         )
     start = time.perf_counter()
-    texts = [graph_to_text(g) for g in universe]
     checked = 0
     failures: list[PropertyFailure] = []
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.starmap(_evaluate, [(selector, t) for t in texts])
+            results = pool.starmap(_evaluate, [(selector, g) for g in universe])
     else:
-        results = [_evaluate(selector, t) for t in texts]
+        results = [_evaluate(selector, g) for g in universe]
     for c, f in results:
         checked += c
         failures.extend(f)

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from ribbonlab import (
     RED,
     checkerboard_colouring,
+    enumerate_graphs,
+    euler_characteristic_by_component,
     face_degrees,
     geometric_dual,
     is_bipartite,
@@ -15,7 +19,7 @@ from ribbonlab import (
 )
 from ribbonlab.core import EdgeEnd, HalfEdgeSegment, L, R
 
-from helpers import brute_force_parity, graph
+from helpers import brute_force_parity, graph, random_graph, segment_trace_boundary
 
 
 def test_eulerian_examples():
@@ -131,3 +135,41 @@ def test_parity_predicates_match_brute_force(raw_universe3):
         assert (colouring is None) == (brute_force_parity(decomp.count, face_links) is None)
         if colouring is not None:
             assert all(colouring.colours[a] != colouring.colours[b] for a, b, _ in face_links)
+
+
+def test_face_readers_match_segment_walk(raw_universe3):
+    """The face readers take the memoised flag orbits; each is checked
+    against the named-segment reference walk, with pieces found by a
+    union-find of its own."""
+    isolated = list(enumerate_graphs(2, extra_isolated=2))
+    for g in [*raw_universe3, *isolated, random_graph(300, 1), random_graph(2000, 2)]:
+        ref = segment_trace_boundary(g)
+        degrees = [len(c.segments) // 2 for c in ref.components]
+        assert face_degrees(g) == Counter(degrees)
+        assert is_even_face(g) == all(d % 2 == 0 for d in degrees)
+
+        home = {d: v.name for v in g.vertices for d in v.rotation}
+        root = {v.name: v.name for v in g.vertices}
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for e in g.edges:
+            root[find(home[e.ends[0]])] = find(home[e.ends[1]])
+        chi = Counter()
+        for v in g.vertices:
+            chi[find(v.name)] += 1
+        for e in g.edges:
+            chi[find(home[e.ends[0]])] -= 1
+        for c in ref.components:
+            chi[find(home[c.segments[0].end] if c.segments else c.isolated_vertex)] += 1
+        pieces = dict.fromkeys(find(v.name) for v in g.vertices)
+        assert euler_characteristic_by_component(g) == [chi[p] for p in pieces]
+
+        colouring = checkerboard_colouring(g)
+        if colouring is not None:
+            assert colouring.graph is g
+            assert colouring.decomposition == ref
+            assert len(colouring.colours) == ref.count
