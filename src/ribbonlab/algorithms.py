@@ -255,7 +255,7 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     :class:`UnknownEdgeError` for an unknown edge name.
     """
     oriented, _ = oriented_form(g)  # raises NotOrientableError when impossible
-    removed = set(_check_edges(oriented, edges))
+    removed = _check_edges(oriented, edges)
     ends, mate, corner, side, _ = oriented._flags
     cut = [d.edge in removed for d in ends]
     across = [f ^ 1 if cut[f >> 1] else s for f, s in enumerate(side)]

@@ -23,15 +23,14 @@ involution identities exercised in the test suite):
   ``side`` crosses a ribbon and ``end`` is ``f ^ 1``.  Faces are the orbits
   of <corner, side>, memoised per graph and read by every face reader;
   :func:`trace_boundary` is their view as segments.  Vertices are the
-  orbits of <corner, end>; partial duality, the boundary criterion and the
-  straight-ahead walks each walk orbits with :func:`_orbits`.
+  orbits of <corner, end>.  Operators give each result its flags as they
+  build it, with :func:`_flag_layout` or :func:`_twist_flags`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -136,6 +135,22 @@ class Vertex:
 _edge_name = attrgetter("name")
 
 
+class _memo:
+    """A per-graph memo without ``functools.cached_property``'s lock: the
+    first ``__get__`` stores the value in the instance ``__dict__``, which
+    then shadows it.  Graphs are immutable and memos pure, so a race only
+    computes a value twice, and an operator may store one it knows."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class RibbonGraph:
     """An immutable ribbon graph; all operations return new graphs.
@@ -152,28 +167,28 @@ class RibbonGraph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_name)))
 
-    @cached_property
+    @_memo
     def _violations(self) -> tuple["Violation", ...]:
         # The graph is immutable all the way down, so one verdict holds for
         # its lifetime.  Not a dataclass field: eq, hash and repr ignore it.
         return tuple(validate(self))
 
-    @cached_property
+    @_memo
     def _boundary(self) -> "BoundaryDecomposition":
         # Read only through trace_boundary, which validates first.
         return _trace_boundary(self)
 
-    @cached_property
+    @_memo
     def _flags(self) -> "_Flags":
         # Read only after validation, like _boundary.
         return _flag_structure(self)
 
-    @cached_property
+    @_memo
     def _segments(self) -> list["HalfEdgeSegment"]:
         # Flag f as a half-edge segment; read only after validation.
         return [HalfEdgeSegment(d, letter) for d in self._flags.ends for letter in (L, R)]
 
-    @cached_property
+    @_memo
     def _faces(self) -> list[list[int]]:
         # The orbits of <corner, side>, then one empty orbit per isolated
         # vertex: the boundary components, in trace_boundary's order.
@@ -182,7 +197,7 @@ class RibbonGraph:
         faces.extend([] for v in self.vertices if not v.rotation)
         return faces
 
-    @cached_property
+    @_memo
     def _edge_name_set(self) -> frozenset[str]:
         return frozenset(e.name for e in self.edges)
 
@@ -336,30 +351,53 @@ class _Flags(NamedTuple):
 
 
 def _flag_structure(g: RibbonGraph) -> _Flags:
-    ends = [d for v in g.vertices for d in v.rotation]
-    n = len(ends)
-    mate = [0] * n
+    ends: list[EdgeEnd] = []
+    bounds = [0]
+    for v in g.vertices:
+        ends += v.rotation
+        bounds.append(len(ends))
+    mate = [0] * len(ends)
     first: dict[str, int] = {}
     for i, d in enumerate(ends):
         # j == i at an edge's first end; its second end sets both entries.
         j = first.setdefault(d.edge, i)
         mate[i], mate[j] = j, i
     signs = g.signs()
-    corner = [0] * (2 * n)
+    return _flag_layout(ends, mate, [signs[d.edge] < 0 for d in ends], bounds)
+
+
+def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], bounds: list[int]) -> _Flags:
+    """The flags of edge-ends listed vertex by vertex (vertex k holds
+    positions ``bounds[k]`` up to ``bounds[k + 1]``), from each end's
+    partner position and its edge's twist: the one layout of ``corner``,
+    ``side`` and ``forward``, for derived and operator-built flags alike."""
+    n = len(ends)
+    # R of end i faces L of end i + 1, except that the last end of a
+    # vertex faces its first.
+    corner = list(range(-1, 2 * n - 1))
+    corner[1::2] = range(2, 2 * n + 1, 2)
+    for base, stop in zip(bounds, bounds[1:]):
+        if stop > base:
+            corner[2 * base], corner[2 * stop - 1] = 2 * stop - 1, 2 * base
     side = [0] * (2 * n)
     forward = [False] * n
-    base = 0
-    for v in g.vertices:
-        stop = base + len(v.rotation)
-        for i in range(base, stop):
-            j = i + 1 if i + 1 < stop else base
-            corner[2 * i + 1] = 2 * j
-            corner[2 * j] = 2 * i + 1
-            d, m = ends[i], mate[i]
-            twisted = signs[d.edge] < 0
-            side[2 * i], side[2 * i + 1] = 2 * m + 1 - twisted, 2 * m + twisted
-            forward[i] = (twisted or i < m) == (d.end == 1)
-        base = stop
+    for i, m in enumerate(mate):
+        t = twisted[i]
+        side[2 * i], side[2 * i + 1] = 2 * m + 1 - t, 2 * m + t
+        forward[i] = (t or i < m) == (ends[i].end == 1)
+    return _Flags(ends, mate, corner, side, forward)
+
+
+def _twist_flags(fl: _Flags, chosen: set[str]) -> _Flags:
+    """The flags after toggling the sign of each edge in ``chosen``, as
+    :func:`_flag_layout` lays them out."""
+    ends, mate, corner, side, forward = fl
+    side, forward = side[:], forward[:]
+    for i, d in enumerate(ends):
+        if d.edge in chosen:
+            side[2 * i], side[2 * i + 1] = side[2 * i + 1], side[2 * i]
+            # An edge's lower end points forward iff it is end 1, whatever its sign.
+            forward[i] ^= i > mate[i]
     return _Flags(ends, mate, corner, side, forward)
 
 
@@ -704,12 +742,8 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
 
 def graph_to_text(g: RibbonGraph) -> str:
     """Serialize in the plain-text format; inverse of :func:`parse_graph`."""
-    lines = []
-    for v in g.vertices:
-        ends = " ".join(str(d) for d in v.rotation)
-        lines.append(f"vertex {v.name}:" + (f" {ends}" if ends else ""))
-    for e in g.edges:
-        lines.append(f"edge {e.name}: {'+' if e.sign > 0 else '-'}")
+    lines = [f"vertex {v.name}:" + "".join([f" {e}.{k}" for e, k in v.rotation]) for v in g.vertices]
+    lines.extend(f"edge {e.name}: {'+' if e.sign > 0 else '-'}" for e in g.edges)
     return "\n".join(lines) + "\n"
 
 

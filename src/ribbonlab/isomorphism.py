@@ -17,6 +17,7 @@ from .core import (
     RibbonGraph,
     Vertex,
     graph_to_text,
+    require_valid,
 )
 
 DartGraph = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -26,20 +27,16 @@ isolated vertices."""
 
 
 def to_dart_graph(g: RibbonGraph) -> DartGraph:
-    dart_of: dict[EdgeEnd, int] = {}
-    for i, e in enumerate(g.edges):
-        dart_of[EdgeEnd(e.name, 1)] = 2 * i
-        dart_of[EdgeEnd(e.name, 2)] = 2 * i + 1
-    sigma = [0] * (2 * len(g.edges))
-    isolated = 0
-    for v in g.vertices:
-        rot = v.rotation
-        if not rot:
-            isolated += 1
-            continue
-        for j, d in enumerate(rot):
-            sigma[dart_of[d]] = dart_of[rot[(j + 1) % len(rot)]]
-    return tuple(sigma), tuple(e.sign for e in g.edges), isolated
+    """The dart-level encoding of a valid graph, read off its flags."""
+    require_valid(g)
+    index = {e.name: 2 * i - 1 for i, e in enumerate(g.edges)}
+    ends, _, corner, _, _ = g._flags
+    dart = [index[d.edge] + d.end for d in ends]
+    sigma = [0] * len(dart)
+    for p, x in enumerate(dart):
+        # The next end round the vertex is at the corner of p's R flag.
+        sigma[x] = dart[corner[2 * p + 1] >> 1]
+    return tuple(sigma), tuple(e.sign for e in g.edges), sum(not v.rotation for v in g.vertices)
 
 
 def from_dart_graph(dg: DartGraph) -> RibbonGraph:
@@ -165,7 +162,7 @@ def canonical_key_darts(dg: DartGraph) -> tuple:
 
 
 def canonical_key(g: RibbonGraph) -> tuple:
-    """A hashable complete isomorphism invariant."""
+    """A hashable complete isomorphism invariant of a valid graph."""
     return canonical_key_darts(to_dart_graph(g))
 
 
@@ -195,82 +192,77 @@ def canonical_text(g: RibbonGraph) -> str:
 
 
 def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = False) -> bool:
-    """Decide ribbon-graph isomorphism.
+    """Decide ribbon-graph isomorphism of two valid graphs.
 
     With ``match_edge_labels`` the bijection on edges is forced to be the
     identity on names (vertices stay free), which is the right notion for
     identities that preserve edge labels by construction.
     """
+    require_valid(g)
+    require_valid(h)
     if len(g.edges) != len(h.edges) or len(g.vertices) != len(h.vertices):
         return False
     if not match_edge_labels:
         return canonical_key(g) == canonical_key(h)
-    if sorted(g.edge_names) != sorted(h.edge_names):
-        return False
-    return _labelled_search(g, h)
+    # Edges are stored sorted by name.
+    return g.edge_names == h.edge_names and _labelled_search(g, h)
 
 
 def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     """Find vertex images and flips carrying g to h with every edge name kept.
 
-    Once one dart of a component is placed (one of its edge's two ends in
-    h, its vertex flipped or not), everything else in the component is
-    forced: a placed vertex's rotation maps by a shift, reversed if the
-    vertex is flipped; each dart's partner maps to the image's partner; and
-    the sign rule fixes the flip of the vertex at the far end of a non-loop,
-    while a loop must keep its sign.  So each component needs at most four
-    linear tries.  The caller has checked that the counts and edge names
-    agree.
+    Edge-ends are placed by position in the two flag structures.  Once one
+    end of a component is placed (on one of its edge's two ends in h, its
+    vertex flipped or not), the rest of the component is forced: a placed
+    vertex's rotation maps by a shift, reversed if the vertex is flipped;
+    each end's partner maps to the image's partner; and the sign rule fixes
+    the flip at the partner's vertex, so a loop must keep its sign.  So
+    each component needs at most four linear tries.  The caller has checked
+    that the counts and edge names agree.
     """
-    gsigns = g.signs()
-    hsigns = h.signs()
-    gat = {d: (v, i) for v in g.vertices for i, d in enumerate(v.rotation)}
-    hat = {d: (w, i) for w in h.vertices for i, d in enumerate(w.rotation)}
-    done: set[str] = set()
+    ends, mate, corner, side, _ = g._flags
+    h_ends, h_mate, h_corner, h_side, _ = h._flags
+    at = {d.edge: j for j, d in enumerate(h_ends)}
 
-    def place(anchor: EdgeEnd, image: EdgeEnd, flip0: bool) -> set[str] | None:
-        """The g-vertices of anchor's component if the forced map holds."""
-        dart_map: dict[EdgeEnd, EdgeEnd] = {}
-        flip: dict[str, bool] = {}
-        todo = [(anchor, image, flip0)]
+    def place(p0: int, q0: int, flip0: bool) -> dict[int, tuple[int, bool]] | None:
+        """Image and flip of each end of p0's component if the forced map holds."""
+        image: dict[int, tuple[int, bool]] = {}
+        todo = [(p0, q0, flip0)]
         while todo:
-            x, y, flipped = todo.pop()
-            v, i = gat[x]
-            if v.name in flip:
-                if flip[v.name] != flipped or dart_map[x] != y:
+            p, q, flipped = todo.pop()
+            if p in image:
+                if image[p] != (q, flipped):
                     return None
                 continue
-            w, j = hat[y]
-            m = len(v.rotation)
-            if len(w.rotation) != m:
-                return None
-            flip[v.name] = flipped
-            step = -1 if flipped else 1
-            for k in range(m):
-                src = v.rotation[(i + k) % m]
-                dst = w.rotation[(j + step * k) % m]
-                if src.edge != dst.edge:
+            # Round p's vertex (next end: corner of the R flag) and q's,
+            # backwards if flipped, queueing each end's partner with the
+            # flip the sign rule gives.
+            p_start, q_start = p, q
+            turn = 0 if flipped else 1
+            while True:
+                if ends[p].edge != h_ends[q].edge:
                     return None
-                dart_map[src] = dst
-            for src in v.rotation:
-                other, other_image = src.partner, dart_map[src].partner
-                toggled = gsigns[src.edge] != hsigns[src.edge]
-                if gat[other][0] is v:
-                    if toggled or dart_map[other] != other_image:
-                        return None
-                else:
-                    todo.append((other, other_image, flipped != toggled))
-        return set(flip)
+                image[p] = q, flipped
+                # The edge's sign differs in g and h iff its side flags differ in parity.
+                toggled = (side[2 * p] ^ h_side[2 * q]) & 1
+                todo.append((mate[p], h_mate[q], flipped != toggled))
+                p = corner[2 * p + 1] >> 1
+                q = h_corner[2 * q + turn] >> 1
+                if p == p_start or q == q_start:
+                    break
+            if p != p_start or q != q_start:
+                return None
+        return image
 
-    for v in g.vertices:
-        if v.name in done or not v.rotation:
-            continue
-        anchor = v.rotation[0]
-        for image in (anchor, anchor.partner):
-            reached = place(anchor, image, False) or place(anchor, image, True)
-            if reached:
-                break
-        else:
-            return False
-        done |= reached
+    done: set[int] = set()
+    for p in range(len(ends)):
+        if p not in done:
+            q = at[ends[p].edge]
+            image = (
+                place(p, q, False) or place(p, q, True)
+                or place(p, h_mate[q], False) or place(p, h_mate[q], True)
+            )
+            if not image:
+                return False
+            done.update(image)
     return True

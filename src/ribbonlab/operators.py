@@ -12,10 +12,11 @@ the spanning subgraph (V, A), so the walk rounds vertex corners and crosses
 ribbons on A's ends, and steps across the other ends.  This is the arrow
 presentation's crosswise splice of every chosen edge, read in flag terms.
 Its vertices are named ``v0``, ``v1``, ... in the order the walk meets
-them.  Contraction is defined from it, G/C = G^C - C, which handles loops
-and twisted loops with no special cases; contraction and minors run the
-same walk and drop the deleted and contracted edges' ends while they build
-the result's rotations, so no intermediate graph is built.
+them.  Contraction is G/C = G^C - C, with no special case for loops or
+twisted loops; contraction and minors run the same walk and skip the
+deleted and contracted edges' ends, so no intermediate graph is built.
+Every result is born with its flags: the walk emits them, deletion
+filters the input's, and a half-twist swaps sides on the chosen ends.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from typing import Iterable, Mapping
 
 from .core import (
     Edge,
-    EdgeEnd,
     RibbonGraph,
     UnknownEdgeError,
     Vertex,
-    _orbits,
+    _flag_layout,
+    _twist_flags,
     require_valid,
 )
 
@@ -59,12 +60,11 @@ def twist_compose(after: str, before: str) -> str:
     return _NAME[tuple(pa[pb[i]] for i in range(3))]
 
 
-def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> tuple[str, ...]:
-    known = g._edge_name_set
-    out = tuple(sorted(set(edges)))
-    for name in out:
-        if name not in known:
-            raise UnknownEdgeError(name)
+def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> set[str]:
+    """The named edges as a set; raises UnknownEdgeError with the least unknown name."""
+    out = set(edges)
+    if not out <= g._edge_name_set:
+        raise UnknownEdgeError(min(out - g._edge_name_set))
     return out
 
 
@@ -75,25 +75,32 @@ def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> tuple[str, ...]:
 def delete(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Remove the edges; vertices stay (possibly becoming isolated)."""
     require_valid(g)
-    return _without(g, set(_check_edges(g, edges)))
+    return _without(g, _check_edges(g, edges))
 
 
 def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
-    vertices = tuple(
-        Vertex(v.name, tuple(d for d in v.rotation if d.edge not in gone))
-        for v in g.vertices
+    # The result's flags are the input's on the kept ends, renumbered.
+    ends, mate, _, side, _ = g._flags
+    kept = [p for p, d in enumerate(ends) if d.edge not in gone]
+    at = {p: k for k, p in enumerate(kept)}
+    vertices = tuple(Vertex(v.name, tuple(d for d in v.rotation if d.edge not in gone)) for v in g.vertices)
+    out = RibbonGraph(vertices, tuple(e for e in g.edges if e.name not in gone))
+    out.__dict__["_flags"] = _flag_layout(
+        [ends[p] for p in kept],
+        [at[mate[p]] for p in kept],
+        [not side[2 * p] & 1 for p in kept],
+        list(accumulate((len(v.rotation) for v in vertices), initial=0)),
     )
-    return RibbonGraph(vertices, tuple(e for e in g.edges if e.name not in gone))
+    return out
 
 
 def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Add a half-twist to each listed edge (toggle its sign); an involution."""
     require_valid(g)
-    chosen = set(_check_edges(g, edges))
-    return RibbonGraph(
-        g.vertices,
-        tuple(Edge(e.name, -e.sign if e.name in chosen else e.sign) for e in g.edges),
-    )
+    chosen = _check_edges(g, edges)
+    out = RibbonGraph(g.vertices, tuple(Edge(e.name, -e.sign) if e.name in chosen else e for e in g.edges))
+    out.__dict__["_flags"] = _twist_flags(g._flags, chosen)
+    return out
 
 
 def petrial(g: RibbonGraph) -> RibbonGraph:
@@ -123,7 +130,7 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     twice gives a graph isomorphic to ``g``.
     """
     require_valid(g)
-    chosen = set(_check_edges(g, edges))
+    chosen = _check_edges(g, edges)
     if not chosen:
         return g
     return _dual_without(g, chosen, set())
@@ -141,55 +148,60 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
         return _without(g, gone)
     ends, mate, corner, side, forward = g._flags
     n = len(ends)
-    spliced = [d.edge in chosen for d in ends]
 
     # A spliced arrow is crossed to the partner end, an unspliced one from
     # L flag to R flag.  Each end is started at its arrow's tail, then its
     # head; the walk meets an arrow forward iff it enters an unspliced one
-    # at its tail or a spliced one at its head.  Slot s of the result
-    # carries edge ``label[s]`` (an edge's lower end) in direction fwd[s].
-    across = [side[f] if spliced[f >> 1] else f ^ 1 for f in range(2 * n)]
-    starts = [f ^ 1 ^ forward[f >> 1] for f in range(2 * n)]
-    orbits = _orbits(corner, across, starts)
-    slots = [f for orbit in orbits for f in orbit]
-    low = [i if i < m else m for i, m in enumerate(mate)]
-    label = [low[f >> 1] for f in slots]
-    fwd = [(f & 1 ^ 1 ^ forward[f >> 1]) == spliced[f >> 1] for f in slots]
-
-    # As from_arrow_presentation reads it back: matching directions mean an
-    # untwisted edge, and end 1 is the first slot of the edge if that arrow
-    # is forward, else the second.
-    result: list[EdgeEnd] = [ends[0]] * n
-    new_sign: dict[str, int] = {}
-    first_slot = [-1] * n
-    for s, lab in enumerate(label):
-        f = first_slot[lab]
-        if f < 0:
-            first_slot[lab] = s
+    # at its tail or a spliced one at its head.  Each flag crossed from is
+    # the result's next slot unless its end is ``gone``; a slot gets its
+    # edge-end, partner slot and twist as from_arrow_presentation reads
+    # arrows back: matching directions mean untwisted, and end 1 is the
+    # edge's first slot if that arrow is forward, else its second.
+    new_ends = [ends[0]] * n
+    new_mate = [0] * n
+    twisted = [False] * n
+    bounds = [0]
+    first: dict[str, tuple[int, bool]] = {}
+    seen = bytearray(2 * n)
+    s = 0
+    for f0 in range(2 * n):
+        f0 ^= 1 ^ forward[f0 >> 1]
+        if seen[f0]:
             continue
-        one, two = (f, s) if fwd[f] else (s, f)
-        d1, d2 = ends[lab], ends[mate[lab]]
-        if d1.end == 2:
-            d1, d2 = d2, d1
-        result[one], result[two] = d1, d2
-        new_sign[d1.edge] = 1 if fwd[f] == fwd[s] else -1
+        f = f0
+        while True:
+            p = f >> 1
+            d = ends[p]
+            name = d.edge
+            spliced = name in chosen
+            h = side[f] if spliced else f ^ 1
+            seen[f] = seen[h] = 1
+            if name not in gone:
+                fwd = (f & 1 ^ 1 ^ forward[p]) == spliced
+                if name in first:
+                    t, t_fwd = first[name]
+                    e = ends[mate[p]]
+                    new_ends[t], new_ends[s] = (d, e) if (d.end == 1) == t_fwd else (e, d)
+                    new_mate[t], new_mate[s] = s, t
+                    twisted[t] = twisted[s] = t_fwd != fwd
+                else:
+                    first[name] = s, fwd
+                s += 1
+            f = corner[h]
+            if f == f0:
+                break
+        bounds.append(s)
+    del new_ends[s:], new_mate[s:], twisted[s:]
+    bounds.extend(s for v in g.vertices if not v.rotation)
 
-    bounds = list(accumulate(map(len, orbits), initial=0))
-    traced = len(orbits)
-    isolated = sum(1 for v in g.vertices if not v.rotation)
-    vertices = [
-        Vertex(f"v{k}", tuple(d for d in result[bounds[k]:bounds[k + 1]] if d.edge not in gone))
-        for k in range(traced)
-    ]
-    vertices.extend(Vertex(f"v{k}") for k in range(traced, traced + isolated))
-    out = RibbonGraph(
-        tuple(vertices),
-        tuple(
-            e if e.sign == new_sign[e.name] else Edge(e.name, new_sign[e.name])
-            for e in g.edges
-            if e.name not in gone
-        ),
+    vertices = tuple(Vertex(f"v{k}", tuple(new_ends[a:b])) for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
+    edges = tuple(
+        e if (e.sign < 0) == twisted[first[e.name][0]] else Edge(e.name, -e.sign)
+        for e in g.edges
+        if e.name not in gone
     )
+    out = RibbonGraph(vertices, edges)
+    out.__dict__["_flags"] = _flag_layout(new_ends, new_mate, twisted, bounds)
     require_valid(out)
     return out
 
@@ -208,7 +220,7 @@ def contract(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     One pass of the partial-dual splice that leaves the contracted edges
     out of the result it builds.
     """
-    chosen = set(_check_edges(g, edges))
+    chosen = _check_edges(g, edges)
     require_valid(g)
     return _dual_without(g, chosen, chosen)
 
@@ -223,9 +235,9 @@ def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> 
     overlap = dset & cset
     if overlap:
         raise ValueError(f"cannot both delete and contract: {sorted(overlap)}")
-    chosen = set(_check_edges(g, cset))
+    chosen = _check_edges(g, cset)
     require_valid(g)
-    return _dual_without(g, chosen, set(_check_edges(g, dset)) | chosen)
+    return _dual_without(g, chosen, _check_edges(g, dset) | chosen)
 
 
 def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:

@@ -5,6 +5,8 @@ import math
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from ribbonlab import (
     BoundaryComponent,
     BoundaryDecomposition,
@@ -67,6 +69,31 @@ def random_graph(edges: int, seed: int) -> RibbonGraph:
     return RibbonGraph(
         tuple(Vertex(f"v{i}", tuple(rot)) for i, rot in enumerate(rotations)),
         tuple(Edge(f"e{k}", rng.choice((1, -1))) for k in range(edges)),
+    )
+
+
+@st.composite
+def rotation_systems(draw, max_edges: int = 8, max_isolated: int = 2) -> RibbonGraph:
+    """Hypothesis strategy: a valid signed rotation system.
+
+    The edge-ends are drawn in one order and cut into vertices, so loops,
+    twisted loops, parallel edges and disconnected pieces all occur, plus
+    some isolated vertices.  Shrinking removes edges and vertices and moves
+    towards one vertex, the ends in order and every sign +1.
+    """
+    k = draw(st.integers(0, max_edges))
+    ends = draw(st.permutations([EdgeEnd(f"e{i}", j) for i in range(k) for j in (1, 2)]))
+    cuts = draw(st.lists(st.booleans(), min_size=2 * k, max_size=2 * k))
+    rotations: list[list[EdgeEnd]] = []
+    for d, cut in zip(ends, cuts):
+        if cut or not rotations:
+            rotations.append([])
+        rotations[-1].append(d)
+    rotations += [[]] * draw(st.integers(0 if rotations else 1, max_isolated))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    return RibbonGraph(
+        tuple(Vertex(f"v{i}", tuple(rot)) for i, rot in enumerate(rotations)),
+        tuple(Edge(f"e{i}", sign) for i, sign in enumerate(signs)),
     )
 
 

@@ -102,6 +102,17 @@ def test_vertex_rotation_is_coerced_to_a_tuple():
     assert isinstance(listed.rotation, tuple)
 
 
+def test_memos_leave_eq_hash_and_repr_alone():
+    g = graph("torus")
+    fresh = RibbonGraph(g.vertices, g.edges)
+    require_valid(g)
+    flags, faces = g._flags, g._faces
+    # Each memo is stored on the instance at its first read, then read back.
+    assert {"_violations", "_flags", "_faces"} <= set(vars(g)) and not vars(fresh).keys() & {"_flags", "_faces"}
+    assert g._flags is flags and g._faces is faces
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+
 def test_ribbon_graph_builder_is_linear_and_keeps_order():
     g = random_graph(10_000, 3)
     rebuilt = ribbon_graph({v.name: v.rotation for v in g.vertices}, g.signs())

@@ -29,6 +29,7 @@ from ribbonlab import (
     twist_compose,
     validate,
 )
+from ribbonlab.core import _flag_structure
 
 from helpers import (
     arrow_splice_partial_dual,
@@ -36,6 +37,7 @@ from helpers import (
     chain_minor,
     graph,
     random_graph,
+    rotation_systems,
 )
 
 
@@ -87,6 +89,59 @@ def test_operator_outputs_validate_afresh(universe3):
         for b, c in _disjoint_pairs(names):
             out = minor(g, b, c)
             assert validate(RibbonGraph(out.vertices, out.edges)) == []
+
+
+def _operator_outputs(g, subsets, pairs):
+    """Every flag-building operator's output on ``g``: the whole-graph
+    operators, two twist words mixing all six elements, and each subset and
+    (deleted, contracted) pair.  Outputs that are ``g`` itself are left out."""
+    names = g.edge_names
+    outs = [geometric_dual(g), petrial(g)]
+    outs += [apply_twist_word(g, dict(zip(names, TWIST_ELEMENTS[k:] * len(names)))) for k in (1, 3)]
+    for a in subsets:
+        outs += [partial_dual(g, a), contract(g, a), delete(g, a), partial_petrial(g, a)]
+    outs += [minor(g, b, c) for b, c in pairs]
+    return [out for out in outs if out is not g]
+
+
+def _assert_born_with_flags(out):
+    # The flags an operator stored equal those derived from a rebuilt copy.
+    assert "_flags" in vars(out)
+    assert out._flags == _flag_structure(RibbonGraph(out.vertices, out.edges))
+
+
+def test_operator_outputs_carry_their_flags(raw_universe3):
+    # partial_dual, contract and minor on every subset and pair are checked
+    # where they are matched exactly against their references below.
+    for g in raw_universe3:
+        names = g.edge_names
+        for out in _operator_outputs(g, [], []):
+            _assert_born_with_flags(out)
+        for r in range(len(names) + 1):
+            for a in itertools.combinations(names, r):
+                _assert_born_with_flags(delete(g, a))
+                _assert_born_with_flags(partial_petrial(g, a))
+
+
+def test_operator_outputs_carry_their_flags_at_scale():
+    for seed in range(3):
+        g = random_graph(200, seed)
+        rng = random.Random(f"flags:{seed}")
+        lots = [{name: rng.randrange(3) for name in g.edge_names} for _ in range(3)]
+        subsets = [[name for name, x in lot.items() if x] for lot in lots]
+        pairs = [([n for n, x in lot.items() if x == 1], [n for n, x in lot.items() if x == 2]) for lot in lots]
+        for out in _operator_outputs(g, subsets, pairs):
+            _assert_born_with_flags(out)
+
+
+@given(g=rotation_systems(), data=st.data())
+def test_operator_outputs_carry_their_flags_on_drawn_graphs(g, data):
+    names = g.edge_names
+    lot = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(names), max_size=len(names)))
+    subset = [n for n, x in zip(names, lot) if x]
+    pair = ([n for n, x in zip(names, lot) if x == 1], [n for n, x in zip(names, lot) if x == 2])
+    for out in _operator_outputs(g, [subset], [pair]):
+        _assert_born_with_flags(out)
 
 
 def _disjoint_pairs(names):
@@ -215,6 +270,8 @@ def test_partial_dual_matches_arrow_splice_exactly(raw_universe3):
                 d = partial_dual(g, subset)
                 ref = arrow_splice_partial_dual(g, subset)
                 assert d == ref and str(d) == str(ref)
+                if subset:
+                    _assert_born_with_flags(d)
 
 
 def test_partial_dual_vertex_and_face_counts_at_scale():
@@ -283,13 +340,15 @@ def test_contract_and_minor_match_the_chain_exactly(raw_universe3):
         for r in range(len(names) + 1):
             for c in itertools.combinations(names, r):
                 contracted = chain_contract(g, c)
-                assert graph_to_text(contract(g, c)) == graph_to_text(contracted)
+                out = contract(g, c)
+                assert graph_to_text(out) == graph_to_text(contracted)
+                _assert_born_with_flags(out)
                 rest = [n for n in names if n not in c]
                 for k in range(len(rest) + 1):
                     for b in itertools.combinations(rest, k):
-                        assert graph_to_text(minor(g, b, c)) == graph_to_text(
-                            delete(contracted, b)
-                        )
+                        out = minor(g, b, c)
+                        assert graph_to_text(out) == graph_to_text(delete(contracted, b))
+                        _assert_born_with_flags(out)
 
 
 def test_contract_and_minor_match_the_chain_at_scale():
