@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    HalfEdgeSegment,
     RibbonGraph,
     RibbonGraphError,
     _orbit_ids,
@@ -37,7 +36,7 @@ from .core import (
     require_valid,
 )
 from .medial import InternalInvariantError, _straight_ahead, d_edges
-from .operators import _check_edges, partial_dual, partial_petrial
+from .operators import _check_edges, partial_dual, partial_petrial, twist_compose
 from .predicates import (
     BLUE,
     RED,
@@ -83,15 +82,10 @@ class TwistedDualCertificate:
     def twist_word(self) -> dict[str, str]:
         """The per-edge word carrying the input to ``result``, in edge-name order."""
         a, d = set(self.petrial_set), set(self.dual_set)
-        out = {}
-        for name in sorted(a | d):
-            if name in a and name in d:
-                out[name] = "dt"
-            elif name in a:
-                out[name] = "t"
-            else:
-                out[name] = "d"
-        return out
+        return {
+            name: twist_compose("d" if name in d else "1", "t" if name in a else "1")
+            for name in sorted(a | d)
+        }
 
 
 def checkerboard_twisted_dual(g: RibbonGraph, *, seed: int = 0) -> TwistedDualCertificate:
@@ -120,28 +114,6 @@ def checkerboard_twisted_dual(g: RibbonGraph, *, seed: int = 0) -> TwistedDualCe
 # Vertex corner colouring + the partial-Petrial pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexColouring:
-    """Alternating red/blue corner colours at every (even-degree) vertex.
-
-    Corner ``i`` of a vertex is the vertex line segment between rotation
-    positions ``i`` and ``i+1``; each half-edge segment inherits the colour
-    of the corner it touches.
-    """
-
-    corners: tuple[tuple[str, tuple[str, ...]], ...]
-    half_edge: dict[HalfEdgeSegment, str]
-
-    def colour(self, segment: HalfEdgeSegment) -> str:
-        return self.half_edge[segment]
-
-
-def _colour_pair(first_colour: str) -> tuple[str, str]:
-    if first_colour not in (RED, BLUE):
-        raise ValueError(f"unknown colour {first_colour!r}")
-    return first_colour, BLUE if first_colour == RED else RED
-
-
 def _corner_bits(g: RibbonGraph) -> bytes:
     """Per flag, 0 for the first corner colour and 1 for the second, on a
     valid graph of even degrees.
@@ -156,38 +128,12 @@ def _corner_bits(g: RibbonGraph) -> bytes:
 
 def _inconsistent(g: RibbonGraph, col) -> tuple[str, ...]:
     """The edges, by name, whose ribbon side at end 1's ``L`` flag joins
-    two flags of different colours ``col``."""
+    two flags of different colours ``col``: the edges across which the
+    corner colouring fails to propagate.  The two flags of an edge-end
+    always differ, so that side decides for both; half-twisting an edge
+    swaps which far-end flags its sides meet and toggles its membership."""
     ends, _, _, side, _ = g._flags
     return tuple(sorted(d.edge for i, d in enumerate(ends) if d.end == 1 and col[2 * i] != col[side[2 * i]]))
-
-
-def vertex_checkerboard_colouring(g: RibbonGraph, *, first_colour: str = RED) -> VertexColouring:
-    """Colour every vertex's corners alternately, starting ``first_colour``
-    at rotation index 0.  Odd-degree vertices make alternation impossible
-    and raise :class:`NotEulerianError`."""
-    require_valid(g)
-    colour = _colour_pair(first_colour)
-    col = [colour[b] for b in _corner_bits(g)]
-    corners, pos = [], 0
-    for v in g.vertices:
-        if v.degree % 2:
-            raise NotEulerianError(f"vertex {v.name} has odd degree {v.degree}")
-        corners.append((v.name, tuple(col[2 * pos + 1:2 * (pos + v.degree):2])))
-        pos += v.degree
-    return VertexColouring(tuple(corners), dict(zip(g._segments, col)))
-
-
-def inconsistent_edges(g: RibbonGraph, vc: VertexColouring) -> tuple[str, ...]:
-    """Edges across which the corner colouring fails to propagate.
-
-    An edge is consistent when the two half-edge segments on each of its
-    ribbon sides carry equal colours (the sides then automatically carry
-    opposite colours, because the two segments at any edge-end always
-    differ).  Half-twisting an edge swaps which far-end segments its sides
-    meet, so a twist toggles membership here.
-    """
-    require_valid(g)
-    return _inconsistent(g, [vc.colour(seg) for seg in g._segments])
 
 
 @dataclass(frozen=True)
@@ -211,7 +157,9 @@ def checkerboard_partial_petrial(
     """
     if not is_eulerian(g):
         raise NotEulerianError("graph has a vertex of odd degree")
-    _colour_pair(first_colour)  # swapping the two colours changes no output
+    if first_colour not in (RED, BLUE):
+        raise ValueError(f"unknown colour {first_colour!r}")
+    # Swapping the two colours changes no output.
     col = _corner_bits(g)
     twisted = _inconsistent(g, col)
     result = partial_petrial(g, twisted)

@@ -20,6 +20,7 @@ from .core import (
     graph_to_text,
     is_orientable,
     load_graph,
+    save_graph,
 )
 from .isomorphism import are_isomorphic
 from .medial import (
@@ -153,15 +154,13 @@ def _cmd_op(args) -> int:
         out = delete(g, _split_edges(args.delete))
     else:
         out = contract(g, _split_edges(args.contract))
-    text = graph_to_text(out)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            save_graph(args.output, out)
         except OSError as exc:
             raise _CliError(f"cannot write {args.output}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(graph_to_text(out))
     return 0
 
 

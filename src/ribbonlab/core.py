@@ -227,9 +227,6 @@ class RibbonGraph:
     def signs(self) -> dict[str, int]:
         return {e.name: e.sign for e in self.edges}
 
-    def degree(self, vertex: str) -> int:
-        return self.vertex(vertex).degree
-
     def vertex_of(self, end: EdgeEnd) -> str:
         for v in self.vertices:
             if end in v.rotation:
@@ -402,7 +399,8 @@ def _twist_flags(fl: _Flags, chosen: set[str]) -> _Flags:
 
 
 def _orbits(step: Sequence[int], across: Sequence[int], starts: Iterable[int]) -> list[list[int]]:
-    """The orbits of two involutions on flags, walked alternately.
+    """The orbits of two involutions on flags, walked alternately; with
+    ``across`` the identity, the cycles of any permutation ``step``.
 
     From each start not yet met, the walk applies ``across`` and then
     ``step`` until it is back at the start; an orbit is the list of flags
@@ -464,13 +462,6 @@ class BoundaryDecomposition:
     @property
     def count(self) -> int:
         return len(self.components)
-
-    def component_of(self) -> dict[HalfEdgeSegment, int]:
-        out: dict[HalfEdgeSegment, int] = {}
-        for i, comp in enumerate(self.components):
-            for seg in comp.segments:
-                out[seg] = i
-        return out
 
     def face_degrees(self) -> list[int]:
         return [c.face_degree for c in self.components]
@@ -547,6 +538,7 @@ def _parity_colouring(n: int, links: Sequence[tuple[int, int, int]]) -> tuple[li
 
 def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected pieces of the underlying multigraph as (vertices, edges), in stored vertex order."""
+    require_valid(g)
     parent = list(range(len(g.vertices)))
 
     def find(x: int) -> int:
@@ -619,6 +611,7 @@ def flip_vertex(g: RibbonGraph, vertex: str) -> RibbonGraph:
     Edges with exactly one end at the vertex change sign; loops at it keep
     theirs.  Flipping twice restores the original graph exactly.
     """
+    require_valid(g)
     if vertex not in g.vertex_names:
         raise UnknownVertexError(vertex)
     return _flip_vertices(g, {vertex})
@@ -674,9 +667,6 @@ class Circle:
 @dataclass(frozen=True)
 class ArrowPresentation:
     circles: tuple[Circle, ...] = ()
-
-    def labels(self) -> list[str]:
-        return list(dict.fromkeys(a.label for c in self.circles for a in c.arrows))
 
 
 def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
@@ -844,5 +834,8 @@ def load_graph(path) -> RibbonGraph:
 
 
 def save_graph(path, g: RibbonGraph) -> None:
+    """Write a valid graph in the text format, so that :func:`load_graph`
+    reads it back."""
+    require_valid(g)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(graph_to_text(g))

@@ -16,6 +16,7 @@ from .core import (
     EdgeEnd,
     RibbonGraph,
     Vertex,
+    _orbits,
     graph_to_text,
     require_valid,
 )
@@ -42,28 +43,14 @@ def to_dart_graph(g: RibbonGraph) -> DartGraph:
 def from_dart_graph(dg: DartGraph) -> RibbonGraph:
     """Materialise a dart-level encoding with generated names v0.., e0.. ."""
     sigma, signs, isolated = dg
-    rotations = [tuple(EdgeEnd(f"e{x // 2}", x % 2 + 1) for x in cycle) for cycle in _cycles(sigma)]
+    # The vertices are the cycles of sigma, each read from its least dart.
+    ident = list(range(len(sigma)))
+    rotations = [
+        tuple(EdgeEnd(f"e{x // 2}", x % 2 + 1) for x in cycle) for cycle in _orbits(sigma, ident, ident)
+    ]
     rotations += [()] * isolated
     vertices = tuple(Vertex(f"v{i}", rot) for i, rot in enumerate(rotations))
     return RibbonGraph(vertices, tuple(Edge(f"e{i}", sign) for i, sign in enumerate(signs)))
-
-
-def _cycles(sigma: tuple[int, ...]) -> list[list[int]]:
-    """The cycles of ``sigma`` (the vertices), each listed from its least
-    dart, in order of that dart."""
-    seen = [False] * len(sigma)
-    out: list[list[int]] = []
-    for d0 in range(len(sigma)):
-        if seen[d0]:
-            continue
-        cycle = []
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            cycle.append(d)
-            d = sigma[d]
-        out.append(cycle)
-    return out
 
 
 def _components(sigma: tuple[int, ...]) -> list[list[int]]:
@@ -152,7 +139,8 @@ def canonical_key_darts(dg: DartGraph) -> tuple:
     n = len(sigma)
     inverse = [0] * n
     vertex_of = [0] * n
-    for cycle in _cycles(sigma):
+    ident = list(range(n))
+    for cycle in _orbits(sigma, ident, ident):
         head = cycle[0]
         for d in cycle:
             inverse[sigma[d]] = d

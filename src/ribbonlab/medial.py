@@ -89,11 +89,6 @@ class MedialGraph:
     corner_edges: tuple[CornerEdge, ...]
     free_loops: tuple[str, ...]
 
-    @staticmethod
-    def opposite(port: HalfEdgeSegment) -> HalfEdgeSegment:
-        """Straight ahead through the crossing: other end, same side letter."""
-        return HalfEdgeSegment(port.end.partner, port.side)
-
 
 def build_medial(h: RibbonGraph) -> MedialGraph:
     """Construct the medial graph of an orientable host.

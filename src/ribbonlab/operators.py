@@ -50,14 +50,16 @@ _PERM = {
     "dtd": (2, 1, 0),
 }
 _NAME = {perm: name for name, perm in _PERM.items()}
+_PRODUCT = {
+    (x, y): _NAME[tuple(px[py[i]] for i in range(3))] for x, px in _PERM.items() for y, py in _PERM.items()
+}
 
 TwistWord = Mapping[str, str]
 
 
 def twist_compose(after: str, before: str) -> str:
     """The word acting as ``before`` followed by ``after``."""
-    pa, pb = _PERM[after], _PERM[before]
-    return _NAME[tuple(pa[pb[i]] for i in range(3))]
+    return _PRODUCT[after, before]
 
 
 def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> set[str]:
@@ -220,8 +222,8 @@ def contract(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     One pass of the partial-dual splice that leaves the contracted edges
     out of the result it builds.
     """
-    chosen = _check_edges(g, edges)
     require_valid(g)
+    chosen = _check_edges(g, edges)
     return _dual_without(g, chosen, chosen)
 
 
@@ -230,13 +232,13 @@ def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> 
 
     The same single pass as :func:`contract`, dropping both sets.
     """
+    require_valid(g)
     dset = set(deleted)
     cset = set(contracted)
     overlap = dset & cset
     if overlap:
         raise ValueError(f"cannot both delete and contract: {sorted(overlap)}")
     chosen = _check_edges(g, cset)
-    require_valid(g)
     return _dual_without(g, chosen, _check_edges(g, dset) | chosen)
 
 
@@ -247,6 +249,7 @@ def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:
     (``dt`` twists first, then dualises).  Actions on distinct edges
     commute, so the grouping order does not matter.
     """
+    require_valid(g)
     _check_edges(g, word.keys())
     for name, elem in word.items():
         if elem not in TWIST_ELEMENTS:

@@ -22,7 +22,6 @@ from ribbonlab import (
     parse_graph,
     partial_dual,
     to_arrow_presentation,
-    trace_boundary,
 )
 from ribbonlab.core import L, R, Arrow, ArrowPresentation, Circle, require_valid
 from ribbonlab.medial import AllCrossingDirection, MedialGraph
@@ -210,6 +209,11 @@ def segment_trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     return BoundaryDecomposition(tuple(components))
 
 
+def component_index(decomp: BoundaryDecomposition) -> dict[HalfEdgeSegment, int]:
+    """The index of the boundary component each half-edge segment lies on."""
+    return {seg: i for i, comp in enumerate(decomp.components) for seg in comp.segments}
+
+
 def corner_edge_straight_ahead(m: MedialGraph, seed: int = 0) -> AllCrossingDirection:
     """Reference for ``straight_ahead_direction``: walk ``CornerEdge``
     objects, leaving each crossing by the port opposite the one entered
@@ -261,8 +265,8 @@ def brute_force_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     removed = tuple(sorted(set(edges)))
     oriented, _ = oriented_form(g)
     remaining = delete(oriented, removed)
-    decomp = trace_boundary(remaining)
-    comp_of = decomp.component_of()
+    decomp = segment_trace_boundary(remaining)
+    comp_of = component_index(decomp)
 
     constraints: list[tuple[int, int]] = []
     removed_set = set(removed)

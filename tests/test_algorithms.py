@@ -18,7 +18,6 @@ from ribbonlab import (
     d_edges,
     geometric_dual,
     has_alternating_boundary_orientation,
-    inconsistent_edges,
     is_checkerboard_colourable,
     is_eulerian,
     is_orientable,
@@ -29,15 +28,16 @@ from ribbonlab import (
     ribbon_graph,
     straight_ahead_direction,
     trace_boundary,
-    vertex_checkerboard_colouring,
 )
 
 from ribbonlab.core import L, R
 
 from helpers import (
     brute_force_alternating_boundary_orientation,
+    component_index,
     graph,
     random_graph,
+    segment_trace_boundary,
 )
 
 
@@ -61,68 +61,77 @@ def test_orienting_set_works(universe4):
 
 
 # ---------------------------------------------------------------------------
-# vertex corner colouring
+# the partial-Petrial pipeline and its corner colouring
 # ---------------------------------------------------------------------------
 
+def corner_colours(cert) -> tuple:
+    """Per vertex of the result, the colour of the face at each corner in
+    rotation order, read on the reference segment walk.  Corner k lies
+    between end k's R segment and end k + 1's L segment, and both must lie
+    on the same face."""
+    comp_of = component_index(segment_trace_boundary(cert.result))
+    colours = cert.colouring.colours
+    out = []
+    for v in cert.result.vertices:
+        rot = v.rotation
+        corners = tuple(colours[comp_of[HalfEdgeSegment(d, R)]] for d in rot)
+        for k, c in enumerate(corners):
+            assert colours[comp_of[HalfEdgeSegment(rot[(k + 1) % len(rot)], L)]] == c
+        out.append((v.name, corners))
+    return tuple(out)
+
+
 def test_isolated_vertex_colouring_empty():
-    vc = vertex_checkerboard_colouring(graph("isolated"))
-    assert vc.corners == (("u", ()),)
-    assert vc.half_edge == {}
+    cert = checkerboard_partial_petrial(graph("isolated"))
+    assert cert.twisted == ()
+    assert corner_colours(cert) == (("u", ()),)
 
 
 def test_degree_two_alternation():
-    vc = vertex_checkerboard_colouring(graph("loop"))
-    assert vc.corners == (("u", (RED, BLUE)),)
+    assert corner_colours(checkerboard_partial_petrial(graph("loop"))) == (("u", (BLUE, RED)),)
 
 
 def test_degree_four_alternation():
-    vc = vertex_checkerboard_colouring(graph("torus"))
-    assert vc.corners == (("u", (RED, BLUE, RED, BLUE)),)
-    assert vc.colour(HalfEdgeSegment(EdgeEnd("a", 1), "R")) == RED
-    assert vc.colour(HalfEdgeSegment(EdgeEnd("a", 1), "L")) == BLUE
+    cert = checkerboard_partial_petrial(graph("torus"))
+    assert corner_colours(cert) == (("u", (BLUE, RED, BLUE, RED)),)
 
 
-def test_odd_degree_rejected():
-    with pytest.raises(NotEulerianError):
-        vertex_checkerboard_colouring(graph("path2"))
+def test_corner_colours_alternate_around_every_vertex(universe3):
+    for g in universe3:
+        if is_eulerian(g):
+            for _, corners in corner_colours(checkerboard_partial_petrial(g)):
+                assert all(corners[k] != corners[k - 1] for k in range(len(corners)))
 
 
-def test_alternate_seed_swaps_colours():
-    vc = vertex_checkerboard_colouring(graph("loop"), first_colour=BLUE)
-    assert vc.corners == (("u", (BLUE, RED)),)
+def test_odd_degree_rejected(universe3):
+    for g in universe3:
+        if not is_eulerian(g):
+            with pytest.raises(NotEulerianError):
+                checkerboard_partial_petrial(g)
 
 
-# ---------------------------------------------------------------------------
-# inconsistent edges
-# ---------------------------------------------------------------------------
-
-def test_half_twist_toggles_consistency():
-    g = graph("loop")
-    vc = vertex_checkerboard_colouring(g)
-    before = "a" in inconsistent_edges(g, vc)
-    twisted = partial_petrial(g, ["a"])
-    after = "a" in inconsistent_edges(twisted, vc)
-    assert before != after
+def test_first_colour_changes_no_output(universe3):
+    for g in universe3:
+        if is_eulerian(g):
+            assert checkerboard_partial_petrial(g, first_colour=BLUE) == checkerboard_partial_petrial(g)
+    with pytest.raises(ValueError):
+        checkerboard_partial_petrial(graph("loop"), first_colour="green")
 
 
-def test_torus_inconsistent_edges_are_both_loops():
-    g = graph("torus")
-    vc = vertex_checkerboard_colouring(g)
-    assert inconsistent_edges(g, vc) == ("a", "b")
+def test_half_twist_toggles_consistency(universe3):
+    for g in universe3:
+        if not is_eulerian(g):
+            continue
+        twisted = checkerboard_partial_petrial(g).twisted
+        for e in g.edge_names:
+            assert (e in twisted) != (e in checkerboard_partial_petrial(partial_petrial(g, [e])).twisted)
 
 
 def test_twisting_inconsistent_edges_fixes_all(universe3):
     for g in universe3:
-        if not is_eulerian(g):
-            continue
-        vc = vertex_checkerboard_colouring(g)
-        fixed = partial_petrial(g, inconsistent_edges(g, vc))
-        assert inconsistent_edges(fixed, vc) == ()
+        if is_eulerian(g):
+            assert checkerboard_partial_petrial(checkerboard_partial_petrial(g).result).twisted == ()
 
-
-# ---------------------------------------------------------------------------
-# the partial-Petrial pipeline
-# ---------------------------------------------------------------------------
 
 def test_partial_petrial_pipeline_on_torus():
     cert = checkerboard_partial_petrial(graph("torus"))
@@ -148,9 +157,15 @@ def test_boundaries_monochromatic_after_twisting(universe3):
         if not is_eulerian(g):
             continue
         cert = checkerboard_partial_petrial(g)
-        vc = vertex_checkerboard_colouring(cert.result)
-        for comp in trace_boundary(cert.result).components:
-            assert len({vc.colour(s) for s in comp.segments}) <= 1
+        # Corner k of each vertex gets colour k % 2; an end's R segment
+        # touches its own corner and its L segment the one before.
+        colour = {}
+        for v in cert.result.vertices:
+            for k, d in enumerate(v.rotation):
+                colour[HalfEdgeSegment(d, R)] = k % 2
+                colour[HalfEdgeSegment(d, L)] = (k - 1) % 2
+        for comp in segment_trace_boundary(cert.result).components:
+            assert len({colour[s] for s in comp.segments}) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +249,9 @@ def test_twisted_dual_certificate_at_scale():
     g = random_graph(2000, 1)
     cert = checkerboard_twisted_dual(g)
     assert cert.result.edge_names == g.edge_names
-    decomp = trace_boundary(cert.result)
+    decomp = segment_trace_boundary(cert.result)
     assert cert.colouring.decomposition == decomp
-    comp_of = decomp.component_of()
+    comp_of = component_index(decomp)
     colours = cert.colouring.colours
     for name in cert.result.edge_names:
         end = EdgeEnd(name, 1)

@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module,
-every name a function assigns is read in that function, and every function
-and class the package defines is named somewhere besides its definition.
+every name a function assigns is read in that function, every function
+and class the package defines is named somewhere besides its definition,
+and every name the package re-exports is used by the package or
+documented in the README.
 
 There is no linter in the toolchain, so this reads the source with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -124,3 +126,36 @@ def test_every_definition_is_named_elsewhere():
     corpus = [p.read_text(encoding="utf-8") for d in ("src", "tests", "perfbench") for p in sorted((REPO / d).rglob("*.py"))]
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted((REPO / "src" / "ribbonlab").glob("*.py"))}
     assert unnamed_definitions(modules, corpus) == []
+
+
+def unused_exports(init: str, modules: dict[str, str], readme: str) -> list[str]:
+    """Names that ``init`` re-exports and that appear, as a whole word,
+    neither in ``modules`` (file name -> source, ``__init__.py`` left out)
+    beyond their own definition nor in ``readme``."""
+    out = []
+    for node in ast.walk(ast.parse(init)):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = alias.asname or alias.name
+                word = re.compile(rf"\b{name}\b")
+                uses = sum(len(word.findall(text)) for text in modules.values())
+                if uses <= 1 and not word.search(readme):
+                    out.append(f"line {alias.lineno}: {name}")
+    return out
+
+
+def test_export_checker_flags_unused_and_keeps_used():
+    init = "from .m import (\n    Used,\n    documented,\n    spare,\n)\n"
+    modules = {
+        "m.py": "class Used: pass\ndef documented(): pass\ndef spare(): pass\n",
+        "n.py": "from .m import Used\n",
+    }
+    readme = "Call `documented()` to start.\n"
+    assert unused_exports(init, modules, readme) == ["line 4: spare"]
+
+
+def test_every_export_is_used_or_documented():
+    package = REPO / "src" / "ribbonlab"
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert unused_exports((package / "__init__.py").read_text(encoding="utf-8"), modules, readme) == []

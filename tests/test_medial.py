@@ -4,10 +4,8 @@ import pytest
 
 from ribbonlab import (
     AllCrossingDirection,
-    EdgeEnd,
     HalfEdgeSegment,
     InvalidDirectionError,
-    MedialGraph,
     UnsupportedHostError,
     build_medial,
     classify_cd,
@@ -72,20 +70,15 @@ def test_host_is_normalised():
     assert len(m.flipped) == 1
 
 
-def test_opposite_port_swaps_end_keeps_side():
-    p = HalfEdgeSegment(EdgeEnd("a", 1), "L")
-    q = MedialGraph.opposite(p)
-    assert q == HalfEdgeSegment(EdgeEnd("a", 2), "L")
-
-
 def test_ports_alternate_between_strands(universe2):
     for g in universe2:
         if not is_orientable(g):
             continue
         for mv in build_medial(g).vertices:
+            # Straight ahead through a crossing: other end, same side letter.
             p0, p1, p2, p3 = mv.ports
-            assert MedialGraph.opposite(p0) == p2
-            assert MedialGraph.opposite(p1) == p3
+            assert p2 == HalfEdgeSegment(p0.end.partner, p0.side)
+            assert p3 == HalfEdgeSegment(p1.end.partner, p1.side)
 
 
 def test_straight_ahead_all_crossing(universe3):

@@ -1,9 +1,11 @@
+import inspect
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ribbonlab
 from ribbonlab import (
     TWIST_ELEMENTS,
     Edge,
@@ -53,6 +55,7 @@ INVALID = {
     "bad-sign": RibbonGraph(
         (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e", 0),)
     ),
+    "no-ends": RibbonGraph((Vertex("u"),), (Edge("e"),)),
 }
 CHECKED_OPS = {
     "delete": lambda g: delete(g, ["e"]),
@@ -74,6 +77,38 @@ def test_invalid_graph_rejected_on_every_call(kind, op):
     with pytest.raises(InvalidGraphError) as second:
         CHECKED_OPS[op](g)
     assert first.value.violations == second.value.violations == tuple(validate(g))
+
+
+def takes_graph(p: inspect.Parameter) -> bool:
+    return p.annotation in ("RibbonGraph", RibbonGraph)
+
+
+#: Every public function that takes a graph, but ``validate``, which
+#: reports the violations, and ``graph_to_text``, which prints any graph.
+GRAPH_FUNCTIONS = [
+    fn
+    for name, fn in sorted(vars(ribbonlab).items())
+    if inspect.isfunction(fn)
+    and name not in ("validate", "graph_to_text")
+    and any(map(takes_graph, inspect.signature(fn).parameters.values()))
+]
+#: A value for each other required parameter.  The edge names are unknown,
+#: so the graph must be validated before they are checked.
+OTHER_ARGS = {"edges": ["zz"], "deleted": ["zz"], "contracted": ["zz"], "vertex": "u", "word": {}, "path": "unused.rg"}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID))
+@pytest.mark.parametrize("fn", GRAPH_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_every_public_function_rejects_invalid_graphs(fn, kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = [
+        INVALID[kind] if takes_graph(p) else OTHER_ARGS[p.name]
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is inspect.Parameter.empty
+    ]
+    with pytest.raises(InvalidGraphError):
+        fn(*args)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_operator_outputs_validate_afresh(universe3):
@@ -363,19 +398,25 @@ def test_contract_and_minor_match_the_chain_at_scale():
 
 
 def test_minor_keeps_the_chains_error_order():
-    # Overlap, then an unknown contracted edge, then an invalid graph, then
-    # an unknown deleted edge.
+    # An invalid graph, then an overlap, then an unknown contracted edge,
+    # then an unknown deleted edge.  The chain's first step, a partial
+    # dual, validates before it reads edge names.
     bad = INVALID["bad-sign"]
-    with pytest.raises(ValueError):
-        minor(bad, ["e"], ["e"])
-    with pytest.raises(UnknownEdgeError, match="^y$"):
-        minor(bad, ["x"], ["y"])
+    for call in (minor, chain_minor):
+        with pytest.raises(InvalidGraphError):
+            call(bad, ["x"], ["y"])
     with pytest.raises(InvalidGraphError):
-        minor(bad, ["x"], ["e"])
-    with pytest.raises(UnknownEdgeError, match="^x$"):
-        minor(graph("torus"), ["x", "y"], ["a"])
-    with pytest.raises(UnknownEdgeError, match="^y$"):
-        contract(bad, ["y"])
+        minor(bad, ["e"], ["e"])
+    for call in (contract, chain_contract):
+        with pytest.raises(InvalidGraphError):
+            call(bad, ["y"])
+    with pytest.raises(ValueError):
+        minor(graph("torus"), ["x"], ["x"])
+    for call in (minor, chain_minor):
+        with pytest.raises(UnknownEdgeError, match="^y$"):
+            call(graph("torus"), ["x"], ["y"])
+        with pytest.raises(UnknownEdgeError, match="^x$"):
+            call(graph("torus"), ["x", "y"], ["a"])
 
 
 def test_minor_order_immaterial(universe2):

@@ -15,11 +15,10 @@ from ribbonlab import (
     is_even_face,
     orientation_flips,
     partial_petrial,
-    trace_boundary,
 )
 from ribbonlab.core import EdgeEnd, HalfEdgeSegment, L, R
 
-from helpers import brute_force_parity, graph, random_graph, segment_trace_boundary
+from helpers import brute_force_parity, component_index, graph, random_graph, segment_trace_boundary
 
 
 def test_eulerian_examples():
@@ -71,7 +70,7 @@ def test_colouring_is_deterministic_and_proper():
     colouring = checkerboard_colouring(g)
     assert colouring is not None
     assert colouring.colours[0] == RED  # lowest index is red
-    comp_of = colouring.decomposition.component_of()
+    comp_of = component_index(segment_trace_boundary(g))
     for e in g.edges:
         # The two half-edge segments at end 1 lie on the edge's two sides.
         s1, s2 = (HalfEdgeSegment(EdgeEnd(e.name, 1), side) for side in (L, R))
@@ -125,8 +124,8 @@ def test_parity_predicates_match_brute_force(raw_universe3):
             bit = [int(v.name in flips) for v in g.vertices]
             assert all(bit[u] ^ bit[w] == p for u, w, p in twist_links)
 
-        decomp = trace_boundary(g)
-        comp_of = decomp.component_of()
+        decomp = segment_trace_boundary(g)
+        comp_of = component_index(decomp)
         face_links = [
             (comp_of[HalfEdgeSegment(e.ends[0], L)], comp_of[HalfEdgeSegment(e.ends[0], R)], 1)
             for e in g.edges
