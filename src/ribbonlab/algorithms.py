@@ -33,7 +33,6 @@ from .core import (
     _orientation_parity,
     _parity_colouring,
     oriented_form,
-    require_valid,
 )
 from .medial import InternalInvariantError, _straight_ahead, d_edges
 from .operators import _check_edges, partial_dual, partial_petrial, twist_compose
@@ -132,7 +131,7 @@ def _inconsistent(g: RibbonGraph, col) -> tuple[str, ...]:
     corner colouring fails to propagate.  The two flags of an edge-end
     always differ, so that side decides for both; half-twisting an edge
     swaps which far-end flags its sides meet and toggles its membership."""
-    ends, _, _, side, _ = g._flags
+    ends, _, _, side, _, _ = g._flags
     return tuple(sorted(d.edge for i, d in enumerate(ends) if d.end == 1 and col[2 * i] != col[side[2 * i]]))
 
 
@@ -164,7 +163,6 @@ def checkerboard_partial_petrial(
     twisted = _inconsistent(g, col)
     result = partial_petrial(g, twisted)
     # A partial Petrial keeps the rotations, so ``col`` colours its flags.
-    require_valid(result)
     side = result._flags.side
     for orbit in result._faces:
         if len({col[h] for f in orbit for h in (f, side[f])}) > 1:
@@ -204,7 +202,7 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     """
     oriented, _ = oriented_form(g)  # raises NotOrientableError when impossible
     removed = _check_edges(oriented, edges)
-    ends, mate, corner, side, _ = oriented._flags
+    ends, mate, corner, side, _, _ = oriented._flags
     cut = [d.edge in removed for d in ends]
     across = [f ^ 1 if cut[f >> 1] else s for f, s in enumerate(side)]
     orbits = _orbits(corner, across, range(len(across)))

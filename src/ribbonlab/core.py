@@ -23,8 +23,10 @@ involution identities exercised in the test suite):
   ``side`` crosses a ribbon and ``end`` is ``f ^ 1``.  Faces are the orbits
   of <corner, side>, memoised per graph and read by every face reader;
   :func:`trace_boundary` is their view as segments.  Vertices are the
-  orbits of <corner, end>.  Operators give each result its flags as they
-  build it, with :func:`_flag_layout` or :func:`_twist_flags`.
+  orbits of <corner, end>, and the flags hold each vertex's bounds.
+* Operator results are stored as flags, built from a valid input with
+  :func:`_flag_layout` or :func:`_twist_flags` and trusted as valid; their
+  ``vertices`` is a memoised view, built as ``Vertex`` tuples when read.
 """
 
 from __future__ import annotations
@@ -86,10 +88,6 @@ class EdgeEnd(NamedTuple):
     edge: str
     end: int
 
-    @property
-    def partner(self) -> "EdgeEnd":
-        return EdgeEnd(self.edge, 3 - self.end)
-
     def __str__(self) -> str:
         return f"{self.edge}.{self.end}"
 
@@ -127,10 +125,6 @@ class Vertex:
         if type(self.rotation) is not tuple:
             object.__setattr__(self, "rotation", tuple(self.rotation))
 
-    @property
-    def degree(self) -> int:
-        return len(self.rotation)
-
 
 _edge_name = attrgetter("name")
 
@@ -141,14 +135,29 @@ class _memo:
     then shadows it.  Graphs are immutable and memos pure, so a race only
     computes a value twice, and an operator may store one it knows."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, name=None):
         self.fn = fn
+        self.name = name or fn.__name__
 
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        value = obj.__dict__[self.name] = self.fn(obj)
         return value
+
+
+class _field_memo(_memo):
+    """A memo that is also a dataclass field: read on the class it is the
+    field's default ``()``, and ``__init__`` stores a given value over it,
+    so the generated eq, hash and repr read the field as usual."""
+
+    def __get__(self, obj, cls=None):
+        return () if obj is None else super().__get__(obj, cls)
+
+
+def _vertex_view(g: "RibbonGraph") -> tuple[Vertex, ...]:
+    ends, bounds = g._flags.ends, g._flags.bounds
+    return tuple(Vertex(name, tuple(ends[a:b])) for name, a, b in zip(g.vertex_names, bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -157,10 +166,12 @@ class RibbonGraph:
 
     Vertex order is meaningful (it drives serialization); edges are always
     stored sorted by name, so graphs that differ only in edge declaration
-    order compare equal.
+    order compare equal.  An operator result stores its flags, vertex names
+    and edges instead (see :func:`_from_flags`), and builds ``vertices``
+    from them when it is first read.
     """
 
-    vertices: tuple[Vertex, ...] = ()
+    vertices: tuple[Vertex, ...] = _field_memo(_vertex_view, "vertices")
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
@@ -194,8 +205,19 @@ class RibbonGraph:
         # vertex: the boundary components, in trace_boundary's order.
         fl = self._flags
         faces = _orbits(fl.corner, fl.side, range(len(fl.side)))
-        faces.extend([] for v in self.vertices if not v.rotation)
+        faces.extend([] for a, b in zip(fl.bounds, fl.bounds[1:]) if a == b)
         return faces
+
+    @_memo
+    def _edge_endpoints(self) -> list[list[int]]:
+        # Each edge's two vertex indices (lower first), in stored edge
+        # order; read only after validation, and never mutated.
+        ends, mate, _, _, _, bounds = self._flags
+        vertex = [0] * len(ends)
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            vertex[a:b] = [k] * (b - a)
+        at = {ends[p].edge: [vertex[p], vertex[m]] for p, m in enumerate(mate) if p < m}
+        return [at[e.name] for e in self.edges]
 
     @_memo
     def _edge_name_set(self) -> frozenset[str]:
@@ -205,7 +227,7 @@ class RibbonGraph:
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
-    @property
+    @_memo
     def vertex_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.vertices)
 
@@ -220,9 +242,6 @@ class RibbonGraph:
             if e.name == name:
                 return e
         raise UnknownEdgeError(name)
-
-    def sign(self, edge: str) -> int:
-        return self.edge(edge).sign
 
     def signs(self) -> dict[str, int]:
         return {e.name: e.sign for e in self.edges}
@@ -239,6 +258,15 @@ class RibbonGraph:
 
     def __str__(self) -> str:
         return graph_to_text(self)
+
+
+def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
+    """The graph with flags ``fl``, built by an operator from a valid graph:
+    valid by construction, so it is never validated, and ``edges`` are
+    already in name order."""
+    g = object.__new__(RibbonGraph)
+    g.__dict__.update(_flags=fl, vertex_names=vertex_names, edges=edges, _violations=())
+    return g
 
 
 def ribbon_graph(
@@ -337,14 +365,16 @@ def require_valid(g: RibbonGraph) -> None:
 class _Flags(NamedTuple):
     """The flag structure of a valid graph, shared and never mutated:
     ``ends[i]`` is the i-th edge-end in vertex order, ``mate[i]`` its
-    partner's position and ``forward[i]`` its arrow's direction in
-    :func:`to_arrow_presentation`."""
+    partner's position, ``forward[i]`` its arrow's direction in
+    :func:`to_arrow_presentation`, and vertex k holds positions
+    ``bounds[k]`` up to ``bounds[k + 1]``."""
 
     ends: list[EdgeEnd]
     mate: list[int]
     corner: list[int]
     side: list[int]
     forward: list[bool]
+    bounds: list[int]
 
 
 def _flag_structure(g: RibbonGraph) -> _Flags:
@@ -382,20 +412,20 @@ def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], boun
         t = twisted[i]
         side[2 * i], side[2 * i + 1] = 2 * m + 1 - t, 2 * m + t
         forward[i] = (t or i < m) == (ends[i].end == 1)
-    return _Flags(ends, mate, corner, side, forward)
+    return _Flags(ends, mate, corner, side, forward, bounds)
 
 
 def _twist_flags(fl: _Flags, chosen: set[str]) -> _Flags:
     """The flags after toggling the sign of each edge in ``chosen``, as
     :func:`_flag_layout` lays them out."""
-    ends, mate, corner, side, forward = fl
+    ends, mate, corner, side, forward, bounds = fl
     side, forward = side[:], forward[:]
     for i, d in enumerate(ends):
         if d.edge in chosen:
             side[2 * i], side[2 * i + 1] = side[2 * i + 1], side[2 * i]
             # An edge's lower end points forward iff it is end 1, whatever its sign.
             forward[i] ^= i > mate[i]
-    return _Flags(ends, mate, corner, side, forward)
+    return _Flags(ends, mate, corner, side, forward, bounds)
 
 
 def _orbits(step: Sequence[int], across: Sequence[int], starts: Iterable[int]) -> list[list[int]]:
@@ -484,8 +514,8 @@ def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
 def _trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     # Each step gives the segment it starts from and the one across the
     # ribbon; an empty orbit is the next isolated vertex.
-    segs, side = g._segments, g._flags.side
-    isolated = (v.name for v in g.vertices if not v.rotation)
+    segs, side, bounds = g._segments, g._flags.side, g._flags.bounds
+    isolated = (name for name, a, b in zip(g.vertex_names, bounds, bounds[1:]) if a == b)
     return BoundaryDecomposition(tuple(
         BoundaryComponent(tuple(seg for f in orbit for seg in (segs[f], segs[side[f]])))
         if orbit else BoundaryComponent((), isolated_vertex=next(isolated))
@@ -496,15 +526,6 @@ def _trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
 # ---------------------------------------------------------------------------
 # Connectivity, Euler characteristic, orientability
 # ---------------------------------------------------------------------------
-
-def _edge_endpoints(g: RibbonGraph) -> list[list[int]]:
-    """Each edge's two vertex indices (lower first), in stored edge order."""
-    at: dict[str, list[int]] = {}
-    for i, v in enumerate(g.vertices):
-        for d in v.rotation:
-            at.setdefault(d.edge, []).append(i)
-    return [at[e.name] for e in g.edges]
-
 
 def _parity_colouring(n: int, links: Sequence[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
     """Bits for nodes ``0..n-1`` asked to satisfy ``bit[u] ^ bit[w] == p``
@@ -539,7 +560,7 @@ def _parity_colouring(n: int, links: Sequence[tuple[int, int, int]]) -> tuple[li
 def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected pieces of the underlying multigraph as (vertices, edges), in stored vertex order."""
     require_valid(g)
-    parent = list(range(len(g.vertices)))
+    parent = list(range(len(g.vertex_names)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -547,14 +568,14 @@ def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[st
             x = parent[x]
         return x
 
-    ends = _edge_endpoints(g)
+    ends = g._edge_endpoints
     for u, w in ends:
         parent[find(u)] = find(w)
 
     # Keys are inserted in the order of each piece's first vertex.
     groups: dict[int, list[str]] = {}
-    for i, v in enumerate(g.vertices):
-        groups.setdefault(find(i), []).append(v.name)
+    for i, name in enumerate(g.vertex_names):
+        groups.setdefault(find(i), []).append(name)
     edges_of: dict[int, list[str]] = {root: [] for root in groups}
     for e, (u, _) in zip(g.edges, ends):
         edges_of[find(u)].append(e.name)
@@ -584,8 +605,8 @@ def _orientation_parity(g: RibbonGraph) -> tuple[list[int], list[int]]:
     """Flip bits per vertex and the indices of the edges they leave
     twisted: one link per edge, odd exactly when it is twisted."""
     require_valid(g)
-    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, _edge_endpoints(g))]
-    return _parity_colouring(len(g.vertices), links)
+    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, g._edge_endpoints)]
+    return _parity_colouring(len(g.vertex_names), links)
 
 
 def orientation_flips(g: RibbonGraph) -> set[str] | None:
@@ -598,7 +619,7 @@ def orientation_flips(g: RibbonGraph) -> set[str] | None:
     bit, bad = _orientation_parity(g)
     if bad:
         return None
-    return {v.name for v, b in zip(g.vertices, bit) if b}
+    return {name for name, b in zip(g.vertex_names, bit) if b}
 
 
 def is_orientable(g: RibbonGraph) -> bool:
@@ -620,21 +641,30 @@ def flip_vertex(g: RibbonGraph, vertex: str) -> RibbonGraph:
 def _flip_vertices(g: RibbonGraph, flipped: set[str]) -> RibbonGraph:
     """Flip every vertex in ``flipped`` at once: the same graph as flipping
     them one after another, since an edge with both ends in the set changes
-    sign twice."""
-    counts: dict[str, int] = {}
-    for v in g.vertices:
-        if v.name in flipped:
-            for d in v.rotation:
-                counts[d.edge] = counts.get(d.edge, 0) + 1
-    vertices = tuple(
-        Vertex(v.name, tuple(reversed(v.rotation))) if v.name in flipped else v
-        for v in g.vertices
-    )
-    edges = tuple(
-        Edge(e.name, -e.sign) if counts.get(e.name, 0) == 1 else e
-        for e in g.edges
-    )
-    return RibbonGraph(vertices, edges)
+    sign twice.  The result's flags are laid out as by :func:`_flag_layout`
+    with each flipped vertex's ends reversed; ``corner`` depends on the
+    vertex bounds alone, so only the flipped ends and their partners change."""
+    ends, mate, corner, side, forward, bounds = g._flags
+    new_ends, new_mate, new_side, new_forward = ends[:], mate[:], side[:], forward[:]
+    at = list(range(len(ends)))  # the result position of each input position
+    rev: set[int] = set()  # the input positions at flipped vertices
+    for name, a, b in zip(g.vertex_names, bounds, bounds[1:]):
+        if name in flipped:
+            at[a:b] = range(b - 1, a - 1, -1)
+            rev.update(range(a, b))
+    toggled = set()
+    for p in rev.union([mate[p] for p in rev]):
+        k, m, d = at[p], at[mate[p]], ends[p]
+        # An edge changes sign exactly when one of its ends is flipped.
+        toggle = (p in rev) != (mate[p] in rev)
+        t = (not side[2 * p] & 1) != toggle
+        new_ends[k], new_mate[k] = d, m
+        new_side[2 * k], new_side[2 * k + 1] = 2 * m + 1 - t, 2 * m + t
+        new_forward[k] = (t or k < m) == (d.end == 1)
+        if toggle:
+            toggled.add(d.edge)
+    fl = _Flags(new_ends, new_mate, corner, new_side, new_forward, bounds)
+    return _from_flags(fl, g.vertex_names, tuple(Edge(e.name, -e.sign) if e.name in toggled else e for e in g.edges))
 
 
 def oriented_form(g: RibbonGraph) -> tuple[RibbonGraph, tuple[str, ...]]:
@@ -681,12 +711,9 @@ def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
     require_valid(g)
     fl = g._flags
     arrows = [Arrow(d.edge, f) for d, f in zip(fl.ends, fl.forward)]
-    circles = []
-    pos = 0
-    for v in g.vertices:
-        circles.append(Circle(v.name, tuple(arrows[pos:pos + len(v.rotation)])))
-        pos += len(v.rotation)
-    return ArrowPresentation(tuple(circles))
+    return ArrowPresentation(tuple(
+        Circle(name, tuple(arrows[a:b])) for name, a, b in zip(g.vertex_names, fl.bounds, fl.bounds[1:])
+    ))
 
 
 def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:

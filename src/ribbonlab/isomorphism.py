@@ -31,13 +31,13 @@ def to_dart_graph(g: RibbonGraph) -> DartGraph:
     """The dart-level encoding of a valid graph, read off its flags."""
     require_valid(g)
     index = {e.name: 2 * i - 1 for i, e in enumerate(g.edges)}
-    ends, _, corner, _, _ = g._flags
+    ends, _, corner, _, _, bounds = g._flags
     dart = [index[d.edge] + d.end for d in ends]
     sigma = [0] * len(dart)
     for p, x in enumerate(dart):
         # The next end round the vertex is at the corner of p's R flag.
         sigma[x] = dart[corner[2 * p + 1] >> 1]
-    return tuple(sigma), tuple(e.sign for e in g.edges), sum(not v.rotation for v in g.vertices)
+    return tuple(sigma), tuple(e.sign for e in g.edges), sum(a == b for a, b in zip(bounds, bounds[1:]))
 
 
 def from_dart_graph(dg: DartGraph) -> RibbonGraph:
@@ -188,7 +188,7 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
     """
     require_valid(g)
     require_valid(h)
-    if len(g.edges) != len(h.edges) or len(g.vertices) != len(h.vertices):
+    if len(g.edges) != len(h.edges) or len(g.vertex_names) != len(h.vertex_names):
         return False
     if not match_edge_labels:
         return canonical_key(g) == canonical_key(h)
@@ -208,8 +208,8 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     each component needs at most four linear tries.  The caller has checked
     that the counts and edge names agree.
     """
-    ends, mate, corner, side, _ = g._flags
-    h_ends, h_mate, h_corner, h_side, _ = h._flags
+    ends, mate, corner, side, _, _ = g._flags
+    h_ends, h_mate, h_corner, h_side, _, _ = h._flags
     at = {d.edge: j for j, d in enumerate(h_ends)}
 
     def place(p0: int, q0: int, flip0: bool) -> dict[int, tuple[int, bool]] | None:

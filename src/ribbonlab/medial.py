@@ -111,11 +111,12 @@ def build_medial(h: RibbonGraph) -> MedialGraph:
         p = at[EdgeEnd(e.name, 1)]
         q = fl.mate[p]
         vertices.append(MedialVertex(e.name, (segs[2 * p], segs[2 * q + 1], segs[2 * q], segs[2 * p + 1])))
-    names = [v.name for v in host.vertices for _ in v.rotation]
+    spans = list(zip(host.vertex_names, fl.bounds, fl.bounds[1:]))
+    names = [name for name, a, b in spans for _ in range(a, b)]
     corners = tuple(
         CornerEdge(i, name, (segs[2 * i + 1], segs[fl.corner[2 * i + 1]])) for i, name in enumerate(names)
     )
-    free = tuple(v.name for v in host.vertices if not v.rotation)
+    free = tuple(name for name, a, b in spans if a == b)
     return MedialGraph(host, flipped, tuple(vertices), corners, free)
 
 
@@ -295,7 +296,7 @@ def smooth(
     for mv in m.vertices:
         if mv.edge not in cls:
             raise InvalidDirectionError(f"classification missing edge {mv.edge!r}")
-    ends, _, corner, side, _ = m.host._flags
+    ends, _, corner, side, _, _ = m.host._flags
     c_edge = [cls[d.edge] == "c" for d in ends]
     pair = [s if c_edge[f >> 1] else f ^ 1 for f, s in enumerate(side)]
     segs, heads, head = _heads(m, direction)

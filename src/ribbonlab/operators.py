@@ -16,7 +16,9 @@ them.  Contraction is G/C = G^C - C, with no special case for loops or
 twisted loops; contraction and minors run the same walk and skip the
 deleted and contracted edges' ends, so no intermediate graph is built.
 Every result is born with its flags: the walk emits them, deletion
-filters the input's, and a half-twist swaps sides on the chosen ends.
+filters the input's, and a half-twist swaps sides on the chosen ends.  A
+result is built from a valid input, so it is stored as trusted and never
+validated again; its ``Vertex`` tuples are built only if read.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .core import (
     Edge,
     RibbonGraph,
     UnknownEdgeError,
-    Vertex,
     _flag_layout,
+    _from_flags,
     _twist_flags,
     require_valid,
 )
@@ -81,27 +83,33 @@ def delete(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
 
 
 def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
-    # The result's flags are the input's on the kept ends, renumbered.
-    ends, mate, _, side, _ = g._flags
-    kept = [p for p, d in enumerate(ends) if d.edge not in gone]
-    at = {p: k for k, p in enumerate(kept)}
-    vertices = tuple(Vertex(v.name, tuple(d for d in v.rotation if d.edge not in gone)) for v in g.vertices)
-    out = RibbonGraph(vertices, tuple(e for e in g.edges if e.name not in gone))
-    out.__dict__["_flags"] = _flag_layout(
+    # The result's flags are the input's on the kept ends, renumbered: a
+    # kept end's new position is the count of kept ends before it.
+    ends, mate, _, side, _, bounds = g._flags
+    keep = [d.edge not in gone for d in ends]
+    at = list(accumulate(keep, initial=0))
+    kept = [p for p, k in enumerate(keep) if k]
+    fl = _flag_layout(
         [ends[p] for p in kept],
         [at[mate[p]] for p in kept],
         [not side[2 * p] & 1 for p in kept],
-        list(accumulate((len(v.rotation) for v in vertices), initial=0)),
+        [at[b] for b in bounds],
     )
-    return out
+    return _from_flags(fl, g.vertex_names, tuple(e for e in g.edges if e.name not in gone))
 
 
 def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Add a half-twist to each listed edge (toggle its sign); an involution."""
     require_valid(g)
     chosen = _check_edges(g, edges)
-    out = RibbonGraph(g.vertices, tuple(Edge(e.name, -e.sign) if e.name in chosen else e for e in g.edges))
-    out.__dict__["_flags"] = _twist_flags(g._flags, chosen)
+    out = _from_flags(
+        _twist_flags(g._flags, chosen),
+        g.vertex_names,
+        tuple(Edge(e.name, -e.sign) if e.name in chosen else e for e in g.edges),
+    )
+    if "vertices" in vars(g):
+        # A half-twist keeps every rotation, so the input's Vertex tuples serve.
+        vars(out)["vertices"] = g.vertices
     return out
 
 
@@ -148,7 +156,7 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
     """
     if not chosen:
         return _without(g, gone)
-    ends, mate, corner, side, forward = g._flags
+    ends, mate, corner, side, forward, old_bounds = g._flags
     n = len(ends)
 
     # A spliced arrow is crossed to the partner end, an unspliced one from
@@ -194,18 +202,15 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
                 break
         bounds.append(s)
     del new_ends[s:], new_mate[s:], twisted[s:]
-    bounds.extend(s for v in g.vertices if not v.rotation)
+    bounds.extend(s for a, b in zip(old_bounds, old_bounds[1:]) if a == b)
 
-    vertices = tuple(Vertex(f"v{k}", tuple(new_ends[a:b])) for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
     edges = tuple(
         e if (e.sign < 0) == twisted[first[e.name][0]] else Edge(e.name, -e.sign)
         for e in g.edges
         if e.name not in gone
     )
-    out = RibbonGraph(vertices, edges)
-    out.__dict__["_flags"] = _flag_layout(new_ends, new_mate, twisted, bounds)
-    require_valid(out)
-    return out
+    names = tuple([f"v{k}" for k in range(len(bounds) - 1)])
+    return _from_flags(_flag_layout(new_ends, new_mate, twisted, bounds), names, edges)
 
 
 def geometric_dual(g: RibbonGraph) -> RibbonGraph:

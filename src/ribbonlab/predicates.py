@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .core import (
     BoundaryDecomposition,
     RibbonGraph,
-    _edge_endpoints,
     _orbit_ids,
     _parity_colouring,
     require_valid,
@@ -41,14 +40,15 @@ class FaceColouring:
 def is_eulerian(g: RibbonGraph) -> bool:
     """True when every vertex has even degree (isolated vertices count as 0)."""
     require_valid(g)
-    return all(v.degree % 2 == 0 for v in g.vertices)
+    # Every degree is even exactly when every vertex bound is.
+    return not any(b & 1 for b in g._flags.bounds)
 
 
 def is_bipartite(g: RibbonGraph) -> bool:
     """Bipartiteness of the underlying multigraph; any loop is an odd cycle."""
     require_valid(g)
-    links = [(u, w, 1) for u, w in _edge_endpoints(g)]
-    return not _parity_colouring(len(g.vertices), links)[1]
+    links = [(u, w, 1) for u, w in g._edge_endpoints]
+    return not _parity_colouring(len(g.vertex_names), links)[1]
 
 
 def face_degrees(g: RibbonGraph) -> Counter:

@@ -16,7 +16,6 @@ stable key order so runs can be diffed.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import time
@@ -279,9 +278,6 @@ class PropertyReport:
             "failures": [f.to_dict() for f in self.failures],
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def summary(self) -> str:
         state = "pass" if self.passed else f"FAIL ({len(self.failures)} failures)"

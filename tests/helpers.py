@@ -179,7 +179,7 @@ def segment_trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
         side = seg.side
         if signs[seg.end.edge] > 0:
             side = R if side == L else L
-        return HalfEdgeSegment(seg.end.partner, side)
+        return HalfEdgeSegment(EdgeEnd(seg.end.edge, 3 - seg.end.end), side)
 
     def vstep(seg: HalfEdgeSegment) -> HalfEdgeSegment:
         if seg.side == R:
@@ -316,7 +316,7 @@ def backtracking_labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     image, flip and rotation shift, then check edge names and signs."""
     gsigns = g.signs()
     hsigns = h.signs()
-    gv = sorted(g.vertices, key=lambda v: -v.degree)
+    gv = sorted(g.vertices, key=lambda v: -len(v.rotation))
     hv = list(h.vertices)
 
     def extend(i: int, used: set[int], flip: dict[str, bool], dart_map: dict[EdgeEnd, EdgeEnd]) -> bool:
@@ -336,9 +336,9 @@ def backtracking_labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
             return True
         v = gv[i]
         for wi, w in enumerate(hv):
-            if wi in used or w.degree != v.degree:
+            if wi in used or len(w.rotation) != len(v.rotation):
                 continue
-            m = v.degree
+            m = len(v.rotation)
             if m == 0:
                 if extend(i + 1, used | {wi}, {**flip, v.name: False}, dart_map):
                     return True

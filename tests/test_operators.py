@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import pickle
 import random
 
 import pytest
@@ -18,10 +19,14 @@ from ribbonlab import (
     are_isomorphic,
     contract,
     delete,
+    flip_vertex,
     geometric_dual,
     graph_to_text,
     is_checkerboard_colourable,
+    is_orientable,
     minor,
+    oriented_form,
+    orienting_petrial_set,
     parse_graph,
     partial_dual,
     partial_petrial,
@@ -31,6 +36,7 @@ from ribbonlab import (
     twist_compose,
     validate,
 )
+from ribbonlab import core
 from ribbonlab.core import _flag_structure
 
 from helpers import (
@@ -128,21 +134,36 @@ def test_operator_outputs_validate_afresh(universe3):
 
 def _operator_outputs(g, subsets, pairs):
     """Every flag-building operator's output on ``g``: the whole-graph
-    operators, two twist words mixing all six elements, and each subset and
-    (deleted, contracted) pair.  Outputs that are ``g`` itself are left out."""
+    operators, two twist words mixing all six elements, each vertex flip,
+    the oriented form of ``g`` (or of its orienting partial Petrial), and
+    each subset and (deleted, contracted) pair.  Outputs that are ``g``
+    itself are left out."""
     names = g.edge_names
     outs = [geometric_dual(g), petrial(g)]
     outs += [apply_twist_word(g, dict(zip(names, TWIST_ELEMENTS[k:] * len(names)))) for k in (1, 3)]
+    outs += [flip_vertex(g, v) for v in g.vertex_names]
+    outs.append(oriented_form(g if is_orientable(g) else partial_petrial(g, orienting_petrial_set(g)))[0])
     for a in subsets:
         outs += [partial_dual(g, a), contract(g, a), delete(g, a), partial_petrial(g, a)]
     outs += [minor(g, b, c) for b, c in pairs]
     return [out for out in outs if out is not g]
 
 
-def _assert_born_with_flags(out):
-    # The flags an operator stored equal those derived from a rebuilt copy.
-    assert "_flags" in vars(out)
-    assert out._flags == _flag_structure(RibbonGraph(out.vertices, out.edges))
+def _assert_born_with_flags(outs):
+    # The trust gate: an operator stores its result as flags with the
+    # verdict "valid" and never validates it, so a copy rebuilt from its
+    # vertices and edges must validate, carry the same flags and compare,
+    # hash, print and unpickle as the result does.  The results are pickled
+    # first, while they may still hold no Vertex tuples, and in one list,
+    # which costs a third of pickling each alone.
+    copies = pickle.loads(pickle.dumps(outs))
+    for out, copy in zip(outs, copies):
+        assert "_flags" in vars(out) and vars(out)["_violations"] == ()
+        ref = RibbonGraph(out.vertices, out.edges)
+        assert validate(ref) == []
+        assert out._flags == _flag_structure(ref)
+        assert out == ref and hash(out) == hash(ref) and repr(out) == repr(ref)
+        assert copy == ref
 
 
 def test_operator_outputs_carry_their_flags(raw_universe3):
@@ -150,12 +171,10 @@ def test_operator_outputs_carry_their_flags(raw_universe3):
     # where they are matched exactly against their references below.
     for g in raw_universe3:
         names = g.edge_names
-        for out in _operator_outputs(g, [], []):
-            _assert_born_with_flags(out)
-        for r in range(len(names) + 1):
-            for a in itertools.combinations(names, r):
-                _assert_born_with_flags(delete(g, a))
-                _assert_born_with_flags(partial_petrial(g, a))
+        subsets = [a for r in range(len(names) + 1) for a in itertools.combinations(names, r)]
+        outs = _operator_outputs(g, [], [])
+        outs += [op(g, a) for a in subsets for op in (delete, partial_petrial)]
+        _assert_born_with_flags(outs)
 
 
 def test_operator_outputs_carry_their_flags_at_scale():
@@ -165,8 +184,41 @@ def test_operator_outputs_carry_their_flags_at_scale():
         lots = [{name: rng.randrange(3) for name in g.edge_names} for _ in range(3)]
         subsets = [[name for name, x in lot.items() if x] for lot in lots]
         pairs = [([n for n, x in lot.items() if x == 1], [n for n, x in lot.items() if x == 2]) for lot in lots]
-        for out in _operator_outputs(g, subsets, pairs):
-            _assert_born_with_flags(out)
+        _assert_born_with_flags(_operator_outputs(g, subsets, pairs))
+
+
+def test_operator_chains_build_no_vertex_tuples(raw_universe3, monkeypatch):
+    built = []
+    post_init = core.Vertex.__post_init__
+
+    def counted(v):
+        built.append(v.name)
+        post_init(v)
+
+    monkeypatch.setattr(core.Vertex, "__post_init__", counted)
+    outs = []
+    for g in raw_universe3:
+        names = g.edge_names
+        h = partial_petrial(partial_dual(g, names[::2]), names[1::2])
+        h = apply_twist_word(h, dict(zip(names, ("dt", "td", "dtd"))))
+        h = flip_vertex(h, h.vertex_names[-1])
+        outs += [h, minor(h, names[:1], names[1:2]), contract(h, names[1:]), delete(h, names[:2])]
+    assert built == []
+    # Reading builds each vertex once, for the text and the view alike.
+    texts = [graph_to_text(h) for h in outs]
+    assert len(built) == sum(len(h.vertex_names) for h in outs)
+    assert [str(h) for h in outs] == texts and len(built) == sum(len(h.vertices) for h in outs)
+
+
+def test_operator_chain_validates_only_its_input(raw_universe3, monkeypatch):
+    checked = []
+    real = core.validate
+    monkeypatch.setattr(core, "validate", lambda g: checked.append(g) or real(g))
+    for g in raw_universe3:
+        fresh = RibbonGraph(g.vertices, g.edges)
+        names = g.edge_names
+        minor(partial_dual(petrial(fresh), names[::2]), names[:1], names[1:2])
+        assert len(checked) == 1 and checked.pop() is fresh
 
 
 @given(g=rotation_systems(), data=st.data())
@@ -175,8 +227,7 @@ def test_operator_outputs_carry_their_flags_on_drawn_graphs(g, data):
     lot = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(names), max_size=len(names)))
     subset = [n for n, x in zip(names, lot) if x]
     pair = ([n for n, x in zip(names, lot) if x == 1], [n for n, x in zip(names, lot) if x == 2])
-    for out in _operator_outputs(g, [subset], [pair]):
-        _assert_born_with_flags(out)
+    _assert_born_with_flags(_operator_outputs(g, [subset], [pair]))
 
 
 def _disjoint_pairs(names):
@@ -195,7 +246,7 @@ def _disjoint_pairs(names):
 def test_delete_all_leaves_isolated_vertices():
     g = delete(graph("torus"), ["a", "b"])
     assert len(g.edges) == 0
-    assert [v.degree for v in g.vertices] == [0]
+    assert [len(v.rotation) for v in g.vertices] == [0]
 
 
 def test_delete_nothing_is_identity():
@@ -300,13 +351,15 @@ def test_one_pass_partial_dual_matches_staged_splices():
 def test_partial_dual_matches_arrow_splice_exactly(raw_universe3):
     for g in raw_universe3:
         names = g.edge_names
+        born = []
         for r in range(len(names) + 1):
             for subset in itertools.combinations(names, r):
                 d = partial_dual(g, subset)
                 ref = arrow_splice_partial_dual(g, subset)
                 assert d == ref and str(d) == str(ref)
                 if subset:
-                    _assert_born_with_flags(d)
+                    born.append(d)
+        _assert_born_with_flags(born)
 
 
 def test_partial_dual_vertex_and_face_counts_at_scale():
@@ -335,7 +388,7 @@ def test_torus_partial_dual_is_checkerboard():
 def test_contract_planar_loop_gives_two_isolated_vertices():
     g = contract(graph("loop"), ["a"])
     assert len(g.edges) == 0 and len(g.vertices) == 2
-    assert all(v.degree == 0 for v in g.vertices)
+    assert all(len(v.rotation) == 0 for v in g.vertices)
 
 
 def test_contract_twisted_loop_gives_one_isolated_vertex():
@@ -372,18 +425,20 @@ def test_contract_and_minor_match_the_chain_exactly(raw_universe3):
     # C and each B is deleted from it, as chain_minor does.
     for g in raw_universe3:
         names = g.edge_names
+        born = []
         for r in range(len(names) + 1):
             for c in itertools.combinations(names, r):
                 contracted = chain_contract(g, c)
                 out = contract(g, c)
                 assert graph_to_text(out) == graph_to_text(contracted)
-                _assert_born_with_flags(out)
+                born.append(out)
                 rest = [n for n in names if n not in c]
                 for k in range(len(rest) + 1):
                     for b in itertools.combinations(rest, k):
                         out = minor(g, b, c)
                         assert graph_to_text(out) == graph_to_text(delete(contracted, b))
-                        _assert_born_with_flags(out)
+                        born.append(out)
+        _assert_born_with_flags(born)
 
 
 def test_contract_and_minor_match_the_chain_at_scale():
