@@ -25,8 +25,10 @@ involution identities exercised in the test suite):
   :func:`trace_boundary` is their view as segments.  Vertices are the
   orbits of <corner, end>, and the flags hold each vertex's bounds.
 * Operator results are stored as flags, built from a valid input with
-  :func:`_flag_layout` or :func:`_twist_flags` and trusted as valid; their
-  ``vertices`` is a memoised view, built as ``Vertex`` tuples when read.
+  :func:`_flag_layout` or :func:`_twist_flags` and trusted as valid; so are
+  the enumerated, sampled and canonical graphs, laid out from a permutation
+  of edge-ends.  Their ``vertices`` is a memoised view, built as ``Vertex``
+  tuples when read.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ class RibbonGraph:
     def _edge_name_set(self) -> frozenset[str]:
         return frozenset(e.name for e in self.edges)
 
-    @property
+    @_memo
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
@@ -261,9 +263,9 @@ class RibbonGraph:
 
 
 def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
-    """The graph with flags ``fl``, built by an operator from a valid graph:
-    valid by construction, so it is never validated, and ``edges`` are
-    already in name order."""
+    """The graph with flags ``fl``, built by an operator from a valid graph
+    or laid out from a permutation of edge-ends: valid by construction, so
+    it is never validated, and ``edges`` are already in name order."""
     g = object.__new__(RibbonGraph)
     g.__dict__.update(_flags=fl, vertex_names=vertex_names, edges=edges, _violations=())
     return g

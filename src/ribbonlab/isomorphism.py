@@ -5,94 +5,73 @@ combined with any set of vertex flips, carries rotations to rotations (up to
 cyclic shift) and signs to signs.  The canonical form relabels darts along a
 deterministic traversal and minimises the serialization over every choice of
 start dart and start orientation, so equality of canonical keys decides
-isomorphism.  Everything here also runs on a bare dart-level encoding so the
-enumerator can deduplicate without building graph objects.
+isomorphism.  The key reads a graph's flags, whose darts are its edge-end
+positions, so the enumerator keys each sign vector by twisting the flags of
+one graph per vertex structure.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .core import (
     Edge,
     EdgeEnd,
     RibbonGraph,
-    Vertex,
-    _orbits,
+    _edge_name,
+    _flag_layout,
+    _Flags,
+    _from_flags,
     graph_to_text,
     require_valid,
 )
 
-DartGraph = tuple[tuple[int, ...], tuple[int, ...], int]
-"""(sigma, signs, isolated): sigma maps each dart to the next one around its
-vertex, darts 2i and 2i+1 form edge i with sign signs[i], plus a count of
-isolated vertices."""
 
-
-def to_dart_graph(g: RibbonGraph) -> DartGraph:
-    """The dart-level encoding of a valid graph, read off its flags."""
-    require_valid(g)
-    index = {e.name: 2 * i - 1 for i, e in enumerate(g.edges)}
-    ends, _, corner, _, _, bounds = g._flags
-    dart = [index[d.edge] + d.end for d in ends]
-    sigma = [0] * len(dart)
-    for p, x in enumerate(dart):
-        # The next end round the vertex is at the corner of p's R flag.
-        sigma[x] = dart[corner[2 * p + 1] >> 1]
-    return tuple(sigma), tuple(e.sign for e in g.edges), sum(a == b for a, b in zip(bounds, bounds[1:]))
-
-
-def from_dart_graph(dg: DartGraph) -> RibbonGraph:
-    """Materialise a dart-level encoding with generated names v0.., e0.. ."""
-    sigma, signs, isolated = dg
-    # The vertices are the cycles of sigma, each read from its least dart.
-    ident = list(range(len(sigma)))
-    rotations = [
-        tuple(EdgeEnd(f"e{x // 2}", x % 2 + 1) for x in cycle) for cycle in _orbits(sigma, ident, ident)
-    ]
-    rotations += [()] * isolated
-    vertices = tuple(Vertex(f"v{i}", rot) for i, rot in enumerate(rotations))
-    return RibbonGraph(vertices, tuple(Edge(f"e{i}", sign) for i, sign in enumerate(signs)))
-
-
-def _components(sigma: tuple[int, ...]) -> list[list[int]]:
-    n = len(sigma)
-    seen = [False] * n
-    out: list[list[int]] = []
-    for d0 in range(n):
-        if seen[d0]:
-            continue
-        comp = []
-        stack = [d0]
-        seen[d0] = True
-        while stack:
-            d = stack.pop()
-            comp.append(d)
-            for nb in (sigma[d], d ^ 1):
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        out.append(sorted(comp))
-    return out
+def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int) -> RibbonGraph:
+    """The graph whose darts ``2i, 2i+1`` form edge ``e<i>`` with sign
+    ``signs[i]`` and whose vertices are the cycles of ``sigma`` (each dart
+    to the next one round its vertex), named ``v0..`` in order of their
+    least dart and read from it, then ``isolated`` vertices without ends.
+    Laid out as flags and valid by construction, so it is never validated."""
+    at = [-1] * len(sigma)  # each dart's position in vertex order
+    darts: list[int] = []
+    bounds = [0]
+    for d in range(len(sigma)):
+        while at[d] < 0:
+            at[d] = len(darts)
+            darts.append(d)
+            d = sigma[d]
+        if len(darts) > bounds[-1]:
+            bounds.append(len(darts))
+    bounds += [len(darts)] * isolated
+    ends = [EdgeEnd(f"e{x >> 1}", 1 + (x & 1)) for x in darts]
+    fl = _flag_layout(ends, [at[x ^ 1] for x in darts], [signs[x >> 1] < 0 for x in darts], bounds)
+    edges = tuple(sorted((Edge(f"e{i}", sign) for i, sign in enumerate(signs)), key=_edge_name))
+    return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edges)
 
 
 def _component_key(
-    sigma: tuple[int, ...],
-    inverse: list[int],
-    signs: tuple[int, ...],
+    nxt: list[int],
+    prv: list[int],
+    mate: list[int],
+    sign: list[int],
     vertex_of: list[int],
-    comp: list[int],
-) -> tuple:
-    """The least serialization of one component over every start dart and
-    start orientation.
+    first: int,
+) -> tuple[tuple, list[int]]:
+    """The least serialization of the component of dart ``first`` over
+    every start dart and start orientation, and the component's darts.
 
     A serialization is a breadth-first walk from the start dart that visits
-    each dart's successor around its vertex (``sigma``, or its inverse if
-    the vertex is read reversed) and then its partner.  A vertex's reading
-    direction is fixed when its first dart is reached across an edge, so
-    that the edge reads untwisted; every other edge records its sign
-    relative to the directions of both ends.  Reversing vertices therefore
-    never changes the set of serializations, and 4E candidates suffice.
+    each dart's successor around its vertex (``nxt``, or ``prv`` if the
+    vertex is read reversed) and then its partner (``mate``).  A vertex's
+    reading direction is fixed when its first dart is reached across an
+    edge, so that the edge reads untwisted; every other edge records its
+    sign relative to the directions of both ends.  Reversing vertices
+    therefore never changes the set of serializations, and 4E candidates
+    suffice.
     """
     best: tuple | None = None
+    comp = [first]
     for start in comp:
         for o0 in (1, -1):
             ori = {vertex_of[start]: o0}
@@ -104,60 +83,73 @@ def _component_key(
             tied = best is not None
             for i, d in enumerate(order):
                 o = ori[vertex_of[d]]
-                nxt = sigma[d] if o > 0 else inverse[d]
-                if nxt not in ids:
-                    ids[nxt] = len(order)
-                    order.append(nxt)
-                x = ids[nxt]
+                step = nxt[d] if o > 0 else prv[d]
+                if step not in ids:
+                    ids[step] = len(order)
+                    order.append(step)
+                x = ids[step]
                 if tied:
                     y = best[0][i]
                     if x > y:
                         break
                     tied = x == y
                 S.append(x)
-                p = d ^ 1
+                p = mate[d]
                 if p not in ids:
                     ids[p] = len(order)
                     order.append(p)
                     v = vertex_of[p]
                     if v not in ori:
-                        ori[v] = o * signs[d >> 1]
+                        ori[v] = o * sign[d]
             else:
                 key = (
                     tuple(S),
-                    tuple([ids[d ^ 1] for d in order]),
-                    tuple([signs[d >> 1] * ori[vertex_of[d]] * ori[vertex_of[d ^ 1]] for d in order]),
+                    tuple([ids[mate[d]] for d in order]),
+                    tuple([sign[d] * ori[vertex_of[d]] * ori[vertex_of[mate[d]]] for d in order]),
                 )
-                if best is None or key < best:
+                if best is None:
+                    # The first walk never breaks off, so it meets every
+                    # dart of the component: they are the other starts.
+                    comp += order[1:]
+                    best = key
+                elif key < best:
                     best = key
     assert best is not None
-    return best
+    return best, comp
 
 
-def canonical_key_darts(dg: DartGraph) -> tuple:
-    sigma, signs, isolated = dg
-    n = len(sigma)
-    inverse = [0] * n
-    vertex_of = [0] * n
-    ident = list(range(n))
-    for cycle in _orbits(sigma, ident, ident):
-        head = cycle[0]
-        for d in cycle:
-            inverse[sigma[d]] = d
-            vertex_of[d] = head
-    keys = sorted(_component_key(sigma, inverse, signs, vertex_of, comp) for comp in _components(sigma))
-    return (tuple(keys), isolated)
+def canonical_key_darts(fl: _Flags) -> tuple:
+    """The canonical key read off a valid graph's flags, whose darts are
+    the edge-end positions: the next dart round a vertex is at the corner
+    of its R flag and the previous one at the corner of its L flag, an
+    edge is untwisted when its L flag crosses to an R flag, and the empty
+    vertex bounds are the isolated vertices."""
+    _, mate, corner, side, _, bounds = fl
+    nxt = [f >> 1 for f in corner[1::2]]
+    prv = [f >> 1 for f in corner[::2]]
+    sign = [1 if f & 1 else -1 for f in side[::2]]
+    vertex_of = [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    keys = []
+    seen = bytearray(len(mate))
+    for p in range(len(mate)):
+        if not seen[p]:
+            key, comp = _component_key(nxt, prv, mate, sign, vertex_of, p)
+            keys.append(key)
+            for q in comp:
+                seen[q] = 1
+    return (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
 
 
 def canonical_key(g: RibbonGraph) -> tuple:
     """A hashable complete isomorphism invariant of a valid graph."""
-    return canonical_key_darts(to_dart_graph(g))
+    require_valid(g)
+    return canonical_key_darts(g._flags)
 
 
 def canonical_graph(g: RibbonGraph) -> RibbonGraph:
     """A canonical representative of g's isomorphism class, with names v0.., e0.. ."""
     keys, isolated = canonical_key(g)
-    # Stitch the component serializations into one dart graph: serialized
+    # Stitch the component serializations into one permutation: serialized
     # dart d of a component becomes global dart at[d], numbered so that
     # partners pair as (2i, 2i+1).
     sigma = [0] * sum(len(S) for S, _, _ in keys)
@@ -171,7 +163,7 @@ def canonical_graph(g: RibbonGraph) -> RibbonGraph:
                 signs.append(G[d])
         for d in range(len(S)):
             sigma[at[d]] = at[S[d]]
-    return from_dart_graph((tuple(sigma), tuple(signs), isolated))
+    return _permutation_graph(tuple(sigma), tuple(signs), isolated)
 
 
 def canonical_text(g: RibbonGraph) -> str:

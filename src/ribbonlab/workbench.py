@@ -5,7 +5,10 @@ number of edges: darts ``2i, 2i+1`` always form edge ``i``, every
 permutation of the darts is a vertex structure (cycles are rotations), and
 signs range over all vectors.  Up to relabelling that covers every ribbon
 graph, so with deduplication by canonical form each isomorphism class is
-produced exactly once, and without it every raw system appears.
+produced exactly once, and without it every raw system appears.  Each
+permutation is laid out once as its all-plus graph; a sign vector twists
+that graph's flags, which are keyed as they are, and a graph is built only
+for a candidate that is yielded.
 
 Properties are registered by name; a run walks a universe in deterministic
 order, counts instances (graphs, or graph/subset combinations) and collects
@@ -23,9 +26,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    Edge,
     RibbonGraph,
     RibbonGraphError,
-    _orbits,
+    _from_flags,
+    _twist_flags,
+    connected_components,
     euler_characteristic_by_component,
     flip_vertex,
     from_arrow_presentation,
@@ -36,13 +42,12 @@ from .core import (
     trace_boundary,
 )
 from .isomorphism import (
-    _components,
+    _permutation_graph,
     are_isomorphic,
     canonical_graph,
     canonical_key,
     canonical_key_darts,
     canonical_text,
-    from_dart_graph,
 )
 from .algorithms import (
     checkerboard_partial_petrial,
@@ -128,28 +133,24 @@ class GraphUniverse:
     def __iter__(self) -> Iterator[RibbonGraph]:
         seen: set = set()
         for k in range(self.max_edges + 1):
-            ident = list(range(2 * k))
-            for dg in self._dart_graphs(k):
-                sigma, _, isolated = dg
-                if self.max_vertices is not None and len(_orbits(sigma, ident, ident)) + isolated > self.max_vertices:
+            sigmas = _minimal_sigma_reps(k) if self.dedup and k else itertools.permutations(range(2 * k))
+            # Each sign vector, in product order, as the set of edges it twists.
+            twists = [{f"e{i}" for i in range(k) if signs[i] < 0} for signs in itertools.product((1, -1), repeat=k)]
+            for sigma in sigmas:
+                plus = _permutation_graph(sigma, (1,) * k, self.extra_isolated + (k == 0))
+                if self.max_vertices is not None and len(plus.vertex_names) > self.max_vertices:
                     continue
-                if self.connected and len(_components(sigma)) + isolated != 1:
+                if self.connected and len(connected_components(plus)) != 1:
                     continue
-                if self.dedup:
-                    key = canonical_key_darts(dg)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield from_dart_graph(dg)
-
-    def _dart_graphs(self, k: int):
-        if k == 0:
-            yield ((), (), 1 + self.extra_isolated)
-            return
-        sigmas = _minimal_sigma_reps(k) if self.dedup else itertools.permutations(range(2 * k))
-        for sigma in sigmas:
-            for signs in itertools.product((1, -1), repeat=k):
-                yield (tuple(sigma), signs, self.extra_isolated)
+                for chosen in twists:
+                    fl = _twist_flags(plus._flags, chosen)
+                    if self.dedup:
+                        key = canonical_key_darts(fl)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    edges = tuple(Edge(e.name, -1) if e.name in chosen else e for e in plus.edges)
+                    yield _from_flags(fl, plus.vertex_names, edges)
 
 
 def enumerate_graphs(
@@ -178,15 +179,15 @@ def sample_graphs(
         raise EnumerationLimitError("edges must be nonnegative")
     rng = random.Random(f"sample:{edges}:{seed}")
     out: list[RibbonGraph] = []
-    ident = list(range(2 * edges))
+    isolated = 0 if edges else 1
     while len(out) < count:
-        darts = list(range(2 * edges))
-        rng.shuffle(darts)
-        sigma = tuple(darts)
-        if eulerian and any(len(c) % 2 for c in _orbits(sigma, ident, ident)):
+        sigma = list(range(2 * edges))
+        rng.shuffle(sigma)
+        # Evenness does not depend on the signs, which are drawn only after.
+        if eulerian and not is_eulerian(_permutation_graph(sigma, (1,) * edges, isolated)):
             continue
         signs = tuple(rng.choice((1, -1)) for _ in range(edges))
-        out.append(from_dart_graph((sigma, signs, 0 if edges else 1)))
+        out.append(_permutation_graph(sigma, signs, isolated))
     return out
 
 
@@ -290,7 +291,7 @@ class PropertyReport:
 
 def _edge_subsets(g: RibbonGraph) -> Iterator[tuple[str, ...]]:
     """Every subset for small graphs; a deterministic sample beyond."""
-    names = sorted(g.edge_names)
+    names = g.edge_names
     k = len(names)
     if k <= SUBSET_EXHAUSTIVE_CAP:
         for mask in range(1 << k):
@@ -306,7 +307,7 @@ def _edge_subsets(g: RibbonGraph) -> Iterator[tuple[str, ...]]:
 
 def _disjoint_pairs(g: RibbonGraph) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Disjoint (B, C) pairs: all 3^k for small graphs, sampled beyond."""
-    names = sorted(g.edge_names)
+    names = g.edge_names
     k = len(names)
     if k <= SUBSET_EXHAUSTIVE_CAP:
         for assignment in itertools.product((0, 1, 2), repeat=k):
@@ -326,7 +327,7 @@ def _disjoint_pairs(g: RibbonGraph) -> Iterator[tuple[tuple[str, ...], tuple[str
 
 def _complement(g: RibbonGraph, subset: Iterable[str]) -> tuple[str, ...]:
     chosen = set(subset)
-    return tuple(sorted(n for n in g.edge_names if n not in chosen))
+    return tuple(n for n in g.edge_names if n not in chosen)
 
 
 Instance = tuple[dict, bool, str]
@@ -437,7 +438,7 @@ def _prop_pdual_disjoint_union(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_delta_tau_commute(g: RibbonGraph) -> Iterator[Instance]:
-    names = sorted(g.edge_names)
+    names = g.edge_names
     for e1, e2 in itertools.permutations(names, 2):
         lhs = partial_petrial(partial_dual(g, [e1]), [e2])
         rhs = partial_dual(partial_petrial(g, [e2]), [e1])
@@ -447,7 +448,7 @@ def _prop_delta_tau_commute(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_group_relations(g: RibbonGraph) -> Iterator[Instance]:
-    for e in sorted(g.edge_names):
+    for e in g.edge_names:
         h = g
         for _ in range(3):
             h = apply_twist_word(h, {e: "dt"})
@@ -457,7 +458,7 @@ def _prop_group_relations(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_twist_word_grouping(g: RibbonGraph) -> Iterator[Instance]:
-    names = sorted(g.edge_names)
+    names = g.edge_names
     if len(names) > 2:
         names = names[:2]
     elements = ("1", "d", "t", "dt", "td", "dtd")
@@ -512,7 +513,7 @@ def _splice_contract_nonloop(g: RibbonGraph, name: str) -> RibbonGraph:
 
 
 def _prop_contract_vs_splice(g: RibbonGraph) -> Iterator[Instance]:
-    for e in sorted(g.edge_names):
+    for e in g.edge_names:
         if g.is_loop(e):
             continue
         lhs = contract(g, [e])
@@ -856,7 +857,7 @@ class ConverseWitness:
 def search_converse_counterexample(universe: GraphUniverse) -> ConverseWitness | None:
     """First witness, in universe-then-subset order, or None within bounds."""
     for g in universe:
-        names = sorted(g.edge_names)
+        names = g.edge_names
         gdual = geometric_dual(g)
         for mask in range(1 << len(names)):
             a = tuple(names[i] for i in range(len(names)) if mask >> i & 1)

@@ -106,10 +106,12 @@ def test_memos_leave_eq_hash_and_repr_alone():
     g = graph("torus")
     fresh = RibbonGraph(g.vertices, g.edges)
     require_valid(g)
-    flags, faces = g._flags, g._faces
+    flags, faces, names = g._flags, g._faces, g.edge_names
     # Each memo is stored on the instance at its first read, then read back.
-    assert {"_violations", "_flags", "_faces"} <= set(vars(g)) and not vars(fresh).keys() & {"_flags", "_faces"}
-    assert g._flags is flags and g._faces is faces
+    memos = {"_flags", "_faces", "edge_names"}
+    assert {"_violations"} | memos <= set(vars(g)) and not vars(fresh).keys() & memos
+    assert g._flags is flags and g._faces is faces and g.edge_names is names
+    assert names == ("a", "b")
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
 
 

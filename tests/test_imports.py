@@ -1,14 +1,16 @@
 """Every name a module of the package imports is used in that module,
 every name a function assigns is read in that function, every function
 and class the package defines is named somewhere besides its definition,
-and every name the package re-exports is used by the package or
-documented in the README.
+every name the package re-exports is used by the package or documented in
+the README, and every function the benchmark's layer table binds exists.
 
 There is no linter in the toolchain, so this reads the source with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import importlib
+import inspect
 import re
 
 import pytest
@@ -159,3 +161,26 @@ def test_every_export_is_used_or_documented():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     assert unused_exports((package / "__init__.py").read_text(encoding="utf-8"), modules, readme) == []
+
+
+def bench_parts(layers: str) -> dict:
+    """The ``PARTS`` table of the benchmark's ``layers.py``, read without
+    running it."""
+    for node in ast.parse(layers).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PARTS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no PARTS table")
+
+
+def test_every_bench_binding_names_a_function():
+    # The tracer wraps each listed function where it is defined; a name
+    # that no longer exists is skipped, so its counter would read 0.
+    parts = bench_parts((REPO / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    assert parts
+    missing = []
+    for module, name in parts:
+        mod = importlib.import_module(f"ribbonlab.{module}")
+        fn = getattr(mod, name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
+            missing.append(f"{module}.{name}")
+    assert missing == []

@@ -22,11 +22,13 @@ from ribbonlab import (
     partial_petrial,
 )
 
-from ribbonlab.isomorphism import canonical_key_darts, to_dart_graph
-from ribbonlab.workbench import _minimal_sigma_reps
+from ribbonlab.isomorphism import _permutation_graph
+from ribbonlab.workbench import _minimal_sigma_reps, sample_graphs
 
 from helpers import (
+    assert_born_with_flags,
     backtracking_labelled_search,
+    dart_graph,
     flip_mask_canonical_key_darts,
     graph,
     random_graph,
@@ -152,10 +154,14 @@ def test_labelled_search_scales():
     assert not are_isomorphic(g, partial_petrial(twice, ["e7"]), match_edge_labels=True)
 
 
+def _flip_mask_key(g: RibbonGraph) -> tuple:
+    # The reference reads the vertices and edges, the key the flags.
+    return flip_mask_canonical_key_darts(dart_graph(g))
+
+
 def test_key_partition_matches_flip_mask_reference_on_raw_universe(raw_universe3):
-    darts = [to_dart_graph(g) for g in raw_universe3]
-    assert len(darts) == 5861
-    assert same_partition(darts, canonical_key_darts, flip_mask_canonical_key_darts)
+    assert len(raw_universe3) == 5861
+    assert same_partition(raw_universe3, canonical_key, _flip_mask_key)
 
 
 def test_key_partition_matches_flip_mask_reference_on_four_edge_candidates():
@@ -164,9 +170,19 @@ def test_key_partition_matches_flip_mask_reference_on_four_edge_candidates():
         for sigma in _minimal_sigma_reps(4)
         for signs in itertools.product((1, -1), repeat=4)
     ]
-    assert len(darts) == 2912
-    assert same_partition(darts, canonical_key_darts, flip_mask_canonical_key_darts)
-    assert len({canonical_key_darts(dg) for dg in darts}) == 850
+    graphs = [_permutation_graph(*dg) for dg in darts]
+    assert len(graphs) == 2912
+    # The builder lays out exactly the permutation it is given.
+    assert [dart_graph(g) for g in graphs] == darts
+    assert same_partition(graphs, canonical_key, _flip_mask_key)
+    assert len({canonical_key(g) for g in graphs}) == 850
+
+
+def test_canonical_graphs_carry_their_flags(universe3):
+    big = sample_graphs(40, 5, seed=3)
+    canon = [canonical_graph(g) for g in universe3 + big]
+    assert_born_with_flags(canon)
+    assert [canonical_key(c) for c in canon] == [canonical_key(g) for g in universe3 + big]
 
 
 def _path(n: int) -> RibbonGraph:

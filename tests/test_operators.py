@@ -1,6 +1,5 @@
 import inspect
 import itertools
-import pickle
 import random
 
 import pytest
@@ -37,10 +36,10 @@ from ribbonlab import (
     validate,
 )
 from ribbonlab import core
-from ribbonlab.core import _flag_structure
 
 from helpers import (
     arrow_splice_partial_dual,
+    assert_born_with_flags,
     chain_contract,
     chain_minor,
     graph,
@@ -149,23 +148,6 @@ def _operator_outputs(g, subsets, pairs):
     return [out for out in outs if out is not g]
 
 
-def _assert_born_with_flags(outs):
-    # The trust gate: an operator stores its result as flags with the
-    # verdict "valid" and never validates it, so a copy rebuilt from its
-    # vertices and edges must validate, carry the same flags and compare,
-    # hash, print and unpickle as the result does.  The results are pickled
-    # first, while they may still hold no Vertex tuples, and in one list,
-    # which costs a third of pickling each alone.
-    copies = pickle.loads(pickle.dumps(outs))
-    for out, copy in zip(outs, copies):
-        assert "_flags" in vars(out) and vars(out)["_violations"] == ()
-        ref = RibbonGraph(out.vertices, out.edges)
-        assert validate(ref) == []
-        assert out._flags == _flag_structure(ref)
-        assert out == ref and hash(out) == hash(ref) and repr(out) == repr(ref)
-        assert copy == ref
-
-
 def test_operator_outputs_carry_their_flags(raw_universe3):
     # partial_dual, contract and minor on every subset and pair are checked
     # where they are matched exactly against their references below.
@@ -174,7 +156,7 @@ def test_operator_outputs_carry_their_flags(raw_universe3):
         subsets = [a for r in range(len(names) + 1) for a in itertools.combinations(names, r)]
         outs = _operator_outputs(g, [], [])
         outs += [op(g, a) for a in subsets for op in (delete, partial_petrial)]
-        _assert_born_with_flags(outs)
+        assert_born_with_flags(outs)
 
 
 def test_operator_outputs_carry_their_flags_at_scale():
@@ -184,7 +166,7 @@ def test_operator_outputs_carry_their_flags_at_scale():
         lots = [{name: rng.randrange(3) for name in g.edge_names} for _ in range(3)]
         subsets = [[name for name, x in lot.items() if x] for lot in lots]
         pairs = [([n for n, x in lot.items() if x == 1], [n for n, x in lot.items() if x == 2]) for lot in lots]
-        _assert_born_with_flags(_operator_outputs(g, subsets, pairs))
+        assert_born_with_flags(_operator_outputs(g, subsets, pairs))
 
 
 def test_operator_chains_build_no_vertex_tuples(raw_universe3, monkeypatch):
@@ -227,7 +209,7 @@ def test_operator_outputs_carry_their_flags_on_drawn_graphs(g, data):
     lot = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(names), max_size=len(names)))
     subset = [n for n, x in zip(names, lot) if x]
     pair = ([n for n, x in zip(names, lot) if x == 1], [n for n, x in zip(names, lot) if x == 2])
-    _assert_born_with_flags(_operator_outputs(g, [subset], [pair]))
+    assert_born_with_flags(_operator_outputs(g, [subset], [pair]))
 
 
 def _disjoint_pairs(names):
@@ -359,7 +341,7 @@ def test_partial_dual_matches_arrow_splice_exactly(raw_universe3):
                 assert d == ref and str(d) == str(ref)
                 if subset:
                     born.append(d)
-        _assert_born_with_flags(born)
+        assert_born_with_flags(born)
 
 
 def test_partial_dual_vertex_and_face_counts_at_scale():
@@ -438,7 +420,7 @@ def test_contract_and_minor_match_the_chain_exactly(raw_universe3):
                         out = minor(g, b, c)
                         assert graph_to_text(out) == graph_to_text(delete(contracted, b))
                         born.append(out)
-        _assert_born_with_flags(born)
+        assert_born_with_flags(born)
 
 
 def test_contract_and_minor_match_the_chain_at_scale():

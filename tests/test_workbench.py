@@ -18,9 +18,10 @@ from ribbonlab import (
     search_converse_counterexample,
 )
 
+from ribbonlab import core
 from ribbonlab.workbench import _minimal_sigma_reps
 
-from helpers import FIXTURES, burnside_class_count
+from helpers import FIXTURES, assert_born_with_flags, burnside_class_count
 
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 3, 2: 17, 3: 106, 4: 850}
 
@@ -135,6 +136,29 @@ def test_sampling_is_not_held_to_the_enumeration_cap():
 
 def test_sampled_empty_graph_is_the_enumerated_one():
     assert sample_graphs(0, 2, seed=3) == list(enumerate_graphs(0)) * 2
+
+
+def test_enumerated_and_sampled_graphs_carry_their_flags():
+    for universe in (
+        enumerate_graphs(3, dedup=False),
+        enumerate_graphs(3, extra_isolated=2),
+        enumerate_graphs(3, connected=True, max_vertices=2),
+    ):
+        assert_born_with_flags(list(universe))
+    assert_born_with_flags(
+        sample_graphs(0, 2, seed=1) + sample_graphs(200, 3, seed=2) + sample_graphs(8, 20, seed=3, eulerian=True)
+    )
+
+
+def test_canonical_stability_suite_validates_nothing(monkeypatch):
+    # Enumerated and canonical graphs are built valid, and flips of them
+    # are operator results: nothing in the suite enters from outside.
+    checked = []
+    real = core.validate
+    monkeypatch.setattr(core, "validate", lambda g: checked.append(g) or real(g))
+    report = run_property_suite(enumerate_graphs(3), "canonical-stability")
+    assert report.passed and report.checked > 0
+    assert checked == []
 
 
 def test_enumeration_deterministic():
