@@ -140,6 +140,8 @@ def _cmd_op(args) -> int:
                 raise _CliError(
                     f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
                 )
+            if edge in word:
+                raise _CliError(f"bad word entry {part!r}; edge {edge!r} already has element {word[edge]!r}")
             word[edge] = elem
         out = apply_twist_word(g, word)
     elif kind == "dual":

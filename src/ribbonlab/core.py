@@ -864,7 +864,12 @@ def load_graph(path) -> RibbonGraph:
 
 def save_graph(path, g: RibbonGraph) -> None:
     """Write a valid graph in the text format, so that :func:`load_graph`
-    reads it back."""
+    reads it back.  A vertex or edge name the format cannot hold (one that
+    is not a word of ``\\w`` characters) raises ValueError, naming the first
+    such name, before the file is opened."""
     require_valid(g)
+    bad = [name for name in (*g.vertex_names, *g.edge_names) if not _NAME.fullmatch(name)]
+    if bad:
+        raise ValueError(f"name {bad[0]!r} cannot be saved: the text format needs names of word characters")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(graph_to_text(g))

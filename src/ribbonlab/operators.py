@@ -3,8 +3,10 @@
 Per-edge operations: deletion, contraction, half-twisting (partial Petrial)
 and partial duality, plus arbitrary per-edge words in the six-element group
 generated by the dual ``d`` and the twist ``t`` subject to
-``dd = tt = (dt)^3 = 1``.  The full geometric dual and Petrial are the
-all-edge specialisations.
+``dd = tt = (dt)^3 = 1``.  Since ``dtd = tdt``, each element is
+``t^c d^b t^a``, so a word is one partial Petrial, one partial dual and one
+partial Petrial.  The full geometric dual and Petrial are the all-edge
+specialisations.
 
 Partial duality is one orbit walk over the flags of the graph (see
 :mod:`ribbonlab.core`): the vertices of G^A are the boundary components of
@@ -52,6 +54,8 @@ _PERM = {
     "dtd": (2, 1, 0),
 }
 _NAME = {perm: name for name, perm in _PERM.items()}
+#: Each element as ``t^c d^b t^a``, the bits (a, b, c) read right to left.
+_NORMAL_FORM = {"1": (0, 0, 0), "d": (0, 1, 0), "t": (1, 0, 0), "dt": (1, 1, 0), "td": (0, 1, 1), "dtd": (1, 1, 1)}
 _PRODUCT = {
     (x, y): _NAME[tuple(px[py[i]] for i in range(3))] for x, px in _PERM.items() for y, py in _PERM.items()
 }
@@ -250,23 +254,16 @@ def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> 
 def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:
     """Apply a per-edge word; missing edges mean the identity.
 
-    Edges are grouped by element and each group's word runs right to left
-    (``dt`` twists first, then dualises).  Actions on distinct edges
-    commute, so the grouping order does not matter.
+    A word acts right to left (``dt`` twists first, then dualises).  Each
+    element is ``t^c d^b t^a`` (``dtd = tdt``), so the word is a partial
+    Petrial on the edges with ``a`` set, a partial dual on those with ``b``
+    set and a partial Petrial on those with ``c`` set: one dual walk at most.
     """
     require_valid(g)
     _check_edges(g, word.keys())
     for name, elem in word.items():
         if elem not in TWIST_ELEMENTS:
             raise ValueError(f"unknown twist word {elem!r} for edge {name!r}")
-    out = g
-    for elem in TWIST_ELEMENTS:
-        group = sorted(name for name, w in word.items() if w == elem)
-        if not group or elem == "1":
-            continue
-        for op in reversed(elem):
-            if op == "t":
-                out = partial_petrial(out, group)
-            else:
-                out = partial_dual(out, group)
-    return out
+    first, dual, last = ([name for name, elem in word.items() if _NORMAL_FORM[elem][i]] for i in range(3))
+    out = partial_dual(partial_petrial(g, first) if first else g, dual)
+    return partial_petrial(out, last) if last else out

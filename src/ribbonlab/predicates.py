@@ -13,12 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
-    BoundaryDecomposition,
     RibbonGraph,
     _orbit_ids,
     _parity_colouring,
     require_valid,
-    trace_boundary,
 )
 
 RED = "red"
@@ -31,10 +29,6 @@ class FaceColouring:
 
     graph: RibbonGraph
     colours: tuple[str, ...]
-
-    @property
-    def decomposition(self) -> BoundaryDecomposition:
-        return trace_boundary(self.graph)
 
 
 def is_eulerian(g: RibbonGraph) -> bool:

@@ -64,6 +64,7 @@ from .medial import (
     straight_ahead_direction,
 )
 from .operators import (
+    TWIST_ELEMENTS,
     apply_twist_word,
     contract,
     delete,
@@ -458,11 +459,8 @@ def _prop_group_relations(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_twist_word_grouping(g: RibbonGraph) -> Iterator[Instance]:
-    names = g.edge_names
-    if len(names) > 2:
-        names = names[:2]
-    elements = ("1", "d", "t", "dt", "td", "dtd")
-    for combo in itertools.product(elements, repeat=len(names)):
+    names = g.edge_names[:2]
+    for combo in itertools.product(TWIST_ELEMENTS, repeat=len(names)):
         word = dict(zip(names, combo))
         grouped = apply_twist_word(g, word)
         sequential = g

@@ -279,6 +279,20 @@ def chain_minor(g: RibbonGraph, deleted, contracted) -> RibbonGraph:
     return delete(chain_contract(g, contracted), deleted)
 
 
+def letter_chain(g: RibbonGraph, word) -> RibbonGraph:
+    """Reference twist word, applied letter by letter with no operator from
+    the package: ``d`` is ``arrow_splice_partial_dual`` and ``t`` rebuilds the
+    graph with the edge's sign negated.  Each edge's word runs right to
+    left; the k-th letters of all edges are applied together, which is the
+    same as one edge at a time because letters on distinct edges commute."""
+    for k in range(3):
+        letters = {name: w[-1 - k] for name, w in word.items() if k < len(w)}
+        g = arrow_splice_partial_dual(g, [name for name, x in letters.items() if x == "d"])
+        twisted = {name for name, x in letters.items() if x == "t"}
+        g = RibbonGraph(g.vertices, tuple(Edge(e.name, -e.sign) if e.name in twisted else e for e in g.edges))
+    return g
+
+
 def brute_force_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     """Reference for ``has_alternating_boundary_orientation``: try every
     +/- assignment to the boundary components of ``delete(g, edges)``."""

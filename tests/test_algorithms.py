@@ -208,6 +208,14 @@ def test_certificate_reconstructs_result(universe2):
         assert are_isomorphic(via_word, cert.result, match_edge_labels=True)
 
 
+def test_certificate_word_gives_the_result_exactly(universe3):
+    # The word is a partial Petrial then a partial dual, so it must rebuild
+    # the result's vertex names too, not only its isomorphism class.
+    for g in [*universe3, *(random_graph(200, seed) for seed in range(5))]:
+        cert = checkerboard_twisted_dual(g)
+        assert apply_twist_word(g, cert.twist_word()) == cert.result
+
+
 def test_certificate_word_elements():
     cert = checkerboard_twisted_dual(
         parse_graph("vertex v0: e0.1 e1.1 e0.2 e1.2\nedge e0: +\nedge e1: -\n")
@@ -250,7 +258,7 @@ def test_twisted_dual_certificate_at_scale():
     cert = checkerboard_twisted_dual(g)
     assert cert.result.edge_names == g.edge_names
     decomp = segment_trace_boundary(cert.result)
-    assert cert.colouring.decomposition == decomp
+    assert trace_boundary(cert.colouring.graph) == decomp
     comp_of = component_index(decomp)
     colours = cert.colouring.colours
     for name in cert.result.edge_names:

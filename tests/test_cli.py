@@ -126,6 +126,13 @@ def test_op_bad_word(capsys):
     assert "bad word entry" in err
 
 
+def test_op_word_repeated_edge(capsys):
+    code, out, err = run(capsys, "op", str(FIXTURES / "torus2loop.rg"), "--word", "a:d,a:t")
+    assert code == 2
+    assert out == ""
+    assert "bad word entry 'a:t'" in err and "edge 'a'" in err
+
+
 def test_medial_dot(capsys):
     code, out, _ = run(capsys, "medial", str(FIXTURES / "torus2loop.rg"), "--dot")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -28,6 +29,7 @@ from ribbonlab import (
     parse_graph,
     partial_petrial,
     ribbon_graph,
+    save_graph,
     to_arrow_presentation,
     trace_boundary,
     validate,
@@ -448,6 +450,24 @@ def test_text_round_trip_universe(universe2):
         text = graph_to_text(g)
         assert parse_graph(text) == g
         assert graph_to_text(parse_graph(text)) == text
+
+
+@pytest.mark.parametrize("name", ["a.b", "u v", "a#x", "u:1", ""])
+def test_save_graph_refuses_names_the_text_format_cannot_hold(tmp_path, name):
+    # Such graphs are valid and graph_to_text writes them, but load_graph
+    # would refuse the file; nothing is created or truncated.
+    kept = tmp_path / "kept.rg"
+    kept.write_text("vertex u:\n")
+    for g in (
+        RibbonGraph((Vertex(name, (EdgeEnd("a", 1), EdgeEnd("a", 2))),), (Edge("a"),)),
+        RibbonGraph((Vertex("u", (EdgeEnd(name, 1), EdgeEnd(name, 2))),), (Edge(name),)),
+    ):
+        assert validate(g) == [] and graph_to_text(g)
+        for path in (kept, tmp_path / "new.rg"):
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                save_graph(path, g)
+    assert kept.read_text() == "vertex u:\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.rg"]
 
 
 def test_comments_and_blank_lines_ignored():

@@ -2,7 +2,8 @@
 every name a function assigns is read in that function, every function
 and class the package defines is named somewhere besides its definition,
 every name the package re-exports is used by the package or documented in
-the README, and every function the benchmark's layer table binds exists.
+the README, so is every public method and property of a re-exported
+class, and every function the benchmark's layer table binds exists.
 
 There is no linter in the toolchain, so this reads the source with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -161,6 +162,70 @@ def test_every_export_is_used_or_documented():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     assert unused_exports((package / "__init__.py").read_text(encoding="utf-8"), modules, readme) == []
+
+
+def unused_methods(init: str, modules: dict[str, str], readme: str) -> list[str]:
+    """Public methods and properties of the classes ``init`` re-exports that
+    are read as ``.name`` nowhere in ``modules`` (file name -> source, the
+    package's own ``__init__.py`` may be among them) outside their own
+    definition, and that ``readme`` never shows as ``.name``."""
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    trees = {file: ast.parse(source) for file, source in modules.items()}
+    reads = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    out = []
+    for file, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                    continue
+                own = {id(inner) for inner in ast.walk(node)}
+                used = any(r.attr == node.name and id(r) not in own for r in reads)
+                if not used and not re.search(rf"\.{node.name}\b", readme):
+                    out.append(f"{file} line {node.lineno}: {cls.name}.{node.name}")
+    return out
+
+
+def test_method_checker_flags_unused_and_keeps_used():
+    init = "from .m import (\n    Shape,\n)\n"
+    modules = {
+        "m.py": (
+            "class Shape:\n"
+            "    def area(self):\n"
+            "        return self.scale\n"
+            "    @property\n"
+            "    def scale(self):\n"
+            "        return 1\n"
+            "    def again(self):\n"
+            "        return self.again()\n"
+            "    def shown(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def spare(self):\n"
+            "        return spare\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "class Hidden:\n"
+            "    def lonely(self):\n"
+            "        pass\n"
+        ),
+        "n.py": "def f(s):\n    return s.area()\n",
+    }
+    readme = "Call `shape.shown()` to draw it; `spare` is not a method call.\n"
+    assert unused_methods(init, modules, readme) == ["m.py line 7: Shape.again", "m.py line 12: Shape.spare"]
+
+
+def test_every_exported_method_is_used_or_documented():
+    package = REPO / "src" / "ribbonlab"
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert unused_methods(modules["__init__.py"], modules, readme) == []
 
 
 def bench_parts(layers: str) -> dict:

@@ -35,7 +35,7 @@ from ribbonlab import (
     twist_compose,
     validate,
 )
-from ribbonlab import core
+from ribbonlab import core, operators
 
 from helpers import (
     arrow_splice_partial_dual,
@@ -43,6 +43,7 @@ from helpers import (
     chain_contract,
     chain_minor,
     graph,
+    letter_chain,
     random_graph,
     rotation_systems,
 )
@@ -506,6 +507,54 @@ def test_sixth_power_of_dt_is_identity(universe2):
             for _ in range(3):
                 h = apply_twist_word(h, {e: "dt"})
             assert are_isomorphic(h, g, match_edge_labels=True)
+
+
+def test_sixth_power_of_dt_is_identity_at_scale():
+    g = random_graph(500, 0)
+    rng = random.Random("dt-cubed")
+    everywhere = {name: "dt" for name in g.edge_names}
+    for word in (everywhere, {name: "dt" for name in g.edge_names if rng.random() < 0.5}):
+        h = g
+        for _ in range(3):
+            h = apply_twist_word(h, word)
+        assert are_isomorphic(h, g, match_edge_labels=True)
+
+
+def _every_word(g):
+    return [dict(zip(g.edge_names, combo)) for combo in itertools.product(TWIST_ELEMENTS, repeat=len(g.edge_names))]
+
+
+def test_twist_word_makes_at_most_one_dual_walk(universe2, monkeypatch):
+    walks = []
+    real = operators._dual_without
+    monkeypatch.setattr(operators, "_dual_without", lambda *args: walks.append(1) or real(*args))
+    counts = []
+    for g in universe2:
+        for word in _every_word(g):
+            walks.clear()
+            apply_twist_word(g, word)
+            counts.append(len(walks))
+    assert len(counts) == 631 and max(counts) == 1
+
+
+def test_twist_word_matches_the_letter_chain(universe2):
+    for g in universe2:
+        for word in _every_word(g):
+            assert are_isomorphic(apply_twist_word(g, word), letter_chain(g, word), match_edge_labels=True)
+
+
+@given(g=rotation_systems(), data=st.data())
+def test_twist_word_matches_the_letter_chain_on_rotation_systems(g, data):
+    word = {name: data.draw(st.sampled_from(TWIST_ELEMENTS)) for name in g.edge_names}
+    assert are_isomorphic(apply_twist_word(g, word), letter_chain(g, word), match_edge_labels=True)
+
+
+def test_twist_word_matches_the_letter_chain_at_scale():
+    for seed in range(3):
+        g = random_graph(500, seed)
+        rng = random.Random(f"word:{seed}")
+        word = {name: rng.choice(TWIST_ELEMENTS) for name in g.edge_names}
+        assert are_isomorphic(apply_twist_word(g, word), letter_chain(g, word), match_edge_labels=True)
 
 
 def test_word_validation():

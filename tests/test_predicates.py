@@ -15,6 +15,7 @@ from ribbonlab import (
     is_even_face,
     orientation_flips,
     partial_petrial,
+    trace_boundary,
 )
 from ribbonlab.core import EdgeEnd, HalfEdgeSegment, L, R
 
@@ -170,5 +171,5 @@ def test_face_readers_match_segment_walk(raw_universe3):
         colouring = checkerboard_colouring(g)
         if colouring is not None:
             assert colouring.graph is g
-            assert colouring.decomposition == ref
+            assert trace_boundary(colouring.graph) == ref
             assert len(colouring.colours) == ref.count
