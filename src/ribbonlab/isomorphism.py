@@ -50,6 +50,13 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
     return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edges)
 
 
+def _root(parent: list[int], c: int) -> int:
+    """The root of c's union-find class, halving the path to it."""
+    while parent[c] != c:
+        parent[c] = c = parent[parent[c]]
+    return c
+
+
 def _component_key(
     nxt: list[int],
     prv: list[int],
@@ -57,6 +64,10 @@ def _component_key(
     sign: list[int],
     vertex_of: list[int],
     first: int,
+    ids: list[int],
+    ori: list[int],
+    parent: list[int],
+    done: bytearray,
 ) -> tuple[tuple, list[int]]:
     """The least serialization of the component of dart ``first`` over
     every start dart and start orientation, and the component's darts.
@@ -69,13 +80,28 @@ def _component_key(
     sign relative to the directions of both ends.  Reversing vertices
     therefore never changes the set of serializations, and 4E candidates
     suffice.
+
+    Two candidates whose walks read the same key define an automorphism,
+    which carries every candidate to one with the same key.  From the first
+    such tie on, candidates ``2d`` (forward from dart d) and ``2d + 1``
+    (reversed) are merged by each automorphism found in a union-find
+    (``parent``, empty until then), and a candidate is skipped when its
+    class already holds a walked one (``done``).  The union-find is shared
+    by the components of one graph, whose candidates are disjoint; ``ids``
+    (all -1) and ``ori`` (all 0) are scratch, restored before returning.
     """
     best: tuple | None = None
     comp = [first]
-    for start in comp:
+    for j, start in enumerate(comp):
         for o0 in (1, -1):
-            ori = {vertex_of[start]: o0}
-            ids = {start: 0}
+            c = 2 * start + (o0 < 0)
+            if parent:
+                r = _root(parent, c)
+                if done[r]:
+                    continue
+                done[r] = 1
+            ori[vertex_of[start]] = o0
+            ids[start] = 0
             order = [start]
             S = []
             # While S matches the best candidate's so far, a larger entry
@@ -84,10 +110,10 @@ def _component_key(
             for i, d in enumerate(order):
                 o = ori[vertex_of[d]]
                 step = nxt[d] if o > 0 else prv[d]
-                if step not in ids:
-                    ids[step] = len(order)
-                    order.append(step)
                 x = ids[step]
+                if x < 0:
+                    x = ids[step] = len(order)
+                    order.append(step)
                 if tied:
                     y = best[0][i]
                     if x > y:
@@ -95,11 +121,11 @@ def _component_key(
                     tied = x == y
                 S.append(x)
                 p = mate[d]
-                if p not in ids:
+                if ids[p] < 0:
                     ids[p] = len(order)
                     order.append(p)
                     v = vertex_of[p]
-                    if v not in ori:
+                    if not ori[v]:
                         ori[v] = o * sign[d]
             else:
                 key = (
@@ -111,11 +137,46 @@ def _component_key(
                     # The first walk never breaks off, so it meets every
                     # dart of the component: they are the other starts.
                     comp += order[1:]
-                    best = key
+                    best, best_order, best_o0 = key, order, o0
                 elif key < best:
-                    best = key
+                    best, best_order, best_o0 = key, order, o0
+                elif key == best:
+                    if not parent:
+                        parent += range(2 * len(mate))
+                        done += bytes(2 * len(mate))
+                        for s in comp[:j]:
+                            done[2 * s] = done[2 * s + 1] = 1
+                        done[2 * start] = done[c] = 1
+                    _merge(parent, done, best_order, order, best_o0 * o0, key, sign)
+            for d in order:
+                ids[d] = -1
+                ori[vertex_of[d]] = 0
     assert best is not None
     return best, comp
+
+
+def _merge(
+    parent: list[int], done: bytearray, a: list[int], b: list[int], e0: int, key: tuple, sign: list[int]
+) -> None:
+    """Merge the candidates of two walks ``a`` and ``b`` that read the same
+    key: ``a[i] -> b[i]`` is an automorphism that reverses the vertex of
+    ``a[i]`` when ``eps[i]`` is -1, so it carries candidate ``(a[i], o)``
+    to ``(b[i], o * eps[i])``.  Equal keys give eps[0] = ``e0``, eps the
+    same at a dart and its successor, and eps times both signs at a dart
+    and its partner."""
+    S, T, _ = key
+    eps = [0] * len(a)
+    eps[0] = e0
+    for i, e in enumerate(eps):
+        x, y = a[i], b[i]
+        eps[S[i]] = e
+        eps[T[i]] = e * sign[x] * sign[y]
+        # Candidates 2x, 2x + 1 go to 2y, 2y + 1, swapped when e is -1.
+        for u, w in ((2 * x, 2 * y + (e < 0)), (2 * x + 1, 2 * y + (e > 0))):
+            u, w = _root(parent, u), _root(parent, w)
+            if u != w:
+                parent[w] = u
+                done[u] |= done[w]
 
 
 def canonical_key_darts(fl: _Flags) -> tuple:
@@ -129,11 +190,15 @@ def canonical_key_darts(fl: _Flags) -> tuple:
     prv = [f >> 1 for f in corner[::2]]
     sign = [1 if f & 1 else -1 for f in side[::2]]
     vertex_of = [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    ids = [-1] * len(mate)
+    ori = [0] * len(bounds)
+    parent: list[int] = []
+    done = bytearray()
     keys = []
     seen = bytearray(len(mate))
     for p in range(len(mate)):
         if not seen[p]:
-            key, comp = _component_key(nxt, prv, mate, sign, vertex_of, p)
+            key, comp = _component_key(nxt, prv, mate, sign, vertex_of, p, ids, ori, parent, done)
             keys.append(key)
             for q in comp:
                 seen[q] = 1

@@ -103,9 +103,12 @@ def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
 
 
 def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
-    """Add a half-twist to each listed edge (toggle its sign); an involution."""
+    """Add a half-twist to each listed edge (toggle its sign); an involution.
+    ``partial_petrial(g, [])`` is ``g`` itself."""
     require_valid(g)
     chosen = _check_edges(g, edges)
+    if not chosen:
+        return g
     out = _from_flags(
         _twist_flags(g._flags, chosen),
         g.vertex_names,
@@ -265,5 +268,4 @@ def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:
         if elem not in TWIST_ELEMENTS:
             raise ValueError(f"unknown twist word {elem!r} for edge {name!r}")
     first, dual, last = ([name for name, elem in word.items() if _NORMAL_FORM[elem][i]] for i in range(3))
-    out = partial_dual(partial_petrial(g, first) if first else g, dual)
-    return partial_petrial(out, last) if last else out
+    return partial_petrial(partial_dual(partial_petrial(g, first), dual), last)

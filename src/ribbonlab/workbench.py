@@ -5,10 +5,17 @@ number of edges: darts ``2i, 2i+1`` always form edge ``i``, every
 permutation of the darts is a vertex structure (cycles are rotations), and
 signs range over all vectors.  Up to relabelling that covers every ribbon
 graph, so with deduplication by canonical form each isomorphism class is
-produced exactly once, and without it every raw system appears.  Each
-permutation is laid out once as its all-plus graph; a sign vector twists
-that graph's flags, which are keyed as they are, and a graph is built only
-for a candidate that is yielded.
+produced exactly once, and without it every raw system appears.
+
+Deduplication is a funnel.  Only permutations least in their relabelling
+orbit are kept; of their sign vectors, only those least in their orbit
+under the symmetries that fix the permutation (its stabilizer and the
+flips of vertices of degree at most 2) are keyed; a key not seen before is
+a new class.  Each kept permutation is laid out once as its all-plus
+graph; a sign vector twists that graph's flags, which are keyed as they
+are, and a graph is built only for a candidate that is yielded.  Each
+class is yielded as its first member in the order of permutations, then
+sign vectors in ``itertools.product`` order, which no stage leaves out.
 
 Properties are registered by name; a run walks a universe in deterministic
 order, counts instances (graphs, or graph/subset combinations) and collects
@@ -134,16 +141,19 @@ class GraphUniverse:
     def __iter__(self) -> Iterator[RibbonGraph]:
         seen: set = set()
         for k in range(self.max_edges + 1):
-            sigmas = _minimal_sigma_reps(k) if self.dedup and k else itertools.permutations(range(2 * k))
-            # Each sign vector, in product order, as the set of edges it twists.
+            raw = ((sigma, []) for sigma in itertools.permutations(range(2 * k)))
+            reps = _minimal_sigma_reps(k) if self.dedup and k else raw
+            # Each sign vector, in product order, as the set of edges it
+            # twists: bit k - 1 - i of its index is set iff edge i is twisted.
             twists = [{f"e{i}" for i in range(k) if signs[i] < 0} for signs in itertools.product((1, -1), repeat=k)]
-            for sigma in sigmas:
+            for sigma, stabilizer in reps:
                 plus = _permutation_graph(sigma, (1,) * k, self.extra_isolated + (k == 0))
                 if self.max_vertices is not None and len(plus.vertex_names) > self.max_vertices:
                     continue
                 if self.connected and len(connected_components(plus)) != 1:
                     continue
-                for chosen in twists:
+                for v in _least_sign_vectors(sigma, stabilizer) if self.dedup else range(1 << k):
+                    chosen = twists[v]
                     fl = _twist_flags(plus._flags, chosen)
                     if self.dedup:
                         key = canonical_key_darts(fl)
@@ -211,21 +221,25 @@ def _relabellings(k: int) -> list[tuple[bytes, bytes]]:
     return out
 
 
-def _minimal_sigma_reps(k: int) -> Iterator[tuple[int, ...]]:
-    """Permutations that are minimal in their relabelling orbit, in lex order.
+def _minimal_sigma_reps(k: int) -> Iterator[tuple[tuple[int, ...], list[bytes]]]:
+    """Permutations that are minimal in their relabelling orbit, in lex
+    order, each with its stabilizer.
 
     Conjugating the rotation permutation by a pairing-preserving dart
     relabelling gives the same ribbon graph with renamed edges and ends, so
-    it suffices to keep the lexicographically least member of each orbit;
-    canonical-form deduplication afterwards handles flips and anything the
-    stabilizers leave over.
+    it suffices to keep the lexicographically least member of each orbit.
+    The stabilizer yielded with σ prunes its sign vectors
+    (:func:`_least_sign_vectors`); canonical-form deduplication handles what
+    is left, such as flips of vertices of degree 3 or more.
 
     The walk is over permutations in lex order: the first one not marked is
     the least of its orbit, so it is yielded and the rest of its orbit is
     marked (each mark is dropped when the walk reaches it).  A least member
     σ has σ(0) ≤ 2: relabel any dart d as 0, and σ(d) becomes 0 if it is d,
     1 if it is d's partner, and 2 otherwise.  So the walk stops before
-    σ(0) = 3, and only orbit members below that are marked.
+    σ(0) = 3, and only orbit members below that are marked.  Conjugating σ
+    by every relabelling g also finds its stabilizer, the g with gσg⁻¹ = σ,
+    yielded as the bytes of each such g (the identity included).
     """
     n = 2 * k
     group = _relabellings(k)
@@ -237,13 +251,64 @@ def _minimal_sigma_reps(k: int) -> Iterator[tuple[int, ...]]:
         if b in marked:
             marked.remove(b)
             continue
-        yield sigma
+        stabilizer = []
         table = b.ljust(256, b"\0")
         for g, inverse in group:
             # g∘σ∘g⁻¹ as bytes: d -> g[σ[g⁻¹[d]]]
             h = inverse.translate(table).translate(g)
             if b < h < stop:
                 marked.add(h)
+            elif h == b:
+                stabilizer.append(g[:n])
+        yield sigma, stabilizer
+
+
+def _least_sign_vectors(sigma: tuple[int, ...], stabilizer: list[bytes]) -> list[int]:
+    """The sign vectors of σ that are least in their orbit under the
+    symmetries fixing σ, in increasing order; bit k - 1 - i of a vector is
+    set iff edge i is twisted, so numeric order is product order.
+
+    Flipping a vertex of degree at most 2 leaves its cycle, and so σ, as it
+    is, and toggles the edges with one end there: these toggles span a
+    space W, kept as a reduced echelon basis.  The least member of a coset
+    of W is its one member with every pivot bit clear.  A stabilizer
+    element moves the signs with its edges.  So the least member of an
+    orbit has no pivot bit set and is at most the reduced image of itself
+    under each stabilizer element.  The first member of a class in
+    enumeration order is least in its orbit, so the vectors left out are
+    never the first of their class.
+    """
+    k = len(sigma) // 2
+    edge_bits = [1 << (k - 1 - i) for i in range(k)]
+    bit = [edge_bits[d >> 1] for d in range(2 * k)]
+    basis: list[tuple[int, int]] = []  # (pivot bit, vector)
+    for d in range(2 * k):
+        if sigma[d] < d or sigma[sigma[d]] != d:
+            continue
+        # A degree-1 vertex toggles its edge; a loop's two ends cancel.
+        m = bit[d] if sigma[d] == d else bit[d] ^ bit[sigma[d]]
+        for p, w in basis:
+            if m & p:
+                m ^= w
+        if m:
+            p = 1 << (m.bit_length() - 1)
+            basis = [(q, w ^ m if w & p else w) for q, w in basis]
+            basis.append((p, m))
+    pivots = sum(p for p, _ in basis)
+
+    def reduce(v: int) -> int:
+        for p, w in basis:
+            if v & p:
+                v ^= w
+        return v
+
+    # Each stabilizer element that moves an edge, as the bit each edge's bit moves to.
+    moves = {tuple(bit[g[2 * i]] for i in range(k)) for g in stabilizer} - {tuple(edge_bits)}
+    return [
+        v for v in range(1 << k)
+        if not v & pivots
+        and all(reduce(sum(b for e, b in zip(edge_bits, move) if v & e)) >= v for move in moves)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from ribbonlab import (
     MalformedPresentationError,
     RibbonGraph,
     Vertex,
+    connected_components,
     delete,
     from_arrow_presentation,
     oriented_form,
@@ -25,8 +26,21 @@ from ribbonlab import (
     to_arrow_presentation,
     validate,
 )
-from ribbonlab.core import L, R, Arrow, ArrowPresentation, Circle, _flag_structure, require_valid
+from ribbonlab.core import (
+    L,
+    R,
+    Arrow,
+    ArrowPresentation,
+    Circle,
+    _flag_structure,
+    _Flags,
+    _from_flags,
+    _twist_flags,
+    require_valid,
+)
+from ribbonlab.isomorphism import _permutation_graph
 from ribbonlab.medial import AllCrossingDirection, MedialGraph
+from ribbonlab.workbench import _minimal_sigma_reps
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -556,3 +570,122 @@ def burnside_class_count(k: int) -> int:
     order = 4**k * math.factorial(k)
     assert total % order == 0
     return total // order
+
+
+# The canonical key before automorphism pruning, kept as the reference: it
+# walks all 4E (start dart, orientation) candidates of each component, so
+# it is quadratic when they tie.
+
+def _quadratic_component_key(
+    nxt: list[int],
+    prv: list[int],
+    mate: list[int],
+    sign: list[int],
+    vertex_of: list[int],
+    first: int,
+) -> tuple[tuple, list[int]]:
+    """The least serialization of the component of dart ``first`` over
+    every start dart and start orientation, and the component's darts.
+
+    A serialization is a breadth-first walk from the start dart that visits
+    each dart's successor around its vertex (``nxt``, or ``prv`` if the
+    vertex is read reversed) and then its partner (``mate``).  A vertex's
+    reading direction is fixed when its first dart is reached across an
+    edge, so that the edge reads untwisted; every other edge records its
+    sign relative to the directions of both ends.  Reversing vertices
+    therefore never changes the set of serializations, and 4E candidates
+    suffice.
+    """
+    best: tuple | None = None
+    comp = [first]
+    for start in comp:
+        for o0 in (1, -1):
+            ori = {vertex_of[start]: o0}
+            ids = {start: 0}
+            order = [start]
+            S = []
+            # While S matches the best candidate's so far, a larger entry
+            # loses at once (keys compare S first).
+            tied = best is not None
+            for i, d in enumerate(order):
+                o = ori[vertex_of[d]]
+                step = nxt[d] if o > 0 else prv[d]
+                if step not in ids:
+                    ids[step] = len(order)
+                    order.append(step)
+                x = ids[step]
+                if tied:
+                    y = best[0][i]
+                    if x > y:
+                        break
+                    tied = x == y
+                S.append(x)
+                p = mate[d]
+                if p not in ids:
+                    ids[p] = len(order)
+                    order.append(p)
+                    v = vertex_of[p]
+                    if v not in ori:
+                        ori[v] = o * sign[d]
+            else:
+                key = (
+                    tuple(S),
+                    tuple([ids[mate[d]] for d in order]),
+                    tuple([sign[d] * ori[vertex_of[d]] * ori[vertex_of[mate[d]]] for d in order]),
+                )
+                if best is None:
+                    # The first walk never breaks off, so it meets every
+                    # dart of the component: they are the other starts.
+                    comp += order[1:]
+                    best = key
+                elif key < best:
+                    best = key
+    assert best is not None
+    return best, comp
+
+
+def quadratic_canonical_key_darts(fl: _Flags) -> tuple:
+    """The canonical key read off a valid graph's flags, whose darts are
+    the edge-end positions: the next dart round a vertex is at the corner
+    of its R flag and the previous one at the corner of its L flag, an
+    edge is untwisted when its L flag crosses to an R flag, and the empty
+    vertex bounds are the isolated vertices."""
+    _, mate, corner, side, _, bounds = fl
+    nxt = [f >> 1 for f in corner[1::2]]
+    prv = [f >> 1 for f in corner[::2]]
+    sign = [1 if f & 1 else -1 for f in side[::2]]
+    vertex_of = [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    keys = []
+    seen = bytearray(len(mate))
+    for p in range(len(mate)):
+        if not seen[p]:
+            key, comp = _quadratic_component_key(nxt, prv, mate, sign, vertex_of, p)
+            keys.append(key)
+            for q in comp:
+                seen[q] = 1
+    return (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
+
+
+def unpruned_enumeration(max_edges: int, *, max_vertices=None, connected=False, extra_isolated=0):
+    """Reference for the deduplicating enumerator: the same relabelling
+    representatives σ and the same graphs, but every sign vector of every
+    σ is keyed (by the quadratic reference key), none left out by its
+    symmetries."""
+    seen = set()
+    for k in range(max_edges + 1):
+        sigmas = [sigma for sigma, _ in _minimal_sigma_reps(k)] if k else [()]
+        twists = [{f"e{i}" for i in range(k) if signs[i] < 0} for signs in itertools.product((1, -1), repeat=k)]
+        for sigma in sigmas:
+            plus = _permutation_graph(sigma, (1,) * k, extra_isolated + (k == 0))
+            if max_vertices is not None and len(plus.vertex_names) > max_vertices:
+                continue
+            if connected and len(connected_components(plus)) != 1:
+                continue
+            for chosen in twists:
+                fl = _twist_flags(plus._flags, chosen)
+                key = quadratic_canonical_key_darts(fl)
+                if key in seen:
+                    continue
+                seen.add(key)
+                edges = tuple(Edge(e.name, -1) if e.name in chosen else e for e in plus.edges)
+                yield _from_flags(fl, plus.vertex_names, edges)

@@ -22,7 +22,7 @@ from ribbonlab import (
     partial_petrial,
 )
 
-from ribbonlab.isomorphism import _permutation_graph
+from ribbonlab.isomorphism import _permutation_graph, canonical_key_darts
 from ribbonlab.workbench import _minimal_sigma_reps, sample_graphs
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     dart_graph,
     flip_mask_canonical_key_darts,
     graph,
+    quadratic_canonical_key_darts,
     random_graph,
     same_partition,
 )
@@ -164,18 +165,90 @@ def test_key_partition_matches_flip_mask_reference_on_raw_universe(raw_universe3
     assert same_partition(raw_universe3, canonical_key, _flip_mask_key)
 
 
-def test_key_partition_matches_flip_mask_reference_on_four_edge_candidates():
-    darts = [
+def _four_edge_candidates() -> list[tuple]:
+    """Every sign vector of every 4-edge relabelling representative."""
+    return [
         (sigma, signs, 0)
-        for sigma in _minimal_sigma_reps(4)
+        for sigma, _ in _minimal_sigma_reps(4)
         for signs in itertools.product((1, -1), repeat=4)
     ]
+
+
+def test_key_partition_matches_flip_mask_reference_on_four_edge_candidates():
+    darts = _four_edge_candidates()
     graphs = [_permutation_graph(*dg) for dg in darts]
     assert len(graphs) == 2912
     # The builder lays out exactly the permutation it is given.
     assert [dart_graph(g) for g in graphs] == darts
     assert same_partition(graphs, canonical_key, _flip_mask_key)
     assert len({canonical_key(g) for g in graphs}) == 850
+
+
+def _cycle(n: int, sign: int) -> RibbonGraph:
+    """n edges round n vertices of degree 2, every edge of the given sign."""
+    sigma = [0] * (2 * n)
+    for i in range(n):
+        # Vertex i holds end 1 of edge i and end 2 of edge i - 1.
+        a, b = 2 * i, (2 * i - 1) % (2 * n)
+        sigma[a], sigma[b] = b, a
+    return _permutation_graph(sigma, (sign,) * n, 0)
+
+
+def _bouquet(n: int, sign: int) -> RibbonGraph:
+    """n loops at one vertex, each loop's ends side by side."""
+    return _permutation_graph([(d + 1) % (2 * n) for d in range(2 * n)], (sign,) * n, 0)
+
+
+def _cyclic_cover(sigma, signs, shifts, n: int) -> RibbonGraph:
+    """n copies of the graph (sigma, signs), with end 2 of each edge i
+    moved ``shifts[i]`` copies on: shifting every copy by one is an
+    automorphism, so candidates tie."""
+    k = len(signs)
+
+    def dart(d: int, copy: int) -> int:
+        i = d >> 1
+        return 2 * (i + (copy - shifts[i] * (d & 1)) % n * k) + (d & 1)
+
+    lifted = [0] * (2 * k * n)
+    for copy in range(n):
+        for d in range(2 * k):
+            lifted[dart(d, copy)] = dart(sigma[d], copy)
+    return _permutation_graph(lifted, tuple(signs) * n, 0)
+
+
+def _random_covers(count: int, seed: int) -> list[RibbonGraph]:
+    rng = random.Random(f"covers:{seed}")
+    out = []
+    for _ in range(count):
+        k, n = rng.randint(1, 5), rng.randint(2, 7)
+        sigma = rng.sample(range(2 * k), 2 * k)
+        signs = [rng.choice((1, -1)) for _ in range(k)]
+        out.append(_cyclic_cover(sigma, signs, [rng.randrange(n) for _ in range(k)], n))
+    return out
+
+
+def test_key_matches_quadratic_reference(raw_universe3):
+    graphs = raw_universe3 + [_permutation_graph(*dg) for dg in _four_edge_candidates()]
+    graphs += [g for edges in (10, 20, 30, 40, 50) for g in sample_graphs(edges, 10, seed=edges)]
+    graphs += [build(n, sign) for build in (_cycle, _bouquet) for n in (1, 2, 3, 60) for sign in (1, -1)]
+    # A cover whose candidates tie before its least one is walked: an
+    # automorphism read with the wrong orientations skips that one.
+    graphs.append(_cyclic_cover([7, 3, 2, 8, 6, 1, 4, 5, 0, 9], [-1, -1, 1, -1, 1], [0, 0, 1, 2, 4], 5))
+    graphs += _random_covers(200, 0)
+    for g in graphs:
+        assert canonical_key_darts(g._flags) == quadratic_canonical_key_darts(g._flags)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("build", (_cycle, _bouquet))
+def test_symmetric_graphs_key_without_walking_every_start(build, sign):
+    # Every (start, orientation) candidate ties here, so the quadratic key
+    # walks all 8,000 of them in full: about 20 s.
+    g = build(2000, sign)
+    start = time.perf_counter()
+    key = canonical_key(g)
+    assert time.perf_counter() - start < 2
+    assert canonical_key(_renamed(g, 1)) == key
 
 
 def test_canonical_graphs_carry_their_flags(universe3):

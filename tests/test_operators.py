@@ -256,6 +256,13 @@ def test_half_twist_untwists():
     assert partial_petrial(graph("twisted_loop"), ["a"]) == graph("loop")
 
 
+def test_empty_half_twist_is_identity():
+    g = graph("torus")
+    assert partial_petrial(g, []) is g
+    with pytest.raises(UnknownEdgeError):
+        partial_petrial(g, ["zz"])
+
+
 def test_half_twist_involution(universe2):
     for g in universe2:
         names = sorted(g.edge_names)

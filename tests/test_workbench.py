@@ -18,10 +18,10 @@ from ribbonlab import (
     search_converse_counterexample,
 )
 
-from ribbonlab import core
+from ribbonlab import core, workbench
 from ribbonlab.workbench import _minimal_sigma_reps
 
-from helpers import FIXTURES, assert_born_with_flags, burnside_class_count
+from helpers import FIXTURES, assert_born_with_flags, burnside_class_count, unpruned_enumeration
 
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 3, 2: 17, 3: 106, 4: 850}
 
@@ -55,29 +55,63 @@ def test_golden_class_counts(universe3, universe4):
     assert burnside_class_count(5) == 9284
 
 
+def _relabellings(k: int):
+    """Every dart relabelling that keeps the pairs (2i, 2i+1) together."""
+    for perm in itertools.permutations(range(k)):
+        for swaps in itertools.product((0, 1), repeat=k):
+            yield tuple(2 * perm[d >> 1] + ((d & 1) ^ swaps[d >> 1]) for d in range(2 * k))
+
+
+def _conjugate(g, sigma) -> tuple[int, ...]:
+    """g∘σ∘g⁻¹."""
+    h = [0] * len(sigma)
+    for d in range(len(sigma)):
+        h[g[d]] = g[sigma[d]]
+    return tuple(h)
+
+
 def _relabelling_orbit(sigma: tuple[int, ...]) -> set[tuple[int, ...]]:
     """σ conjugated by every dart relabelling that keeps the pairs
     (2i, 2i+1) together."""
-    k = len(sigma) // 2
-    orbit = set()
-    for perm in itertools.permutations(range(k)):
-        for swaps in itertools.product((0, 1), repeat=k):
-            g = [2 * perm[d >> 1] + ((d & 1) ^ swaps[d >> 1]) for d in range(2 * k)]
-            h = [0] * (2 * k)
-            for d in range(2 * k):
-                h[g[d]] = g[sigma[d]]
-            orbit.add(tuple(h))
-    return orbit
+    return {_conjugate(g, sigma) for g in _relabellings(len(sigma) // 2)}
 
 
 def test_minimal_sigma_reps_are_the_orbit_minima():
     for k in range(1, 4):
         brute = [s for s in itertools.permutations(range(2 * k)) if min(_relabelling_orbit(s)) == s]
-        assert list(_minimal_sigma_reps(k)) == brute
-    reps = list(_minimal_sigma_reps(4))
+        assert [sigma for sigma, _ in _minimal_sigma_reps(k)] == brute
+    reps = [sigma for sigma, _ in _minimal_sigma_reps(4)]
     assert len(reps) == 182
     assert all(a < b for a, b in zip(reps, reps[1:]))
     assert all(min(_relabelling_orbit(s)) == s for s in reps)
+
+
+def test_minimal_sigma_reps_carry_their_stabilizers():
+    for k in range(1, 4):
+        for sigma, stabilizer in _minimal_sigma_reps(k):
+            brute = {g for g in _relabellings(k) if _conjugate(g, sigma) == sigma}
+            assert {tuple(g) for g in stabilizer} == brute
+            assert len(stabilizer) == len(brute)
+
+
+ENUMERATION_OPTIONS = [{}, {"connected": True}, {"max_vertices": 2}, {"extra_isolated": 1}]
+
+
+@pytest.mark.parametrize("options", ENUMERATION_OPTIONS, ids=lambda o: ",".join(o) or "default")
+def test_pruned_enumeration_yields_the_unpruned_graphs(options):
+    pruned = [graph_to_text(g) for g in enumerate_graphs(4, **options)]
+    assert pruned == [graph_to_text(g) for g in unpruned_enumeration(4, **options)]
+
+
+def test_enumeration_keys_one_sign_vector_per_symmetry_orbit(monkeypatch):
+    calls = []
+    key = workbench.canonical_key_darts
+    monkeypatch.setattr(workbench, "canonical_key_darts", lambda fl: calls.append(1) or key(fl))
+    assert len(list(enumerate_graphs(3))) == 127
+    assert len(calls) == 138  # 309 with every sign vector keyed
+    calls.clear()
+    assert len(list(enumerate_graphs(4))) == 977
+    assert len(calls) == 1324  # 3,221 with every sign vector keyed
 
 
 def test_raw_counts():
