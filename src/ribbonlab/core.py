@@ -559,28 +559,28 @@ def _parity_colouring(n: int, links: Sequence[tuple[int, int, int]]) -> tuple[li
     return bit, [i for i, (u, w, p) in enumerate(links) if bit[u] ^ bit[w] != p]
 
 
+def _root(parent: list[int], c: int) -> int:
+    """The root of c's union-find class, halving the path to it."""
+    while parent[c] != c:
+        parent[c] = c = parent[parent[c]]
+    return c
+
+
 def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected pieces of the underlying multigraph as (vertices, edges), in stored vertex order."""
     require_valid(g)
     parent = list(range(len(g.vertex_names)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     ends = g._edge_endpoints
     for u, w in ends:
-        parent[find(u)] = find(w)
+        parent[_root(parent, u)] = _root(parent, w)
 
     # Keys are inserted in the order of each piece's first vertex.
     groups: dict[int, list[str]] = {}
     for i, name in enumerate(g.vertex_names):
-        groups.setdefault(find(i), []).append(name)
+        groups.setdefault(_root(parent, i), []).append(name)
     edges_of: dict[int, list[str]] = {root: [] for root in groups}
     for e, (u, _) in zip(g.edges, ends):
-        edges_of[find(u)].append(e.name)
+        edges_of[_root(parent, u)].append(e.name)
     return [(tuple(vs), tuple(edges_of[root])) for root, vs in groups.items()]
 
 

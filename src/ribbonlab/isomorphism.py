@@ -12,7 +12,7 @@ one graph per vertex structure.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Edge,
@@ -22,6 +22,7 @@ from .core import (
     _flag_layout,
     _Flags,
     _from_flags,
+    _root,
     graph_to_text,
     require_valid,
 )
@@ -50,13 +51,6 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
     return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edges)
 
 
-def _root(parent: list[int], c: int) -> int:
-    """The root of c's union-find class, halving the path to it."""
-    while parent[c] != c:
-        parent[c] = c = parent[parent[c]]
-    return c
-
-
 def _component_key(
     nxt: list[int],
     prv: list[int],
@@ -68,6 +62,7 @@ def _component_key(
     ori: list[int],
     parent: list[int],
     done: bytearray,
+    ties: list[tuple[list[int], list[int]]],
 ) -> tuple[tuple, list[int]]:
     """The least serialization of the component of dart ``first`` over
     every start dart and start orientation, and the component's darts.
@@ -89,6 +84,7 @@ def _component_key(
     class already holds a walked one (``done``).  The union-find is shared
     by the components of one graph, whose candidates are disjoint; ``ids``
     (all -1) and ``ori`` (all 0) are scratch, restored before returning.
+    Each tie appends its two walks ``(a, b)``, an automorphism, to ``ties``.
     """
     best: tuple | None = None
     comp = [first]
@@ -148,6 +144,7 @@ def _component_key(
                             done[2 * s] = done[2 * s + 1] = 1
                         done[2 * start] = done[c] = 1
                     _merge(parent, done, best_order, order, best_o0 * o0, key, sign)
+                    ties.append((best_order, order))
             for d in order:
                 ids[d] = -1
                 ori[vertex_of[d]] = 0
@@ -185,6 +182,13 @@ def canonical_key_darts(fl: _Flags) -> tuple:
     of its R flag and the previous one at the corner of its L flag, an
     edge is untwisted when its L flag crosses to an R flag, and the empty
     vertex bounds are the isolated vertices."""
+    return _key_and_automorphisms(fl)[0]
+
+
+def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[str, str]]]:
+    """The canonical key, and each automorphism it found as the map of every
+    edge of one component to its image (the edges it leaves out are fixed),
+    built only when read."""
     _, mate, corner, side, _, bounds = fl
     nxt = [f >> 1 for f in corner[1::2]]
     prv = [f >> 1 for f in corner[::2]]
@@ -194,15 +198,17 @@ def canonical_key_darts(fl: _Flags) -> tuple:
     ori = [0] * len(bounds)
     parent: list[int] = []
     done = bytearray()
+    ties: list[tuple[list[int], list[int]]] = []
     keys = []
     seen = bytearray(len(mate))
     for p in range(len(mate)):
         if not seen[p]:
-            key, comp = _component_key(nxt, prv, mate, sign, vertex_of, p, ids, ori, parent, done)
+            key, comp = _component_key(nxt, prv, mate, sign, vertex_of, p, ids, ori, parent, done, ties)
             keys.append(key)
             for q in comp:
                 seen[q] = 1
-    return (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
+    key = (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
+    return key, ({fl.ends[p].edge: fl.ends[q].edge for p, q in zip(a, b)} for a, b in ties)
 
 
 def canonical_key(g: RibbonGraph) -> tuple:

@@ -7,15 +7,16 @@ signs range over all vectors.  Up to relabelling that covers every ribbon
 graph, so with deduplication by canonical form each isomorphism class is
 produced exactly once, and without it every raw system appears.
 
-Deduplication is a funnel.  Only permutations least in their relabelling
-orbit are kept; of their sign vectors, only those least in their orbit
-under the symmetries that fix the permutation (its stabilizer and the
-flips of vertices of degree at most 2) are keyed; a key not seen before is
-a new class.  Each kept permutation is laid out once as its all-plus
-graph; a sign vector twists that graph's flags, which are keyed as they
-are, and a graph is built only for a candidate that is yielded.  Each
-class is yielded as its first member in the order of permutations, then
-sign vectors in ``itertools.product`` order, which no stage leaves out.
+Deduplication is a funnel.  Per cycle type, the pairings of the darts
+into edges are merged into one orbit per relabelling class
+(:func:`_sigma_reps`).  Each class's all-plus graph is keyed once: a key
+already seen adds nothing, since an isomorphism carries the twists of one
+graph onto twists of the other; otherwise it is the zero vector's key,
+and a further sign vector is keyed only if least in its orbit under the
+key's automorphisms and the flips of degree-≤2 vertices
+(:func:`_least_sign_vectors`).  A key not seen before is a new class,
+yielded as its first member in the order of cycle types, pairings and
+sign vectors (in ``itertools.product`` order), which no stage leaves out.
 
 Properties are registered by name; a run walks a universe in deterministic
 order, counts instances (graphs, or graph/subset combinations) and collects
@@ -26,18 +27,15 @@ stable key order so runs can be diffed.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    Edge,
     RibbonGraph,
     RibbonGraphError,
-    _from_flags,
-    _twist_flags,
+    _root,
     connected_components,
     euler_characteristic_by_component,
     flip_vertex,
@@ -49,6 +47,7 @@ from .core import (
     trace_boundary,
 )
 from .isomorphism import (
+    _key_and_automorphisms,
     _permutation_graph,
     are_isomorphic,
     canonical_graph,
@@ -141,27 +140,32 @@ class GraphUniverse:
     def __iter__(self) -> Iterator[RibbonGraph]:
         seen: set = set()
         for k in range(self.max_edges + 1):
-            raw = ((sigma, []) for sigma in itertools.permutations(range(2 * k)))
-            reps = _minimal_sigma_reps(k) if self.dedup and k else raw
+            isolated = self.extra_isolated + (k == 0)
+            max_vertices = 2 * k + isolated if self.max_vertices is None else self.max_vertices
+            reps = _sigma_reps(k, max_vertices - isolated) if self.dedup else itertools.permutations(range(2 * k))
             # Each sign vector, in product order, as the set of edges it
             # twists: bit k - 1 - i of its index is set iff edge i is twisted.
             twists = [{f"e{i}" for i in range(k) if signs[i] < 0} for signs in itertools.product((1, -1), repeat=k)]
-            for sigma, stabilizer in reps:
-                plus = _permutation_graph(sigma, (1,) * k, self.extra_isolated + (k == 0))
-                if self.max_vertices is not None and len(plus.vertex_names) > self.max_vertices:
+            for sigma in reps:
+                plus = _permutation_graph(sigma, (1,) * k, isolated)
+                if len(plus.vertex_names) > max_vertices or self.connected and len(connected_components(plus)) != 1:
                     continue
-                if self.connected and len(connected_components(plus)) != 1:
-                    continue
-                for v in _least_sign_vectors(sigma, stabilizer) if self.dedup else range(1 << k):
-                    chosen = twists[v]
-                    fl = _twist_flags(plus._flags, chosen)
-                    if self.dedup:
-                        key = canonical_key_darts(fl)
+                vectors = range(1 << k)
+                if self.dedup:
+                    # The all-plus key is also the zero vector's.
+                    key, automorphisms = _key_and_automorphisms(plus._flags)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    vectors = _least_sign_vectors(sigma, automorphisms)
+                for v in vectors:
+                    g = partial_petrial(plus, twists[v])
+                    if self.dedup and v:
+                        key = canonical_key_darts(g._flags)
                         if key in seen:
                             continue
                         seen.add(key)
-                    edges = tuple(Edge(e.name, -1) if e.name in chosen else e for e in plus.edges)
-                    yield _from_flags(fl, plus.vertex_names, edges)
+                    yield g
 
 
 def enumerate_graphs(
@@ -202,99 +206,84 @@ def sample_graphs(
     return out
 
 
-def _relabellings(k: int) -> list[tuple[bytes, bytes]]:
-    """Every dart relabelling g preserving the pairing 2i <-> 2i+1, as the
-    byte table of g (padded for ``bytes.translate``) and the bytes of g⁻¹."""
-    n = 2 * k
-    out = []
-    for perm in itertools.permutations(range(k)):
-        for mask in range(1 << k):
-            g = [0] * n
-            for i in range(k):
-                swap = mask >> i & 1
-                g[2 * i] = 2 * perm[i] + swap
-                g[2 * i + 1] = 2 * perm[i] + 1 - swap
-            inverse = [0] * n
-            for d, x in enumerate(g):
-                inverse[x] = d
-            out.append((bytes(g).ljust(256, b"\0"), bytes(inverse)))
-    return out
+def _sigma_reps(k: int, max_parts: int) -> Iterator[list[int]]:
+    """One rotation permutation per relabelling class of k-edge rotation
+    systems with at most ``max_parts`` vertices.
 
-
-def _minimal_sigma_reps(k: int) -> Iterator[tuple[tuple[int, ...], list[bytes]]]:
-    """Permutations that are minimal in their relabelling orbit, in lex
-    order, each with its stabilizer.
-
-    Conjugating the rotation permutation by a pairing-preserving dart
-    relabelling gives the same ribbon graph with renamed edges and ends, so
-    it suffices to keep the lexicographically least member of each orbit.
-    The stabilizer yielded with σ prunes its sign vectors
-    (:func:`_least_sign_vectors`); canonical-form deduplication handles what
-    is left, such as flips of vertices of degree 3 or more.
-
-    The walk is over permutations in lex order: the first one not marked is
-    the least of its orbit, so it is yielded and the rest of its orbit is
-    marked (each mark is dropped when the walk reaches it).  A least member
-    σ has σ(0) ≤ 2: relabel any dart d as 0, and σ(d) becomes 0 if it is d,
-    1 if it is d's partner, and 2 otherwise.  So the walk stops before
-    σ(0) = 3, and only orbit members below that are marked.  Conjugating σ
-    by every relabelling g also finds its stabilizer, the g with gσg⁻¹ = σ,
-    yielded as the bytes of each such g (the identity included).
+    Each cycle type, largest parts first, fixes σ as consecutive cycles.
+    Its centralizer, generated by turning one cycle and by swapping two
+    adjacent cycles of equal length, merges the (2k - 1)!! pairings of the
+    darts into one orbit per class in a union-find.  Each orbit's least
+    pairing is relabelled so that its pairs, by least dart, become
+    ``(2i, 2i + 1)``.
     """
     n = 2 * k
-    group = _relabellings(k)
-    stop = bytes([3])
-    marked: set[bytes] = set()
-    walk = itertools.permutations(range(n))
-    for sigma in itertools.islice(walk, 3 * math.factorial(n - 1)):
-        b = bytes(sigma)
-        if b in marked:
-            marked.remove(b)
+    pairings = [p.ljust(256, b"\0") for p in _pairings(list(range(n)), bytearray(n))]
+    index = {p[:n]: i for i, p in enumerate(pairings)}
+    for parts in _partitions(n, n):
+        if len(parts) > max_parts:
             continue
-        stabilizer = []
-        table = b.ljust(256, b"\0")
-        for g, inverse in group:
-            # g∘σ∘g⁻¹ as bytes: d -> g[σ[g⁻¹[d]]]
-            h = inverse.translate(table).translate(g)
-            if b < h < stop:
-                marked.add(h)
-            elif h == b:
-                stabilizer.append(g[:n])
-        yield sigma, stabilizer
+        sigma, generators, a = list(range(1, n + 1)), [], 0
+        for j, size in enumerate(parts):
+            sigma[a + size - 1] = a
+            if size > 1:
+                generators.append([*range(a), *sigma[a:a + size], *range(a + size, n)])
+            if j and parts[j - 1] == size:
+                generators.append([*range(a - size), *range(a, a + size), *range(a - size, a), *range(a + size, n)])
+            a += size
+        # Roots stay least in their class.
+        parent = list(range(len(pairings)))
+        for perm in generators:
+            g, inverse = bytes(perm).ljust(256, b"\0"), bytes(sorted(range(n), key=perm.__getitem__))
+            for i, p in enumerate(pairings):
+                # g∘p∘g⁻¹ as bytes: d -> g[p[g⁻¹[d]]]
+                x, y = _root(parent, i), _root(parent, index[inverse.translate(p).translate(g)])
+                parent[max(x, y)] = min(x, y)
+        for i, p in enumerate(pairings):
+            if parent[i] == i:
+                old = [x for d in range(n) if p[d] > d for x in (d, p[d])]
+                new = sorted(range(n), key=old.__getitem__)
+                yield [new[sigma[d]] for d in old]
 
 
-def _least_sign_vectors(sigma: tuple[int, ...], stabilizer: list[bytes]) -> list[int]:
-    """The sign vectors of σ that are least in their orbit under the
-    symmetries fixing σ, in increasing order; bit k - 1 - i of a vector is
-    set iff edge i is twisted, so numeric order is product order.
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``largest``, parts and
+    partitions in decreasing order."""
+    if not n:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        yield from ((first, *rest) for rest in _partitions(n - first, first))
 
-    Flipping a vertex of degree at most 2 leaves its cycle, and so σ, as it
-    is, and toggles the edges with one end there: these toggles span a
-    space W, kept as a reduced echelon basis.  The least member of a coset
-    of W is its one member with every pivot bit clear.  A stabilizer
-    element moves the signs with its edges.  So the least member of an
-    orbit has no pivot bit set and is at most the reduced image of itself
-    under each stabilizer element.  The first member of a class in
-    enumeration order is least in its orbit, so the vectors left out are
-    never the first of their class.
+
+def _pairings(free: list[int], p: bytearray) -> Iterator[bytes]:
+    """Every completion of ``p``, an involution as bytes, by pairing the
+    darts ``free``, in lex order."""
+    if not free:
+        yield bytes(p)
+    for j in range(1, len(free)):
+        p[free[0]], p[free[j]] = free[j], free[0]
+        yield from _pairings(free[1:j] + free[j + 1:], p)
+
+
+def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[str, str]]) -> list[int]:
+    """The sign vectors of σ least in their orbit under the symmetries of
+    its all-plus graph, in increasing order; bit k - 1 - i of a vector is
+    set iff edge ``e<i>`` is twisted, so numeric order is product order.
+
+    Flipping a vertex of degree at most 2 keeps σ and toggles the edges
+    with one end there: these toggles span a space W, kept as a reduced
+    echelon basis, and the least member of a coset of W is its one member
+    with no pivot bit set.  An automorphism the key found, as the image of
+    each edge it moves, carries each vector onto the one with its edges
+    moved.  So the least member of an orbit has no pivot bit set and is at
+    most the reduced image of itself under each automorphism.  The first
+    member of a class in enumeration order is least in its orbit, so no
+    vector left out is the first of its class.
     """
     k = len(sigma) // 2
-    edge_bits = [1 << (k - 1 - i) for i in range(k)]
-    bit = [edge_bits[d >> 1] for d in range(2 * k)]
+    edge_bits = {f"e{i}": 1 << (k - 1 - i) for i in range(k)}
+    bit = [1 << (k - 1 - (d >> 1)) for d in range(2 * k)]
     basis: list[tuple[int, int]] = []  # (pivot bit, vector)
-    for d in range(2 * k):
-        if sigma[d] < d or sigma[sigma[d]] != d:
-            continue
-        # A degree-1 vertex toggles its edge; a loop's two ends cancel.
-        m = bit[d] if sigma[d] == d else bit[d] ^ bit[sigma[d]]
-        for p, w in basis:
-            if m & p:
-                m ^= w
-        if m:
-            p = 1 << (m.bit_length() - 1)
-            basis = [(q, w ^ m if w & p else w) for q, w in basis]
-            basis.append((p, m))
-    pivots = sum(p for p, _ in basis)
 
     def reduce(v: int) -> int:
         for p, w in basis:
@@ -302,12 +291,23 @@ def _least_sign_vectors(sigma: tuple[int, ...], stabilizer: list[bytes]) -> list
                 v ^= w
         return v
 
-    # Each stabilizer element that moves an edge, as the bit each edge's bit moves to.
-    moves = {tuple(bit[g[2 * i]] for i in range(k)) for g in stabilizer} - {tuple(edge_bits)}
+    for d in range(2 * k):
+        if sigma[d] < d or sigma[sigma[d]] != d:
+            continue
+        # A degree-1 vertex toggles its edge; a loop's two ends cancel.
+        m = reduce(bit[d] if sigma[d] == d else bit[d] ^ bit[sigma[d]])
+        if m:
+            p = 1 << (m.bit_length() - 1)
+            basis = [(q, w ^ m if w & p else w) for q, w in basis]
+            basis.append((p, m))
+    pivots = sum(p for p, _ in basis)
+    # Each automorphism that moves an edge, as the bit each edge's bit moves to.
+    fixed = tuple(edge_bits.values())
+    moves = {tuple(edge_bits[m.get(e, e)] for e in edge_bits) for m in automorphisms} - {fixed}
     return [
         v for v in range(1 << k)
         if not v & pivots
-        and all(reduce(sum(b for e, b in zip(edge_bits, move) if v & e)) >= v for move in moves)
+        and all(reduce(sum(b for e, b in zip(fixed, move) if v & e)) >= v for move in moves)
     ]
 
 
@@ -921,15 +921,8 @@ def search_converse_counterexample(universe: GraphUniverse) -> ConverseWitness |
     """First witness, in universe-then-subset order, or None within bounds."""
     for g in universe:
         names = g.edge_names
-        gdual = geometric_dual(g)
         for mask in range(1 << len(names)):
-            a = tuple(names[i] for i in range(len(names)) if mask >> i & 1)
-            comp = _complement(g, a)
-            if not is_bipartite(geometric_dual(delete(g, comp))):
-                continue
-            if not is_bipartite(geometric_dual(delete(gdual, a))):
-                continue
-            if is_bipartite(partial_dual(g, a)):
-                continue
-            return ConverseWitness(g, a)
+            witness = ConverseWitness(g, tuple(names[i] for i in range(len(names)) if mask >> i & 1))
+            if witness.verify():
+                return witness
     return None

@@ -40,7 +40,6 @@ from ribbonlab.core import (
 )
 from ribbonlab.isomorphism import _permutation_graph
 from ribbonlab.medial import AllCrossingDirection, MedialGraph
-from ribbonlab.workbench import _minimal_sigma_reps
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -666,14 +665,117 @@ def quadratic_canonical_key_darts(fl: _Flags) -> tuple:
     return (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
 
 
+def _relabellings(k: int) -> list[tuple[bytes, bytes]]:
+    """Every dart relabelling g preserving the pairing 2i <-> 2i+1, as the
+    byte table of g (padded for ``bytes.translate``) and the bytes of g⁻¹."""
+    n = 2 * k
+    out = []
+    for perm in itertools.permutations(range(k)):
+        for mask in range(1 << k):
+            g = [0] * n
+            for i in range(k):
+                swap = mask >> i & 1
+                g[2 * i] = 2 * perm[i] + swap
+                g[2 * i + 1] = 2 * perm[i] + 1 - swap
+            inverse = [0] * n
+            for d, x in enumerate(g):
+                inverse[x] = d
+            out.append((bytes(g).ljust(256, b"\0"), bytes(inverse)))
+    return out
+
+
+def minimal_sigma_reps(k: int) -> list[tuple[int, ...]]:
+    """Permutations that are minimal in their relabelling orbit, in lex
+    order: a reference for the enumerator's representatives that shares no
+    code with its walk over cycle types and pairings.
+
+    Conjugating the rotation permutation by a pairing-preserving dart
+    relabelling gives the same ribbon graph with renamed edges and ends.
+    The walk is over permutations in lex order: the first one not marked is
+    the least of its orbit, so it is kept and the rest of its orbit is
+    marked (each mark is dropped when the walk reaches it).  A least member
+    σ has σ(0) ≤ 2: relabel any dart d as 0, and σ(d) becomes 0 if it is d,
+    1 if it is d's partner, and 2 otherwise.  So the walk stops before
+    σ(0) = 3, and only orbit members below that are marked.
+    """
+    n = 2 * k
+    group = _relabellings(k)
+    stop = bytes([3])
+    marked: set[bytes] = set()
+    out = []
+    for sigma in itertools.islice(itertools.permutations(range(n)), 3 * math.factorial(n - 1)):
+        b = bytes(sigma)
+        if b in marked:
+            marked.remove(b)
+            continue
+        out.append(sigma)
+        table = b.ljust(256, b"\0")
+        for g, inverse in group:
+            # g∘σ∘g⁻¹ as bytes: d -> g[σ[g⁻¹[d]]]
+            h = inverse.translate(table).translate(g)
+            if b < h < stop:
+                marked.add(h)
+    return out
+
+
+def brute_force_automorphism_count(g: RibbonGraph) -> int:
+    """|Aut(g)|, with no canonical-key code: the permutations of the flags
+    (read from the vertices and edges) that commute with ``corner``,
+    ``side`` and ``f -> f ^ 1``, including those that reverse vertices.
+
+    On a connected component such a map is fixed by the image of one flag,
+    so each candidate image is grown into a map and kept if it is a
+    well-defined bijection.  The count is the product of each component's,
+    times m! for every m pairwise isomorphic components or isolated
+    vertices.
+    """
+    fl = _flag_structure(g)
+    involutions = (fl.corner, fl.side, [f ^ 1 for f in range(len(fl.side))])
+
+    def grow(f0: int, h0: int) -> dict[int, int] | None:
+        image, used, todo = {f0: h0}, {h0}, [f0]
+        while todo:
+            f = todo.pop()
+            for inv in involutions:
+                a, b = inv[f], inv[image[f]]
+                if a in image:
+                    if image[a] != b:
+                        return None
+                elif b in used:
+                    return None
+                else:
+                    image[a] = b
+                    used.add(b)
+                    todo.append(a)
+        return image
+
+    pieces: list[list] = []  # per class of components: the first one's flags, how many
+    met: set[int] = set()
+    for f in range(len(fl.side)):
+        if f in met:
+            continue
+        flags = sorted(grow(f, f))
+        met.update(flags)
+        for piece in pieces:
+            if len(piece[0]) == len(flags) and any(grow(piece[0][0], h) for h in flags):
+                piece[1] += 1
+                break
+        else:
+            pieces.append([flags, 1])
+    isolated = sum(a == b for a, b in zip(fl.bounds, fl.bounds[1:]))
+    total = math.factorial(isolated)
+    for flags, m in pieces:
+        total *= sum(grow(flags[0], h) is not None for h in flags) ** m * math.factorial(m)
+    return total
+
+
 def unpruned_enumeration(max_edges: int, *, max_vertices=None, connected=False, extra_isolated=0):
-    """Reference for the deduplicating enumerator: the same relabelling
-    representatives σ and the same graphs, but every sign vector of every
-    σ is keyed (by the quadratic reference key), none left out by its
-    symmetries."""
+    """Reference for the deduplicating enumerator: the relabelling-orbit
+    minima σ of :func:`minimal_sigma_reps`, every sign vector of each keyed
+    by the quadratic reference key, none left out by its symmetries."""
     seen = set()
     for k in range(max_edges + 1):
-        sigmas = [sigma for sigma, _ in _minimal_sigma_reps(k)] if k else [()]
+        sigmas = minimal_sigma_reps(k) if k else [()]
         twists = [{f"e{i}" for i in range(k) if signs[i] < 0} for signs in itertools.product((1, -1), repeat=k)]
         for sigma in sigmas:
             plus = _permutation_graph(sigma, (1,) * k, extra_isolated + (k == 0))

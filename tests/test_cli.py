@@ -336,8 +336,11 @@ def test_verify_implication_table(capsys):
 def test_search_command(capsys):
     code, out, _ = run(capsys, "search", "--max-edges", "4")
     assert code == 0
-    assert "subset A: ['e2']" in out
-    assert "re-verified: yes" in out
+    assert out == (
+        "subset A: ['e0', 'e2']\n"
+        "vertex v0: e0.1 e1.1 e0.2 e2.1 e1.2 e2.2\nedge e0: +\nedge e1: +\nedge e2: +\n"
+        "re-verified: yes\n"
+    )
 
 
 def test_search_reports_absence(capsys):

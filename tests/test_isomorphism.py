@@ -23,7 +23,7 @@ from ribbonlab import (
 )
 
 from ribbonlab.isomorphism import _permutation_graph, canonical_key_darts
-from ribbonlab.workbench import _minimal_sigma_reps, sample_graphs
+from ribbonlab.workbench import sample_graphs
 
 from helpers import (
     assert_born_with_flags,
@@ -31,6 +31,7 @@ from helpers import (
     dart_graph,
     flip_mask_canonical_key_darts,
     graph,
+    minimal_sigma_reps,
     quadratic_canonical_key_darts,
     random_graph,
     same_partition,
@@ -169,7 +170,7 @@ def _four_edge_candidates() -> list[tuple]:
     """Every sign vector of every 4-edge relabelling representative."""
     return [
         (sigma, signs, 0)
-        for sigma, _ in _minimal_sigma_reps(4)
+        for sigma in minimal_sigma_reps(4)
         for signs in itertools.product((1, -1), repeat=4)
     ]
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +20,17 @@ from ribbonlab import (
     search_converse_counterexample,
 )
 
-from ribbonlab import core, workbench
-from ribbonlab.workbench import _minimal_sigma_reps
+from ribbonlab import canonical_text, core, workbench
+from ribbonlab.workbench import ConverseWitness, _sigma_reps
 
-from helpers import FIXTURES, assert_born_with_flags, burnside_class_count, unpruned_enumeration
+from helpers import (
+    FIXTURES,
+    _double_factorial,
+    assert_born_with_flags,
+    brute_force_automorphism_count,
+    burnside_class_count,
+    unpruned_enumeration,
+)
 
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 3, 2: 17, 3: 106, 4: 850}
 
@@ -52,7 +61,36 @@ def test_golden_class_counts(universe3, universe4):
     assert len(universe3) == sum(GOLDEN_CLASS_COUNTS[k] for k in range(4))
     # the independent oracle: Burnside's lemma over the flag encoding
     assert counts == {0: 1, **{k: burnside_class_count(k) for k in range(1, 5)}}
-    assert burnside_class_count(5) == 9284
+
+
+def _mass(graphs) -> dict[int, Fraction]:
+    """Σ 1/|Aut| per edge count, with |Aut| from a brute force that shares
+    no code with the canonical key."""
+    mass: dict[int, Fraction] = {}
+    for g in graphs:
+        k = len(g.edges)
+        mass[k] = mass.get(k, 0) + Fraction(1, brute_force_automorphism_count(g))
+    return mass
+
+
+def _mass_formula(k: int) -> Fraction:
+    # Orbit-stabilizer for the edge group W of order 4^k k! acting on the
+    # (4k - 1)!! corner involutions of the 4k flags: each class weighs 1/|Aut|.
+    return Fraction(_double_factorial(4 * k - 1), 4**k * math.factorial(k))
+
+
+def test_classes_satisfy_the_mass_formula(universe4):
+    mass = _mass(universe4)
+    assert [mass[k] for k in range(1, 5)] == [_mass_formula(k) for k in range(1, 5)]
+    assert [mass[k] for k in range(1, 5)] == [
+        Fraction(3, 4), Fraction(105, 32), Fraction(3465, 128), Fraction(675675, 2048)
+    ]
+
+
+def test_five_edge_classes_match_burnside_and_the_mass_formula():
+    fives = [g for g in enumerate_graphs(5) if len(g.edges) == 5]
+    assert len(fives) == burnside_class_count(5) == 9284
+    assert _mass(fives) == {5: _mass_formula(5)} == {5: Fraction(43648605, 8192)}
 
 
 def _relabellings(k: int):
@@ -76,22 +114,30 @@ def _relabelling_orbit(sigma: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {_conjugate(g, sigma) for g in _relabellings(len(sigma) // 2)}
 
 
-def test_minimal_sigma_reps_are_the_orbit_minima():
+def _cycle_count(sigma) -> int:
+    seen, count = set(), 0
+    for d in range(len(sigma)):
+        count += d not in seen
+        while d not in seen:
+            seen.add(d)
+            d = sigma[d]
+    return count
+
+
+def test_sigma_reps_hit_each_relabelling_orbit_once():
     for k in range(1, 4):
-        brute = [s for s in itertools.permutations(range(2 * k)) if min(_relabelling_orbit(s)) == s]
-        assert [sigma for sigma, _ in _minimal_sigma_reps(k)] == brute
-    reps = [sigma for sigma, _ in _minimal_sigma_reps(4)]
+        minima = [s for s in itertools.permutations(range(2 * k)) if min(_relabelling_orbit(s)) == s]
+        hits = [min(_relabelling_orbit(tuple(s))) for s in _sigma_reps(k, 2 * k)]
+        assert sorted(hits) == minima
+    reps = [tuple(s) for s in _sigma_reps(4, 8)]
     assert len(reps) == 182
-    assert all(a < b for a, b in zip(reps, reps[1:]))
-    assert all(min(_relabelling_orbit(s)) == s for s in reps)
+    assert len({min(_relabelling_orbit(s)) for s in reps}) == 182
 
 
-def test_minimal_sigma_reps_carry_their_stabilizers():
-    for k in range(1, 4):
-        for sigma, stabilizer in _minimal_sigma_reps(k):
-            brute = {g for g in _relabellings(k) if _conjugate(g, sigma) == sigma}
-            assert {tuple(g) for g in stabilizer} == brute
-            assert len(stabilizer) == len(brute)
+def test_sigma_reps_drop_cycle_types_with_too_many_vertices():
+    every = list(_sigma_reps(4, 8))
+    for parts in range(9):
+        assert list(_sigma_reps(4, parts)) == [s for s in every if _cycle_count(s) <= parts]
 
 
 ENUMERATION_OPTIONS = [{}, {"connected": True}, {"max_vertices": 2}, {"extra_isolated": 1}]
@@ -99,19 +145,26 @@ ENUMERATION_OPTIONS = [{}, {"connected": True}, {"max_vertices": 2}, {"extra_iso
 
 @pytest.mark.parametrize("options", ENUMERATION_OPTIONS, ids=lambda o: ",".join(o) or "default")
 def test_pruned_enumeration_yields_the_unpruned_graphs(options):
-    pruned = [graph_to_text(g) for g in enumerate_graphs(4, **options)]
-    assert pruned == [graph_to_text(g) for g in unpruned_enumeration(4, **options)]
+    pruned = [canonical_text(g) for g in enumerate_graphs(4, **options)]
+    reference = [canonical_text(g) for g in unpruned_enumeration(4, **options)]
+    assert len(pruned) == len(reference)
+    assert set(pruned) == set(reference)
 
 
 def test_enumeration_keys_one_sign_vector_per_symmetry_orbit(monkeypatch):
-    calls = []
-    key = workbench.canonical_key_darts
-    monkeypatch.setattr(workbench, "canonical_key_darts", lambda fl: calls.append(1) or key(fl))
+    calls = {"all-plus": 0, "signed": 0}
+    plus_key, key = workbench._key_and_automorphisms, workbench.canonical_key_darts
+
+    def counted(name, fn):
+        return lambda fl: calls.__setitem__(name, calls[name] + 1) or fn(fl)
+
+    monkeypatch.setattr(workbench, "_key_and_automorphisms", counted("all-plus", plus_key))
+    monkeypatch.setattr(workbench, "canonical_key_darts", counted("signed", key))
     assert len(list(enumerate_graphs(3))) == 127
-    assert len(calls) == 138  # 309 with every sign vector keyed
-    calls.clear()
+    assert calls == {"all-plus": 45, "signed": 95}  # 309 with every sign vector keyed
+    calls.update({"all-plus": 0, "signed": 0})
     assert len(list(enumerate_graphs(4))) == 977
-    assert len(calls) == 1324  # 3,221 with every sign vector keyed
+    assert calls == {"all-plus": 227, "signed": 895}  # 3,221 with every sign vector keyed
 
 
 def test_raw_counts():
@@ -300,10 +353,15 @@ def test_search_finds_and_verifies_witness():
     witness = search_converse_counterexample(enumerate_graphs(4))
     assert witness is not None
     assert witness.verify()
-    assert len(witness.graph.edges) == 3
-    assert witness.subset == ("e2",)
+    assert graph_to_text(witness.graph) == (
+        "vertex v0: e0.1 e1.1 e0.2 e2.1 e1.2 e2.2\nedge e0: +\nedge e1: +\nedge e2: +\n"
+    )
+    assert witness.subset == ("e0", "e2")
+
+
+def test_stored_converse_witness_still_verifies():
     stored = load_graph(FIXTURES / "converse_witness.rg")
-    assert witness.graph == stored
+    assert ConverseWitness(stored, ("e2",)).verify()
 
 
 def test_no_witness_below_three_edges():
