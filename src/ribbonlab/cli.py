@@ -87,7 +87,7 @@ def _cmd_check(args) -> int:
     degrees = sorted(face_degrees(g).elements())
     colouring = checkerboard_colouring(g)
     rows = [
-        ("vertices", len(g.vertices)),
+        ("vertices", len(g.vertex_names)),
         ("edges", len(g.edges)),
         ("boundary components", len(degrees)),
         ("face degrees", degrees),

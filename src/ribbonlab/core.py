@@ -26,15 +26,17 @@ involution identities exercised in the test suite):
   orbits of <corner, end>, and the flags hold each vertex's bounds.
 * Operator results are stored as flags, built from a valid input with
   :func:`_flag_layout` or :func:`_twist_flags` and trusted as valid; so are
-  the enumerated, sampled and canonical graphs, laid out from a permutation
-  of edge-ends.  Their ``vertices`` is a memoised view, built as ``Vertex``
-  tuples when read.
+  the enumerated, sampled, canonical and parsed graphs, laid out from a
+  list of edge-ends.  Their ``vertices`` is a memoised view, built as
+  ``Vertex`` tuples when read; text, and equality of two of them, read flags.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -129,6 +131,7 @@ class Vertex:
 
 
 _edge_name = attrgetter("name")
+_new_end = partial(tuple.__new__, EdgeEnd)  # EdgeEnd(...) in C: the parser makes one per token
 
 
 class _memo:
@@ -193,8 +196,9 @@ class RibbonGraph:
 
     @_memo
     def _flags(self) -> "_Flags":
-        # Read only after validation, like _boundary.
-        return _flag_structure(self)
+        # Read only after validation, but for the ends and bounds graph_to_text reads.
+        ends = [d for v in self.vertices for d in v.rotation]
+        return _flag_structure(ends, [0, *accumulate(len(v.rotation) for v in self.vertices)], self.signs())
 
     @_memo
     def _segments(self) -> list["HalfEdgeSegment"]:
@@ -261,11 +265,19 @@ class RibbonGraph:
     def __str__(self) -> str:
         return graph_to_text(self)
 
+    def __eq__(self, other: object) -> bool:  # two graphs with flags compare them, building no view
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if "_flags" in vars(self) and "_flags" in vars(other):
+            f, h = self._flags, other._flags
+            return (self.edges, self.vertex_names, f.ends, f.bounds) == (other.edges, other.vertex_names, h.ends, h.bounds)
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
 
 def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
     """The graph with flags ``fl``, built by an operator from a valid graph
-    or laid out from a permutation of edge-ends: valid by construction, so
-    it is never validated, and ``edges`` are already in name order."""
+    or laid out from valid edge-ends: valid by construction, so it is never
+    validated, and ``edges`` are already in name order."""
     g = object.__new__(RibbonGraph)
     g.__dict__.update(_flags=fl, vertex_names=vertex_names, edges=edges, _violations=())
     return g
@@ -301,7 +313,7 @@ def _parse_end(token: str) -> EdgeEnd:
     name, _, endpart = token.rpartition(".")
     if not name or endpart not in ("1", "2"):
         raise ValueError(f"bad edge-end token {token!r}, expected '<edge>.1' or '<edge>.2'")
-    return EdgeEnd(name, int(endpart))
+    return _new_end((name, int(endpart)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +391,16 @@ class _Flags(NamedTuple):
     bounds: list[int]
 
 
-def _flag_structure(g: RibbonGraph) -> _Flags:
-    ends: list[EdgeEnd] = []
-    bounds = [0]
-    for v in g.vertices:
-        ends += v.rotation
-        bounds.append(len(ends))
+def _flag_structure(ends: list[EdgeEnd], bounds: list[int], signs: Mapping[str, int]) -> _Flags:
+    """The flags of edge-ends listed vertex by vertex, each paired with its
+    edge's other end; an edge missing from ``signs`` lays out untwisted."""
     mate = [0] * len(ends)
     first: dict[str, int] = {}
     for i, d in enumerate(ends):
         # j == i at an edge's first end; its second end sets both entries.
         j = first.setdefault(d.edge, i)
         mate[i], mate[j] = j, i
-    signs = g.signs()
-    return _flag_layout(ends, mate, [signs[d.edge] < 0 for d in ends], bounds)
+    return _flag_layout(ends, mate, [signs.get(d.edge, 1) < 0 for d in ends], bounds)
 
 
 def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], bounds: list[int]) -> _Flags:
@@ -760,8 +768,10 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
 # ---------------------------------------------------------------------------
 
 def graph_to_text(g: RibbonGraph) -> str:
-    """Serialize in the plain-text format; inverse of :func:`parse_graph`."""
-    lines = [f"vertex {v.name}:" + "".join([f" {e}.{k}" for e, k in v.rotation]) for v in g.vertices]
+    """Serialize in the plain-text format; inverse of :func:`parse_graph`.
+    Rotations are written from the flags, so no ``Vertex`` is built."""
+    ends, bounds = [f" {e}.{k}" for e, k in g._flags.ends], g._flags.bounds
+    lines = [f"vertex {name}:" + "".join(ends[a:b]) for name, a, b in zip(g.vertex_names, bounds, bounds[1:])]
     lines.extend(f"edge {e.name}: {'+' if e.sign > 0 else '-'}" for e in g.edges)
     return "\n".join(lines) + "\n"
 
@@ -775,19 +785,20 @@ def parse_graph(text: str) -> RibbonGraph:
         edge b: -
 
     Rotation order is as written (counterclockwise); errors carry the line
-    and column of the first offending token.
+    and column of the first offending token.  Only invalid text is validated.
     """
-    vertices: list[Vertex] = []
-    sign_decls: list[tuple[str, int]] = []
-    seen_vertices: set[str] = set()
+    vertex_names: dict[str, None] = {}
+    ends: list[EdgeEnd] = []
+    bounds = [0]
+    signs: dict[str, int] = {}
     # (line number, text, offset of the rotation) of each vertex line
     vertex_lines: list[tuple[int, str, int]] = []
     # edge name -> (line, column) of its declaration
     declared_at: dict[str, tuple[int, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
         stripped = line.lstrip()
         indent = len(line) - len(stripped)
@@ -801,17 +812,16 @@ def parse_graph(text: str) -> RibbonGraph:
         if not _NAME.fullmatch(name):
             raise TextFormatError(lineno, line.index(name) + 1, f"bad name {name!r}")
         if kind == "vertex":
-            if name in seen_vertices:
+            if name in vertex_names:
                 raise TextFormatError(lineno, indent + 1, f"vertex {name!r} declared twice")
-            seen_vertices.add(name)
-            ends = []
+            vertex_names[name] = None
             for k, token in enumerate(rest.split()):
                 try:
                     ends.append(_parse_end(token))
                 except ValueError as exc:
                     col = list(_token_columns(line, len(line) - len(rest)))[k]
                     raise TextFormatError(lineno, col, str(exc)) from None
-            vertices.append(Vertex(name, tuple(ends)))
+            bounds.append(len(ends))
             vertex_lines.append((lineno, line, len(line) - len(rest)))
         else:
             if name in declared_at:
@@ -820,16 +830,18 @@ def parse_graph(text: str) -> RibbonGraph:
             sig = rest.strip()
             if sig not in ("+", "-"):
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
-            sign_decls.append((name, 1 if sig == "+" else -1))
+            signs[name] = 1 if sig == "+" else -1
 
-    g = RibbonGraph(tuple(vertices), tuple(Edge(n, s) for n, s in sign_decls))
-    violations = g._violations
-    if not violations:
-        return g
+    edges = tuple(sorted((Edge(n, s) for n, s in signs.items()), key=_edge_name))
+    # Names, signs and end indices are checked: valid means each declared edge's two ends, once each.
+    if len(set(ends)) == len(ends) == 2 * len(signs) and signs.keys() >= {d.edge for d in ends}:
+        return _from_flags(_flag_structure(ends, bounds, signs), tuple(vertex_names), edges)
+    rotations = [tuple(ends[a:b]) for a, b in zip(bounds, bounds[1:])]
+    violations = validate(RibbonGraph(tuple(map(Vertex, vertex_names, rotations)), edges))
     # Positions are found only now: edge-end -> (line, column) of each token.
     end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
-    for (lineno, line, start), v in zip(vertex_lines, vertices):
-        for d, col in zip(v.rotation, _token_columns(line, start)):
+    for (lineno, line, start), rotation in zip(vertex_lines, rotations):
+        for d, col in zip(rotation, _token_columns(line, start)):
             end_at.setdefault(d, []).append((lineno, col))
     missing = [v.end for v in violations if v.kind == "unknown-edge-end"]
     if missing:

@@ -109,15 +109,11 @@ def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     chosen = _check_edges(g, edges)
     if not chosen:
         return g
-    out = _from_flags(
+    return _from_flags(
         _twist_flags(g._flags, chosen),
         g.vertex_names,
         tuple(Edge(e.name, -e.sign) if e.name in chosen else e for e in g.edges),
     )
-    if "vertices" in vars(g):
-        # A half-twist keeps every rotation, so the input's Vertex tuples serve.
-        vars(out)["vertices"] = g.vertices
-    return out
 
 
 def petrial(g: RibbonGraph) -> RibbonGraph:

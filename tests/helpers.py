@@ -32,7 +32,6 @@ from ribbonlab.core import (
     Arrow,
     ArrowPresentation,
     Circle,
-    _flag_structure,
     _Flags,
     _from_flags,
     _twist_flags,
@@ -99,7 +98,7 @@ def assert_born_with_flags(graphs):
         assert "_flags" in vars(out) and vars(out)["_violations"] == ()
         ref = RibbonGraph(out.vertices, out.edges)
         assert validate(ref) == []
-        assert out._flags == _flag_structure(ref)
+        assert out._flags == ref._flags
         assert out == ref and hash(out) == hash(ref) and repr(out) == repr(ref)
         assert copy == ref
 
@@ -729,7 +728,7 @@ def brute_force_automorphism_count(g: RibbonGraph) -> int:
     times m! for every m pairwise isomorphic components or isolated
     vertices.
     """
-    fl = _flag_structure(g)
+    fl = RibbonGraph(g.vertices, g.edges)._flags
     involutions = (fl.corner, fl.side, [f ^ 1 for f in range(len(fl.side))])
 
     def grow(f0: int, h0: int) -> dict[int, int] | None:

@@ -3,7 +3,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ribbonlab import (
     Edge,
@@ -29,14 +29,25 @@ from ribbonlab import (
     parse_graph,
     partial_petrial,
     ribbon_graph,
+    canonical_text,
     save_graph,
     to_arrow_presentation,
     trace_boundary,
     validate,
 )
+from ribbonlab import core
 from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring, require_valid
 
-from helpers import brute_force_parity, graph, random_graph, segment_trace_boundary
+from helpers import (
+    FIXTURES,
+    TEXTS,
+    assert_born_with_flags,
+    brute_force_parity,
+    graph,
+    random_graph,
+    rotation_systems,
+    segment_trace_boundary,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +535,148 @@ def test_structural_error_points_at_offending_token():
 def test_parse_rejects_structural_violations():
     with pytest.raises(TextFormatError):
         parse_graph("vertex u: a.1 a.1\nvertex v: a.2\nedge a: +\n")
+
+
+#: Each kind of parse error, with comments, tabs, CRLF endings, blank lines
+#: and a vertical tab (a line break to ``str.splitlines``), and its message.
+PARSE_ERRORS = [
+    ("vertex u a.1\n", "line 1, column 1: expected ':' after declaration head"),
+    ("  vertex u a.1  # no colon\n", "line 1, column 3: expected ':' after declaration head"),
+    ("vertex: a.1\n", "line 1, column 1: expected 'vertex <name>:' or 'edge <name>:'"),
+    ("vertx u: a.1\n", "line 1, column 1: expected 'vertex <name>:' or 'edge <name>:'"),
+    ("\tvertex u v: a.1\n", "line 1, column 2: expected 'vertex <name>:' or 'edge <name>:'"),
+    ("vertex u\xa0v: a.1\n", "line 1, column 1: expected 'vertex <name>:' or 'edge <name>:'"),
+    ("vertex a-b:\n", "line 1, column 8: bad name 'a-b'"),
+    ("edge\ta.b: +\n", "line 1, column 6: bad name 'a.b'"),
+    ("vertex u:\r\nvertex u:\r\n", "line 2, column 1: vertex 'u' declared twice"),
+    ("vertex u: a.1 a.2\nedge a: +\n\n# again\nedge a: -\n", "line 5, column 1: edge 'a' declared twice"),
+    ("vertex u: a.1 a.2\nedge a: *\n", "line 2, column 8: edge sign must be '+' or '-', got '*'"),
+    ("vertex u: a.1 a.2\nedge a:\t# unsigned\n", "line 2, column 8: edge sign must be '+' or '-', got ''"),
+    ("vertex u: a.1 a.2\nedge a: + -\n", "line 2, column 8: edge sign must be '+' or '-', got '+ -'"),
+    ("vertex u: a.1 a.3\nedge a: +\n",
+     "line 1, column 15: bad edge-end token 'a.3', expected '<edge>.1' or '<edge>.2'"),
+    ("vertex u:\ta.1\t.2 # x\nedge a: +\n",
+     "line 1, column 15: bad edge-end token '.2', expected '<edge>.1' or '<edge>.2'"),
+    ("vertex u: a.1 a.x2\n", "line 1, column 15: bad edge-end token 'a.x2', expected '<edge>.1' or '<edge>.2'"),
+    ("vertex u: a.1\x0ba.2\nedge a: +\n", "line 2, column 1: expected ':' after declaration head"),
+    ("vertex u: a.1 b.1\r\nvertex v: c.1 a.2 b.2 c.2\r\nedge a: +\r\n",
+     "line 1, column 15: edges used but never declared: b, c"),
+    ("vertex u: a.1 a.2\nvertex v:  c.2 c.1\nedge a: +\n", "line 2, column 12: edges used but never declared: c"),
+    ("vertex u: a.1 a.1\nvertex v: a.2\nedge a: +\n", "line 1, column 15: edge-end a.1 appears more than once"),
+    ("vertex u: a.1 a.2 a.1  # twice\r\nedge a: +\r\n", "line 1, column 19: edge-end a.1 appears more than once"),
+    ("vertex u: a.1 b.1 b.2\n  edge a: +\nedge b: -\n",
+     "line 2, column 3: edge-end a.2 appears in no vertex rotation"),
+    ("vertex u: b.1 b.2\nvertex v:  a.1 b.2\nedge b: +\nedge a: +\n",
+     "line 2, column 16: edge-end b.2 appears more than once; edge-end a.2 appears in no vertex rotation"),
+    ("edge a: +\nvertex u: b.1 b.2\nvertex v:  a.1 b.2\nedge b: +\n",
+     "line 1, column 1: edge-end b.2 appears more than once; edge-end a.2 appears in no vertex rotation"),
+    ("# header\n\n\tedge a: -\n",
+     "line 3, column 2: edge-end a.1 appears in no vertex rotation; edge-end a.2 appears in no vertex rotation"),
+    ("vertex u: a.2 a.1 a.2\nvertex v: a.1\nedge a: +\n",
+     "line 1, column 19: edge-end a.2 appears more than once; edge-end a.1 appears more than once"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(TextFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+@st.composite
+def mutated_rotations(draw):
+    """Vertex names, rotations and edges of a valid system after one
+    mutation: drop, repeat or rename an edge-end, repeat a vertex, drop an
+    edge declaration, or none.  A renamed end may name an undeclared edge."""
+    g = draw(rotation_systems(max_edges=5))
+    names = list(g.vertex_names)
+    rotations = [list(v.rotation) for v in g.vertices]
+    edges = list(g.edges)
+    at = [(i, j) for i, rot in enumerate(rotations) for j in range(len(rot))]
+    kind = draw(st.sampled_from(["drop", "repeat", "rename", "vertex", "edge", "none"]))
+    if kind in ("drop", "repeat", "rename") and at:
+        i, j = draw(st.sampled_from(at))
+        if kind == "drop":
+            del rotations[i][j]
+        elif kind == "repeat":
+            k = draw(st.integers(0, len(rotations) - 1))
+            rotations[k].insert(draw(st.integers(0, len(rotations[k]))), rotations[i][j])
+        else:
+            pool = [EdgeEnd(name, end) for name in [*g.edge_names, "zz"] for end in (1, 2)]
+            rotations[i][j] = draw(st.sampled_from(pool))
+    elif kind == "vertex":
+        k = draw(st.integers(0, len(names) - 1))
+        names.insert(k, names[k])
+        rotations.insert(k, rotations[k][:])
+    elif kind == "edge" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    return names, rotations, tuple(edges)
+
+
+@settings(max_examples=300)
+@given(mutated_rotations())
+def test_parse_raises_exactly_when_validate_reports(case):
+    names, rotations, edges = case
+    text = "".join(f"vertex {n}:" + "".join(f" {d}" for d in rot) + "\n" for n, rot in zip(names, rotations))
+    text += "".join(f"edge {e.name}: {'+' if e.sign > 0 else '-'}\n" for e in edges)
+    ref = RibbonGraph(tuple(Vertex(n, tuple(rot)) for n, rot in zip(names, rotations)), edges)
+    try:
+        parsed = parse_graph(text)
+    except TextFormatError:
+        assert validate(ref)
+    else:
+        assert validate(ref) == [] and parsed == ref and parsed.vertices == ref.vertices
+
+
+def _valid_texts(graphs):
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.rg"))] + list(TEXTS.values())
+    texts.append("# comments, tabs, CRLF and blank lines\r\n\r\n\tvertex u:\ta.1  a.2 # loop\r\nedge a:\t-\r\n")
+    texts += [graph_to_text(g) for g in graphs] + [canonical_text(g) for g in graphs]
+    return texts + [graph_to_text(random_graph(1000, seed)) for seed in range(3)]
+
+
+def test_parsed_graphs_are_born_with_flags(raw_universe3):
+    assert_born_with_flags([parse_graph(text) for text in _valid_texts(raw_universe3)])
+
+
+def test_valid_text_is_never_validated(universe3, monkeypatch):
+    calls = []
+    real = core.validate
+    monkeypatch.setattr(core, "validate", lambda g: calls.append(g) or real(g))
+    for text in _valid_texts(universe3):
+        parse_graph(text)
+    assert calls == []
+    with pytest.raises(TextFormatError):
+        parse_graph("vertex u: a.1 a.1\nvertex v: a.2\nedge a: +\n")
+    assert len(calls) == 1
+
+
+@given(rotation_systems())
+def test_text_round_trip_keeps_flags(g):
+    h = parse_graph(graph_to_text(g))
+    assert h == g and h._flags == g._flags and h.vertices == g.vertices
+
+
+def test_equality_reads_flags_as_the_vertices_would(universe2):
+    # RibbonGraph.__eq__ compares the flags of two graphs that hold them and
+    # the vertices otherwise; both must agree with comparing the vertices.
+    bad = [
+        RibbonGraph((Vertex("u", (EdgeEnd("a", 1), EdgeEnd("a", 1))),), (Edge("a"),)),
+        RibbonGraph((Vertex("u", (EdgeEnd("a", 1), EdgeEnd("b", 2))),), (Edge("a", 0),)),
+        RibbonGraph((Vertex("u"), Vertex("u")), ()),
+    ]
+    copies = [RibbonGraph(g.vertices, g.edges) for g in universe2]
+    for h in copies[::2] + bad[:2]:
+        graph_to_text(h)  # reads the flags, so they are compared from now on
+    # Pairs of flag-born graphs that differ only in a vertex name, or only in the bounds.
+    texts = ["vertex u: a.1 a.2\nedge a: +\n", "vertex w: a.1 a.2\nedge a: +\n",
+             "vertex u: a.1\nvertex v: a.2\nedge a: +\n", "vertex u: a.1 a.2\nvertex v:\nedge a: +\n"]
+    graphs = universe2 + copies + bad + [parse_graph(text) for text in texts]
+    for g in graphs:
+        for h in graphs:
+            assert (g == h) == ((g.vertices, g.edges) == (h.vertices, h.edges))
+            assert g != (g.vertices, g.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -187,10 +187,11 @@ def test_operator_chains_build_no_vertex_tuples(raw_universe3, monkeypatch):
         h = flip_vertex(h, h.vertex_names[-1])
         outs += [h, minor(h, names[:1], names[1:2]), contract(h, names[1:]), delete(h, names[:2])]
     assert built == []
-    # Reading builds each vertex once, for the text and the view alike.
+    # The text is written from the flags; the view builds each vertex once.
     texts = [graph_to_text(h) for h in outs]
-    assert len(built) == sum(len(h.vertex_names) for h in outs)
-    assert [str(h) for h in outs] == texts and len(built) == sum(len(h.vertices) for h in outs)
+    assert [str(h) for h in outs] == texts and built == []
+    assert sum(len(h.vertices) for h in outs) == len(built) == sum(len(h.vertex_names) for h in outs)
+    assert sum(len(h.vertices) for h in outs) == len(built)
 
 
 def test_operator_chain_validates_only_its_input(raw_universe3, monkeypatch):

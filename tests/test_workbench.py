@@ -289,6 +289,22 @@ def test_workers_give_identical_reports():
         assert r1 == r2 and r1["checked"] > 0
 
 
+def test_verify_all_enumerates_once_and_hands_each_suite_fresh_graphs(monkeypatch):
+    passes, held = [], set()
+    real_iter, real_evaluate = workbench.GraphUniverse.__iter__, workbench._evaluate
+    monkeypatch.setattr(workbench.GraphUniverse, "__iter__", lambda self: passes.append(1) or real_iter(self))
+    monkeypatch.setattr(workbench, "_evaluate", lambda name, g: held.update(vars(g)) or real_evaluate(name, g))
+    u = enumerate_graphs(2)
+    reports = [r.to_dict() for r in workbench.run_all_properties(u)]
+    assert len(passes) == 1
+    # No suite sees a memo another suite left behind.
+    assert held == {"_flags", "vertex_names", "edges", "_violations"}
+    singles = [run_property_suite(u, name).to_dict() for name in PROPERTIES]
+    for r in reports + singles:
+        r.pop("elapsed_ms")
+    assert reports == singles
+
+
 def test_spec_named_properties_pass_small():
     u = enumerate_graphs(2)
     for name in (
