@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .core import (
     RibbonGraph,
     TextFormatError,
     RibbonGraphError,
+    UnknownEdgeError,
     euler_characteristic,
     graph_to_text,
     is_orientable,
@@ -132,30 +134,33 @@ def _cmd_op(args) -> int:
     if len(chosen) != 1:
         raise _CliError("op needs exactly one of --word/--dual/--petrial/--pdual/--ppetrial/--delete/--contract")
     kind = chosen[0]
-    if kind == "word":
-        word = {}
-        for part in _split_edges(args.word):
-            edge, _, elem = part.partition(":")
-            if not _ or elem not in TWIST_ELEMENTS:
-                raise _CliError(
-                    f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
-                )
-            if edge in word:
-                raise _CliError(f"bad word entry {part!r}; edge {edge!r} already has element {word[edge]!r}")
-            word[edge] = elem
-        out = apply_twist_word(g, word)
-    elif kind == "dual":
-        out = geometric_dual(g)
-    elif kind == "petrial":
-        out = petrial(g)
-    elif kind == "pdual":
-        out = partial_dual(g, _split_edges(args.pdual))
-    elif kind == "ppetrial":
-        out = partial_petrial(g, _split_edges(args.ppetrial))
-    elif kind == "delete":
-        out = delete(g, _split_edges(args.delete))
-    else:
-        out = contract(g, _split_edges(args.contract))
+    try:
+        if kind == "word":
+            word = {}
+            for part in _split_edges(args.word):
+                edge, _, elem = part.partition(":")
+                if not _ or elem not in TWIST_ELEMENTS:
+                    raise _CliError(
+                        f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
+                    )
+                if edge in word:
+                    raise _CliError(f"bad word entry {part!r}; edge {edge!r} already has element {word[edge]!r}")
+                word[edge] = elem
+            out = apply_twist_word(g, word)
+        elif kind == "dual":
+            out = geometric_dual(g)
+        elif kind == "petrial":
+            out = petrial(g)
+        elif kind == "pdual":
+            out = partial_dual(g, _split_edges(args.pdual))
+        elif kind == "ppetrial":
+            out = partial_petrial(g, _split_edges(args.ppetrial))
+        elif kind == "delete":
+            out = delete(g, _split_edges(args.delete))
+        else:
+            out = contract(g, _split_edges(args.contract))
+    except UnknownEdgeError as exc:
+        raise _CliError(f"{args.file}: no edge {exc.args[0]!r}")
     if args.output:
         try:
             save_graph(args.output, out)
@@ -347,9 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser serves every call: each parse makes a fresh namespace, no action
+    # has a mutable default, and argparse finds sys.stdout/stderr only when it prints.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (_CliError, RibbonGraphError) as exc:

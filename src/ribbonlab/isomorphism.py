@@ -16,12 +16,12 @@ from typing import Iterator, Sequence
 
 from .core import (
     Edge,
-    EdgeEnd,
     RibbonGraph,
     _edge_name,
     _flag_layout,
     _Flags,
     _from_flags,
+    _new_end,
     _root,
     graph_to_text,
     require_valid,
@@ -45,7 +45,7 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
         if len(darts) > bounds[-1]:
             bounds.append(len(darts))
     bounds += [len(darts)] * isolated
-    ends = [EdgeEnd(f"e{x >> 1}", 1 + (x & 1)) for x in darts]
+    ends = [_new_end((f"e{x >> 1}", 1 + (x & 1))) for x in darts]
     fl = _flag_layout(ends, [at[x ^ 1] for x in darts], [signs[x >> 1] < 0 for x in darts], bounds)
     edges = tuple(sorted((Edge(f"e{i}", sign) for i, sign in enumerate(signs)), key=_edge_name))
     return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edges)

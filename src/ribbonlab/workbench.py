@@ -126,6 +126,8 @@ class GraphUniverse:
             )
         if self.max_edges < 0:
             raise EnumerationLimitError("max_edges must be nonnegative")
+        if self.max_vertices is not None and self.max_vertices < 0:
+            raise EnumerationLimitError("max_vertices must be nonnegative")
         if self.connected and self.extra_isolated:
             raise ValueError("a graph with extra isolated vertices is never connected")
 

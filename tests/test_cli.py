@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -15,13 +16,17 @@ from ribbonlab import (
     partial_petrial,
     sample_graphs,
 )
+from ribbonlab import cli
 from ribbonlab.cli import main
 
 from helpers import FIXTURES, REPO, random_graph
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -116,8 +121,12 @@ def test_op_requires_exactly_one_operation(capsys):
 
 
 def test_op_unknown_edge(capsys):
-    code, _, err = run(capsys, "op", str(FIXTURES / "loop.rg"), "--delete", "zz")
-    assert code == 2
+    path = str(FIXTURES / "loop.rg")
+    for option, edges in [
+        ("--pdual", "zz"), ("--ppetrial", "a,zz"), ("--delete", "zz"), ("--contract", "zz"), ("--word", "a:d,zz:t"),
+    ]:
+        code, out, err = run(capsys, "op", path, option, edges)
+        assert (code, out, err) == (2, "", f"error: {path}: no edge 'zz'\n"), option
 
 
 def test_op_bad_word(capsys):
@@ -253,6 +262,8 @@ def test_enumerate_counts(capsys):
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--max-edges", "9")
     assert code == 2
+    code, out, err = run(capsys, "enumerate", "--max-edges", "1", "--max-vertices", "-1")
+    assert (code, out, err) == (2, "", "error: max_vertices must be nonnegative\n")
 
 
 def test_verify_single_property(capsys):
@@ -379,3 +390,53 @@ def test_iso_different(capsys):
     )
     assert code == 1
     assert "not isomorphic" in out
+
+
+def every_command():
+    """Each subcommand once on fixtures, a usage error and ``--help``, interleaved."""
+    loop, torus = str(FIXTURES / "loop.rg"), str(FIXTURES / "torus2loop.rg")
+    return [
+        ["check", torus],
+        ["--help"],
+        ["op", torus, "--pdual", "b"],
+        ["enumerate", "--max-edges", "x"],
+        ["medial", loop],
+        ["theorem1", torus],
+        ["op", loop, "--delete", "zz"],
+        ["theorem2", torus],
+        ["iso", loop, str(FIXTURES / "twisted_loop.rg")],
+        ["enumerate", "--max-edges", "1"],
+        ["verify", "checkerboard-implies-eulerian", "--max-edges", "1"],
+        ["search", "--max-edges", "1"],
+    ]
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    run(capsys, "enumerate", "--max-edges", "0")
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    codes = [run(capsys, *argv)[0] for argv in every_command()]
+    assert codes == [0, 0, 0, 2, 0, 0, 2, 0, 1, 0, 0, 0]
+    assert built == []
+
+
+def test_commands_in_one_process_match_fresh_interpreters(capsys, monkeypatch):
+    # A fixed width, so argparse wraps --help and usage alike in both.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {
+        **os.environ,
+        "COLUMNS": "80",
+        "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
+    }
+
+    def untimed(out):  # verify's summary line ends in its elapsed time
+        return re.sub(r", \d+ ms$", ", - ms", out, flags=re.M)
+
+    for argv in every_command():
+        alone = subprocess.run(
+            [sys.executable, "-m", "ribbonlab.cli", *argv], env=env, capture_output=True, text=True
+        )
+        code, out, err = run(capsys, *argv)
+        assert (code, untimed(out), err) == (alone.returncode, untimed(alone.stdout), alone.stderr), argv

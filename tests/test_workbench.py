@@ -211,6 +211,11 @@ def test_hard_cap():
         enumerate_graphs(7)
 
 
+def test_negative_max_vertices():
+    with pytest.raises(EnumerationLimitError, match="^max_vertices must be nonnegative$"):
+        enumerate_graphs(1, max_vertices=-1)
+
+
 def test_sampling_is_not_held_to_the_enumeration_cap():
     graphs = sample_graphs(50, 2, seed=1)
     assert [len(g.edges) for g in graphs] == [50, 50]
