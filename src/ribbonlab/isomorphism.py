@@ -253,6 +253,10 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
     require_valid(h)
     if len(g.edges) != len(h.edges) or len(g.vertex_names) != len(h.vertex_names):
         return False
+    # Equal ends and corners fix every rotation, equal sides every twist and
+    # the vertex counts the isolated vertices: the identity is an isomorphism.
+    if g.edges == h.edges and g._flags[:4] == h._flags[:4]:
+        return True
     if not match_edge_labels:
         return canonical_key(g) == canonical_key(h)
     # Edges are stored sorted by name.

@@ -101,6 +101,10 @@ class UnknownPropertyError(RibbonGraphError):
     pass
 
 
+class WorkerCountError(RibbonGraphError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -846,11 +850,17 @@ def run_property_suite(
     universe: GraphUniverse, selector: str, *, workers: int = 1
 ) -> PropertyReport:
     """Evaluate one named property over every graph in the universe."""
+    _require_workers(workers)
     if selector not in PROPERTIES:
         raise UnknownPropertyError(
             f"unknown property {selector!r}; known: {', '.join(sorted(PROPERTIES))}"
         )
     return _run_suite(universe, universe.params(), selector, workers)
+
+
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise WorkerCountError("workers must be at least 1")
 
 
 def _run_suite(graphs: Iterable[RibbonGraph], params: dict, selector: str, workers: int) -> PropertyReport:
@@ -874,6 +884,7 @@ def _run_suite(graphs: Iterable[RibbonGraph], params: dict, selector: str, worke
 def run_all_properties(
     universe: GraphUniverse, *, workers: int = 1
 ) -> list[PropertyReport]:
+    _require_workers(workers)
     # Enumerated once, off the suites' clocks; each suite gets fresh graphs, so its memos die with it.
     flags = [(g._flags, g.vertex_names, g.edges) for g in universe]
     return [_run_suite(itertools.starmap(_from_flags, flags), universe.params(), name, workers) for name in PROPERTIES]

@@ -266,6 +266,13 @@ def test_enumerate_cap(capsys):
     assert (code, out, err) == (2, "", "error: max_vertices must be nonnegative\n")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["all", "orienting-set"])
+def test_verify_rejects_workers_below_one(capsys, suite, workers):
+    code, out, err = run(capsys, "verify", suite, "--max-edges", "1", "--workers", workers)
+    assert (code, out, err) == (2, "", "error: workers must be at least 1\n")
+
+
 def test_verify_single_property(capsys):
     code, out, _ = run(
         capsys, "verify", "checkerboard-implies-eulerian", "--max-edges", "2"

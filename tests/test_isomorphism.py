@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ribbonlab import (
     Edge,
@@ -22,6 +23,8 @@ from ribbonlab import (
     partial_petrial,
 )
 
+from ribbonlab import isomorphism
+from ribbonlab.core import _from_flags
 from ribbonlab.isomorphism import _permutation_graph, canonical_key_darts
 from ribbonlab.workbench import sample_graphs
 
@@ -34,6 +37,7 @@ from helpers import (
     minimal_sigma_reps,
     quadratic_canonical_key_darts,
     random_graph,
+    rotation_systems,
     same_partition,
 )
 
@@ -144,7 +148,74 @@ def test_labelled_search_matches_backtracking(raw_universe3):
             for subset in itertools.combinations(names, r):
                 partners += [partial_dual(g, subset), partial_petrial(g, subset)]
         for h in partners:
-            assert are_isomorphic(g, h, match_edge_labels=True) == _labelled_reference(g, h)
+            expected = _labelled_reference(g, h)
+            assert are_isomorphic(g, h, match_edge_labels=True) == expected
+            # are_isomorphic answers pairs with equal flags before searching;
+            # the search must still agree on them.
+            if len(g.vertex_names) == len(h.vertex_names) and g.edge_names == h.edge_names:
+                assert isomorphism._labelled_search(g, h) == expected
+
+
+def _count_searches(monkeypatch) -> list:
+    calls: list = []
+    search = isomorphism._labelled_search
+    monkeypatch.setattr(isomorphism, "_labelled_search", lambda g, h: calls.append(1) or search(g, h))
+    return calls
+
+
+def _shifted_copy(g: RibbonGraph, order, shifts) -> RibbonGraph:
+    """g rebuilt from Vertex tuples, vertices in ``order`` and each rotation
+    started ``shifts[i]`` ends later."""
+    vertices = [g.vertices[i] for i in order]
+    return RibbonGraph(
+        tuple(Vertex(v.name, v.rotation[s:] + v.rotation[:s]) for v, s in zip(vertices, shifts)),
+        g.edges,
+    )
+
+
+def _sign_toggled(g: RibbonGraph, name: str) -> RibbonGraph:
+    return RibbonGraph(g.vertices, tuple(Edge(e.name, -e.sign) if e.name == name else e for e in g.edges))
+
+
+SEARCH_GRAPHS = ["loop", "twisted_loop", "torus", "bouquet", "digon", "triangle", "isolated"]
+
+
+def test_equal_flags_are_isomorphic_without_a_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    for g in [graph(name) for name in SEARCH_GRAPHS] + [random_graph(40, seed) for seed in (1, 2)]:
+        renamed = _from_flags(g._flags, tuple(f"w{i}" for i in range(len(g.vertex_names))), g.edges)
+        chosen = g.edge_names[::2]
+        twice = partial_petrial(partial_petrial(g, chosen), chosen)
+        for h in (renamed, twice):
+            assert h._flags[:4] == g._flags[:4] and h.edges == g.edges
+            for labelled in (True, False):
+                assert are_isomorphic(g, h, match_edge_labels=labelled)
+                assert are_isomorphic(h, g, match_edge_labels=labelled)
+    assert calls == []
+
+
+def test_differing_flags_still_reach_the_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    answers = []
+    for g in [graph(name) for name in SEARCH_GRAPHS if name != "isolated"] + [random_graph(8, s) for s in (1, 2, 3)]:
+        n = len(g.vertices)
+        shifted = _shifted_copy(g, range(n - 1, -1, -1), [1] * n)
+        for h in (shifted, _sign_toggled(g, g.edge_names[-1])):
+            assert (h._flags[:4], h.edges) != (g._flags[:4], g.edges)
+            answers.append(are_isomorphic(g, h, match_edge_labels=True))
+            assert answers[-1] == backtracking_labelled_search(g, h)
+    assert len(calls) == len(answers) and set(answers) == {True, False}
+
+
+@given(g=rotation_systems(max_edges=5), data=st.data())
+def test_reordered_shifted_flipped_copies_are_labelled_isomorphic(g, data):
+    order = data.draw(st.permutations(range(len(g.vertices))))
+    shifts = [data.draw(st.integers(0, max(len(g.vertices[i].rotation) - 1, 0))) for i in order]
+    h = flip_vertex(_shifted_copy(g, order, shifts), data.draw(st.sampled_from(g.vertex_names)))
+    assert are_isomorphic(g, h, match_edge_labels=True)
+    if g.edges:
+        toggled = _sign_toggled(h, data.draw(st.sampled_from(g.edge_names)))
+        assert are_isomorphic(g, toggled, match_edge_labels=True) == backtracking_labelled_search(g, toggled)
 
 
 def test_labelled_search_scales():

@@ -9,12 +9,14 @@ from ribbonlab import (
     EnumerationLimitError,
     PROPERTIES,
     UnknownPropertyError,
+    WorkerCountError,
     are_isomorphic,
     enumerate_graphs,
     graph_to_text,
     is_eulerian,
     load_graph,
     predicate_implication_table,
+    run_all_properties,
     run_property_suite,
     sample_graphs,
     search_converse_counterexample,
@@ -292,6 +294,17 @@ def test_workers_give_identical_reports():
         r2 = run_property_suite(u, suite, workers=2).to_dict()
         r1.pop("elapsed_ms"), r2.pop("elapsed_ms")
         assert r1 == r2 and r1["checked"] > 0
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers):
+    u = enumerate_graphs(1)
+    for call in (
+        lambda: run_property_suite(u, "arrow-roundtrip", workers=workers),
+        lambda: run_all_properties(u, workers=workers),
+    ):
+        with pytest.raises(WorkerCountError, match="^workers must be at least 1$"):
+            call()
 
 
 def test_verify_all_enumerates_once_and_hands_each_suite_fresh_graphs(monkeypatch):
