@@ -56,6 +56,7 @@ from .predicates import (
 )
 from .workbench import (
     GraphUniverse,
+    _require_workers,
     enumerate_graphs,
     predicate_implication_table,
     run_all_properties,
@@ -243,6 +244,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     universe = _universe(args)
+    _require_workers(args.workers)  # the implication table runs sequentially but refuses a bad count too
     if args.property == "implication-table":
         table = predicate_implication_table(universe)
         print(json.dumps(table, indent=2))

@@ -24,11 +24,13 @@ involution identities exercised in the test suite):
   of <corner, side>, memoised per graph and read by every face reader;
   :func:`trace_boundary` is their view as segments.  Vertices are the
   orbits of <corner, end>, and the flags hold each vertex's bounds.
-* Operator results are stored as flags, built from a valid input with
-  :func:`_flag_layout` or :func:`_twist_flags` and trusted as valid; so are
-  the enumerated, sampled, canonical and parsed graphs, laid out from a
-  list of edge-ends.  Their ``vertices`` is a memoised view, built as
-  ``Vertex`` tuples when read; text, and equality of two of them, read flags.
+* Every graph is stored as flags.  ``RibbonGraph(vertices, edges)`` lays
+  them out from the given vertices, valid or not, and the graph is
+  validated on its first use.  Operator results are built from a valid
+  input with :func:`_flag_layout` or :func:`_twist_flags` and trusted as
+  valid; so are the enumerated, sampled, canonical and parsed graphs, laid
+  out from a list of edge-ends.  ``vertices`` is a memoised view, built as
+  ``Vertex`` tuples when read; validation, text, equality and hash read flags.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ class HalfEdgeSegment(NamedTuple):
         return f"{self.end}{self.side}"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge ribbon's name and twist sign; a named tuple, like :class:`EdgeEnd`."""
+
     name: str
     sign: int = 1
 
@@ -151,54 +154,41 @@ class _memo:
         return value
 
 
-class _field_memo(_memo):
-    """A memo that is also a dataclass field: read on the class it is the
-    field's default ``()``, and ``__init__`` stores a given value over it,
-    so the generated eq, hash and repr read the field as usual."""
-
-    def __get__(self, obj, cls=None):
-        return () if obj is None else super().__get__(obj, cls)
-
-
-def _vertex_view(g: "RibbonGraph") -> tuple[Vertex, ...]:
-    ends, bounds = g._flags.ends, g._flags.bounds
-    return tuple(Vertex(name, tuple(ends[a:b])) for name, a, b in zip(g.vertex_names, bounds, bounds[1:]))
-
-
-@dataclass(frozen=True)
+# A dataclass with no fields, for its frozen __setattr__: the constructor and memos write __dict__.
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class RibbonGraph:
     """An immutable ribbon graph; all operations return new graphs.
 
     Vertex order is meaningful (it drives serialization); edges are always
     stored sorted by name, so graphs that differ only in edge declaration
-    order compare equal.  An operator result stores its flags, vertex names
-    and edges instead (see :func:`_from_flags`), and builds ``vertices``
-    from them when it is first read.
+    order compare equal.  Every graph stores its flags, vertex names and
+    edges: the constructor lays out the flags of the given vertices, valid
+    or not, and an operator result is built on its flags (see
+    :func:`_from_flags`).  ``vertices`` is a view of the flags, built as
+    ``Vertex`` tuples when it is first read.
     """
 
-    vertices: tuple[Vertex, ...] = _field_memo(_vertex_view, "vertices")
-    edges: tuple[Edge, ...] = ()
+    def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable[Edge] = ()):
+        vertices = tuple(vertices)
+        self.__dict__.update(edges=tuple(sorted(edges, key=_edge_name)), vertex_names=tuple(v.name for v in vertices))
+        ends = [d for v in vertices for d in v.rotation]
+        self.__dict__["_flags"] = _flag_structure(ends, [0, *accumulate(len(v.rotation) for v in vertices)], self.signs())
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_name)))
+    @_memo
+    def vertices(self) -> tuple[Vertex, ...]:
+        ends, bounds = self._flags.ends, self._flags.bounds
+        return tuple(Vertex(name, tuple(ends[a:b])) for name, a, b in zip(self.vertex_names, bounds, bounds[1:]))
 
     @_memo
     def _violations(self) -> tuple["Violation", ...]:
         # The graph is immutable all the way down, so one verdict holds for
-        # its lifetime.  Not a dataclass field: eq, hash and repr ignore it.
+        # its lifetime.  Eq, hash and repr ignore it.
         return tuple(validate(self))
 
     @_memo
     def _boundary(self) -> "BoundaryDecomposition":
         # Read only through trace_boundary, which validates first.
         return _trace_boundary(self)
-
-    @_memo
-    def _flags(self) -> "_Flags":
-        # Read only after validation, but for the ends and bounds graph_to_text reads.
-        ends = [d for v in self.vertices for d in v.rotation]
-        return _flag_structure(ends, [0, *accumulate(len(v.rotation) for v in self.vertices)], self.signs())
 
     @_memo
     def _segments(self) -> list["HalfEdgeSegment"]:
@@ -233,10 +223,6 @@ class RibbonGraph:
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
-    @_memo
-    def vertex_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vertices)
-
     def vertex(self, name: str) -> Vertex:
         for v in self.vertices:
             if v.name == name:
@@ -265,13 +251,17 @@ class RibbonGraph:
     def __str__(self) -> str:
         return graph_to_text(self)
 
-    def __eq__(self, other: object) -> bool:  # two graphs with flags compare them, building no view
+    def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if "_flags" in vars(self) and "_flags" in vars(other):
-            f, h = self._flags, other._flags
-            return (self.edges, self.vertex_names, f.ends, f.bounds) == (other.edges, other.vertex_names, h.ends, h.bounds)
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
+        f, h = self._flags, other._flags
+        return (self.edges, self.vertex_names, f.ends, f.bounds) == (other.edges, other.vertex_names, h.ends, h.bounds)
+
+    def __hash__(self) -> int:
+        return hash((self.edges, self.vertex_names, tuple(self._flags.ends), tuple(self._flags.bounds)))
+
+    def __repr__(self) -> str:
+        return f"RibbonGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
 
 def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
@@ -331,7 +321,7 @@ class Violation:
 def validate(g: RibbonGraph) -> list[Violation]:
     """Check every structural invariant; empty list means the graph is valid."""
     out: list[Violation] = []
-    vnames = [v.name for v in g.vertices]
+    vnames = g.vertex_names
     if len(set(vnames)) != len(vnames):
         out.append(Violation("duplicate-vertex", "duplicate vertex name"))
     enames = [e.name for e in g.edges]
@@ -343,13 +333,14 @@ def validate(g: RibbonGraph) -> list[Violation]:
             out.append(Violation("bad-sign", f"edge {e.name} has sign {e.sign!r}, expected +1 or -1"))
 
     placed: dict[EdgeEnd, int] = {}
-    for v in g.vertices:
-        for d in v.rotation:
+    ends, bounds = g._flags.ends, g._flags.bounds
+    for vname, a, b in zip(vnames, bounds, bounds[1:]):
+        for d in ends[a:b]:
             if d.end not in (1, 2):
-                out.append(Violation("bad-end-index", f"edge-end {d} at vertex {v.name} has end index {d.end}", d))
+                out.append(Violation("bad-end-index", f"edge-end {d} at vertex {vname} has end index {d.end}", d))
                 continue
             if d.edge not in known:
-                out.append(Violation("unknown-edge-end", f"edge-end {d} at vertex {v.name} names no declared edge", d))
+                out.append(Violation("unknown-edge-end", f"edge-end {d} at vertex {vname} names no declared edge", d))
                 continue
             placed[d] = placed.get(d, 0) + 1
             if placed[d] == 2:
@@ -393,14 +384,15 @@ class _Flags(NamedTuple):
 
 def _flag_structure(ends: list[EdgeEnd], bounds: list[int], signs: Mapping[str, int]) -> _Flags:
     """The flags of edge-ends listed vertex by vertex, each paired with its
-    edge's other end; an edge missing from ``signs`` lays out untwisted."""
+    edge's other end; an edge whose sign in ``signs`` is missing or not -1
+    lays out untwisted."""
     mate = [0] * len(ends)
     first: dict[str, int] = {}
     for i, d in enumerate(ends):
         # j == i at an edge's first end; its second end sets both entries.
         j = first.setdefault(d.edge, i)
         mate[i], mate[j] = j, i
-    return _flag_layout(ends, mate, [signs.get(d.edge, 1) < 0 for d in ends], bounds)
+    return _flag_layout(ends, mate, [signs.get(d.edge, 1) == -1 for d in ends], bounds)
 
 
 def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], bounds: list[int]) -> _Flags:

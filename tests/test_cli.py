@@ -267,7 +267,7 @@ def test_enumerate_cap(capsys):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("suite", ["all", "orienting-set"])
+@pytest.mark.parametrize("suite", ["all", "orienting-set", "implication-table"])
 def test_verify_rejects_workers_below_one(capsys, suite, workers):
     code, out, err = run(capsys, "verify", suite, "--max-edges", "1", "--workers", workers)
     assert (code, out, err) == (2, "", "error: workers must be at least 1\n")

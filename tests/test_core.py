@@ -106,6 +106,11 @@ def test_edge_end_and_segment_keep_order_text_and_hash():
     assert str(right) == "a.1R"
     assert repr(right) == "HalfEdgeSegment(end=EdgeEnd(edge='a', end=1), side='R')"
     assert hash(right) == hash((("a", 1), "R"))
+    # An Edge is a named tuple too: equal to its plain tuple, which no set or dict mixes with it.
+    a, twisted = Edge("a"), Edge("a", -1)
+    assert (repr(a), repr(twisted)) == ("Edge(name='a', sign=1)", "Edge(name='a', sign=-1)")
+    assert a == Edge("a", 1) == ("a", 1) and a != twisted and hash(a) == hash(("a", 1))
+    assert a.ends == (a1, a2) and sorted([Edge("b"), twisted, a]) == [twisted, a, Edge("b")]
 
 
 def test_vertex_rotation_is_coerced_to_a_tuple():
@@ -115,17 +120,35 @@ def test_vertex_rotation_is_coerced_to_a_tuple():
     assert isinstance(listed.rotation, tuple)
 
 
-def test_memos_leave_eq_hash_and_repr_alone():
+def test_memos_leave_eq_hash_and_repr_alone(universe2):
+    # Every graph holds its flags, vertex names and edges from construction;
+    # RibbonGraph.__eq__ and __hash__ read them, and __repr__ the vertices view.
     g = graph("torus")
     fresh = RibbonGraph(g.vertices, g.edges)
-    require_valid(g)
-    flags, faces, names = g._flags, g._faces, g.edge_names
+    stored, memos = {"_flags", "vertex_names", "edges"}, {"_faces", "edge_names", "_violations"}
+    assert stored <= vars(fresh).keys() and not vars(fresh).keys() & memos
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert not vars(fresh).keys() & memos  # eq, hash and repr read none of them
+    require_valid(fresh)
+    faces, names = fresh._faces, fresh.edge_names
     # Each memo is stored on the instance at its first read, then read back.
-    memos = {"_flags", "_faces", "edge_names"}
-    assert {"_violations"} | memos <= set(vars(g)) and not vars(fresh).keys() & memos
-    assert g._flags is flags and g._faces is faces and g.edge_names is names
+    assert memos <= vars(fresh).keys()
+    assert fresh._faces is faces and fresh.edge_names is names
     assert names == ("a", "b")
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    # Equal graphs hash equal however they were built.
+    for h in universe2:
+        v = h.vertex_names[0]
+        built = [
+            RibbonGraph(h.vertices, h.edges),
+            ribbon_graph({u.name: u.rotation for u in h.vertices}, h.signs()),
+            parse_graph(graph_to_text(h)),
+            partial_petrial(partial_petrial(h, h.edge_names), h.edge_names),
+            flip_vertex(flip_vertex(h, v), v),
+        ]
+        for k in built:
+            assert stored <= vars(k).keys()
+            assert k == h and hash(k) == hash(h) and repr(k) == repr(h)
 
 
 def test_ribbon_graph_builder_is_linear_and_keeps_order():
@@ -659,16 +682,15 @@ def test_text_round_trip_keeps_flags(g):
 
 
 def test_equality_reads_flags_as_the_vertices_would(universe2):
-    # RibbonGraph.__eq__ compares the flags of two graphs that hold them and
-    # the vertices otherwise; both must agree with comparing the vertices.
+    # RibbonGraph.__eq__ compares flags, which every graph holds from
+    # construction; that must agree with comparing the vertices, for valid
+    # and invalid graphs, whether hand-built or laid out by the library.
     bad = [
         RibbonGraph((Vertex("u", (EdgeEnd("a", 1), EdgeEnd("a", 1))),), (Edge("a"),)),
         RibbonGraph((Vertex("u", (EdgeEnd("a", 1), EdgeEnd("b", 2))),), (Edge("a", 0),)),
         RibbonGraph((Vertex("u"), Vertex("u")), ()),
     ]
     copies = [RibbonGraph(g.vertices, g.edges) for g in universe2]
-    for h in copies[::2] + bad[:2]:
-        graph_to_text(h)  # reads the flags, so they are compared from now on
     # Pairs of flag-born graphs that differ only in a vertex name, or only in the bounds.
     texts = ["vertex u: a.1 a.2\nedge a: +\n", "vertex w: a.1 a.2\nedge a: +\n",
              "vertex u: a.1\nvertex v: a.2\nedge a: +\n", "vertex u: a.1 a.2\nvertex v:\nedge a: +\n"]

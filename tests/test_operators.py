@@ -62,7 +62,21 @@ INVALID = {
         (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e", 0),)
     ),
     "no-ends": RibbonGraph((Vertex("u"),), (Edge("e"),)),
+    "duplicate-vertex": RibbonGraph(
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))), Vertex("u")), (Edge("e"),)
+    ),
+    "duplicate-edge": RibbonGraph(
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e"), Edge("e", -1))
+    ),
+    "bad-end-index": RibbonGraph(
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 3), EdgeEnd("e", 2))),), (Edge("e"),)
+    ),
+    "unknown-edge-end": RibbonGraph(
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("f", 1))), Vertex("v", (EdgeEnd("e", 2),))), (Edge("e"),)
+    ),
 }
+#: The violation each graph of INVALID is built to show, where its key is not that kind.
+INVALID_KIND = {"duplicate-end": "duplicate-edge-end", "unplaced-end": "unplaced-edge-end", "no-ends": "unplaced-edge-end"}
 CHECKED_OPS = {
     "delete": lambda g: delete(g, ["e"]),
     "partial_petrial": lambda g: partial_petrial(g, ["e"]),
@@ -83,6 +97,24 @@ def test_invalid_graph_rejected_on_every_call(kind, op):
     with pytest.raises(InvalidGraphError) as second:
         CHECKED_OPS[op](g)
     assert first.value.violations == second.value.violations == tuple(validate(g))
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID))
+def test_invalid_graphs_are_laid_out_written_and_compared(kind):
+    # The constructor lays out the flags of any vertices, so an invalid
+    # graph is built, written and compared like a valid one.
+    g = INVALID[kind]
+    copy = RibbonGraph(g.vertices, g.edges)
+    assert {"_flags", "vertex_names", "edges"} <= vars(copy).keys() and "_violations" not in vars(copy)
+    assert INVALID_KIND.get(kind, kind) in {v.kind for v in validate(g)}
+    lines = [f"vertex {v.name}:" + "".join(f" {d}" for d in v.rotation) for v in g.vertices]
+    lines += [f"edge {e.name}: {'+' if e.sign > 0 else '-'}" for e in g.edges]
+    assert graph_to_text(g) == graph_to_text(copy) == "\n".join(lines) + "\n"
+    for h in [copy, *INVALID.values(), graph("loop")]:
+        same = (g.vertices, g.edges) == (h.vertices, h.edges)
+        assert (g == h) == (h == g) == same
+        if same:
+            assert hash(g) == hash(h)
 
 
 def takes_graph(p: inspect.Parameter) -> bool:
