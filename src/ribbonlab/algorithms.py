@@ -23,7 +23,7 @@ check both against brute-force references that share no code with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     RibbonGraph,
@@ -65,8 +65,7 @@ def orienting_petrial_set(g: RibbonGraph) -> tuple[str, ...]:
     return tuple(g.edges[i].name for i in _orientation_parity(g)[1])
 
 
-@dataclass(frozen=True)
-class TwistedDualCertificate:
+class TwistedDualCertificate(NamedTuple):
     """Witness for a checkerboard colourable twisted dual.
 
     ``result`` equals ``partial_dual(partial_petrial(g, petrial_set), dual_set)``
@@ -135,8 +134,7 @@ def _inconsistent(g: RibbonGraph, col) -> tuple[str, ...]:
     return tuple(sorted(d.edge for i, d in enumerate(ends) if d.end == 1 and col[2 * i] != col[side[2 * i]]))
 
 
-@dataclass(frozen=True)
-class PartialPetrialCertificate:
+class PartialPetrialCertificate(NamedTuple):
     twisted: tuple[str, ...]
     result: RibbonGraph
     colouring: FaceColouring

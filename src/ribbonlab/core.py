@@ -31,12 +31,17 @@ involution identities exercised in the test suite):
   valid; so are the enumerated, sampled, canonical and parsed graphs, laid
   out from a list of edge-ends.  ``vertices`` is a memoised view, built as
   ``Vertex`` tuples when read; validation, text, equality and hash read flags.
+* Value types (edge-ends, edges, vertices, violations, boundaries, arrow
+  presentations, and the certificates and reports of the other modules)
+  are named tuples: they compare, hash, iterate and index as tuples of
+  their fields.  ``RibbonGraph`` is a plain class whose ``__setattr__`` and
+  ``__delattr__`` refuse every name; its constructor and memos write its
+  ``__dict__``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from operator import attrgetter
@@ -123,14 +128,19 @@ class Edge(NamedTuple):
         return (EdgeEnd(self.name, 1), EdgeEnd(self.name, 2))
 
 
-@dataclass(frozen=True)
-class Vertex:
+class _VertexFields(NamedTuple):
     name: str
-    rotation: tuple[EdgeEnd, ...] = ()
+    rotation: tuple[EdgeEnd, ...]
 
-    def __post_init__(self):
-        if type(self.rotation) is not tuple:
-            object.__setattr__(self, "rotation", tuple(self.rotation))
+
+class Vertex(_VertexFields):
+    """A vertex name and its rotation, stored as a tuple of edge-ends
+    whatever iterable it is given as."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, rotation: Iterable[EdgeEnd] = ()):
+        return tuple.__new__(cls, (name, tuple(rotation)))
 
 
 _edge_name = attrgetter("name")
@@ -154,8 +164,6 @@ class _memo:
         return value
 
 
-# A dataclass with no fields, for its frozen __setattr__: the constructor and memos write __dict__.
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class RibbonGraph:
     """An immutable ribbon graph; all operations return new graphs.
 
@@ -263,6 +271,12 @@ class RibbonGraph:
     def __repr__(self) -> str:
         return f"RibbonGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a RibbonGraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a RibbonGraph is immutable")
+
 
 def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
     """The graph with flags ``fl``, built by an operator from a valid graph
@@ -310,8 +324,7 @@ def _parse_end(token: str) -> EdgeEnd:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
     #: The offending edge-end, for the violations that concern one.
@@ -470,8 +483,7 @@ def _orbit_ids(orbits: list[list[int]], across: Sequence[int]) -> list[int]:
 # Boundary tracing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     """One closed boundary walk, as a cyclic sequence of half-edge segments.
 
     Consecutive segments at even positions (0-1, 2-3, ...) lie on the two
@@ -487,8 +499,7 @@ class BoundaryComponent:
         return len(self.segments) // 2
 
 
-@dataclass(frozen=True)
-class BoundaryDecomposition:
+class BoundaryDecomposition(NamedTuple):
     components: tuple[BoundaryComponent, ...]
 
     @property
@@ -682,22 +693,19 @@ def oriented_form(g: RibbonGraph) -> tuple[RibbonGraph, tuple[str, ...]]:
 # Arrow presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """A labelled arrow on a circle; ``forward`` is relative to the circle's sense."""
 
     label: str
     forward: bool
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     name: str
     arrows: tuple[Arrow, ...] = ()
 
 
-@dataclass(frozen=True)
-class ArrowPresentation:
+class ArrowPresentation(NamedTuple):
     circles: tuple[Circle, ...] = ()
 
 
@@ -726,31 +734,33 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
     opposite directions a twisted one; end numbers are recovered from the
     convention used by :func:`to_arrow_presentation`.
     """
-    positions: dict[str, list[tuple[int, int, bool]]] = {}
-    for ci, c in enumerate(p.circles):
-        for ai, a in enumerate(c.arrows):
-            positions.setdefault(a.label, []).append((ci, ai, a.forward))
+    arrows = [a for c in p.circles for a in c.arrows]
+    positions: dict[str, list[int]] = {}
+    for i, a in enumerate(arrows):
+        positions.setdefault(a.label, []).append(i)
     for label, occ in positions.items():
         if len(occ) != 2:
             raise MalformedPresentationError(
                 f"label {label!r} appears on {len(occ)} arrows, expected exactly 2"
             )
 
-    end_at: dict[tuple[int, int], EdgeEnd] = {}
-    signs: dict[str, int] = {}
-    for label in sorted(positions):
-        first, second = positions[label]
-        signs[label] = 1 if first[2] == second[2] else -1
-        one, two = (first, second) if first[2] else (second, first)
-        end_at[one[:2]] = EdgeEnd(label, 1)
-        end_at[two[:2]] = EdgeEnd(label, 2)
-
-    vertices = tuple(
-        Vertex(c.name, tuple(end_at[(ci, ai)] for ai in range(len(c.arrows))))
-        for ci, c in enumerate(p.circles)
+    # The flags are laid out from the arrows; only the circle names are
+    # left for validation to check.
+    n = len(arrows)
+    ends: list[EdgeEnd] = [None] * n
+    mate, twisted = [0] * n, [False] * n
+    for label, (i, j) in positions.items():
+        twisted[i] = twisted[j] = arrows[i].forward != arrows[j].forward
+        one, two = (i, j) if arrows[i].forward else (j, i)
+        ends[one], ends[two] = _new_end((label, 1)), _new_end((label, 2))
+        mate[i], mate[j] = j, i
+    edges = tuple(Edge(label, -1 if twisted[i] else 1) for label, (i, _) in sorted(positions.items()))
+    g = object.__new__(RibbonGraph)
+    g.__dict__.update(
+        _flags=_flag_layout(ends, mate, twisted, [0, *accumulate(len(c.arrows) for c in p.circles)]),
+        vertex_names=tuple(c.name for c in p.circles),
+        edges=edges,
     )
-    edges = tuple(Edge(label, signs[label]) for label in positions)
-    g = RibbonGraph(vertices, edges)
     require_valid(g)
     return g
 

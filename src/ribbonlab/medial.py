@@ -31,7 +31,7 @@ it, kept separately as a free loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     EdgeEnd,
@@ -64,16 +64,14 @@ EDGE_LINE = "edge-line"
 COMMON_LINE = "common-line"
 
 
-@dataclass(frozen=True)
-class MedialVertex:
+class MedialVertex(NamedTuple):
     """The crossing placed on one host edge, with its four tagged ports."""
 
     edge: str
     ports: tuple[HalfEdgeSegment, HalfEdgeSegment, HalfEdgeSegment, HalfEdgeSegment]
 
 
-@dataclass(frozen=True)
-class CornerEdge:
+class CornerEdge(NamedTuple):
     """A medial edge alongside one vertex line segment of the host."""
 
     index: int
@@ -81,8 +79,7 @@ class CornerEdge:
     ports: tuple[HalfEdgeSegment, HalfEdgeSegment]
 
 
-@dataclass(frozen=True)
-class MedialGraph:
+class MedialGraph(NamedTuple):
     host: RibbonGraph
     flipped: tuple[str, ...]
     vertices: tuple[MedialVertex, ...]
@@ -129,8 +126,7 @@ def build_medial(h: RibbonGraph) -> MedialGraph:
 # end-1 and end-2 positions ``p`` and ``q``, and corner edge ``i`` joins flag
 # ``2i + 1`` to ``corner[2i + 1]``.  A direction is a head bit per flag.
 
-@dataclass(frozen=True)
-class AllCrossingDirection:
+class AllCrossingDirection(NamedTuple):
     """A direction per corner edge, as (tail port, head port), plus the
     straight-ahead walks (corner-edge index sequences) that produced it."""
 
@@ -260,8 +256,7 @@ def d_edges(cls: CDClassification) -> tuple[str, ...]:
     return tuple(sorted(e for e, kind in cls.items() if kind == "d"))
 
 
-@dataclass(frozen=True)
-class CurveSegment:
+class CurveSegment(NamedTuple):
     """One smoothed strand on a curve: a ribbon side of a c-edge or an
     attachment arc of a d-edge, traversed entry -> exit.  The sign is +1
     when the traversal runs from the L port to the R port, the direction
@@ -274,8 +269,7 @@ class CurveSegment:
     sign: int
 
 
-@dataclass(frozen=True)
-class SmoothedCurve:
+class SmoothedCurve(NamedTuple):
     segments: tuple[CurveSegment, ...]
     corner_path: tuple[int, ...]
     free_vertex: str | None = None

@@ -10,7 +10,7 @@ lie on differently coloured faces.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     RibbonGraph,
@@ -23,8 +23,7 @@ RED = "red"
 BLUE = "blue"
 
 
-@dataclass(frozen=True)
-class FaceColouring:
+class FaceColouring(NamedTuple):
     """A proper 2-colouring of the faces of ``graph``, in boundary order."""
 
     graph: RibbonGraph

@@ -29,8 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     RibbonGraph,
@@ -109,31 +108,37 @@ class WorkerCountError(RibbonGraphError):
 # Enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GraphUniverse:
     """Exhaustive iterator over small ribbon graphs.
 
     Every isomorphism class within the bounds appears at least once; with
-    ``dedup`` exactly once.  Iteration order is deterministic.
+    ``dedup`` exactly once.  Iteration order is deterministic.  Equality is
+    identity: a universe describes an iteration, not a value.
     """
 
-    max_edges: int
-    max_vertices: int | None = None
-    connected: bool = False
-    dedup: bool = True
-    extra_isolated: int = 0
+    __slots__ = ("max_edges", "max_vertices", "connected", "dedup", "extra_isolated")
 
-    def __post_init__(self):
-        if self.max_edges > HARD_EDGE_CAP:
-            raise EnumerationLimitError(
-                f"max_edges {self.max_edges} above the hard cap {HARD_EDGE_CAP}"
-            )
-        if self.max_edges < 0:
+    def __init__(
+        self,
+        max_edges: int,
+        max_vertices: int | None = None,
+        connected: bool = False,
+        dedup: bool = True,
+        extra_isolated: int = 0,
+    ):
+        if max_edges > HARD_EDGE_CAP:
+            raise EnumerationLimitError(f"max_edges {max_edges} above the hard cap {HARD_EDGE_CAP}")
+        if max_edges < 0:
             raise EnumerationLimitError("max_edges must be nonnegative")
-        if self.max_vertices is not None and self.max_vertices < 0:
+        if max_vertices is not None and max_vertices < 0:
             raise EnumerationLimitError("max_vertices must be nonnegative")
-        if self.connected and self.extra_isolated:
+        if connected and extra_isolated:
             raise ValueError("a graph with extra isolated vertices is never connected")
+        self.max_edges, self.max_vertices, self.connected = max_edges, max_vertices, connected
+        self.dedup, self.extra_isolated = dedup, extra_isolated
+
+    def __repr__(self) -> str:
+        return "GraphUniverse(" + ", ".join(f"{k}={v!r}" for k, v in self.params().items()) + ")"
 
     def params(self) -> dict:
         return {
@@ -322,8 +327,7 @@ def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[str, 
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyFailure:
+class PropertyFailure(NamedTuple):
     graph: str
     params: dict
     detail: str
@@ -332,8 +336,7 @@ class PropertyFailure:
         return {"graph": self.graph, "params": self.params, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     name: str
     universe: dict
     checked: int
@@ -919,8 +922,7 @@ def predicate_implication_table(universe: GraphUniverse) -> dict[str, dict]:
 # Counterexample search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConverseWitness:
+class ConverseWitness(NamedTuple):
     """A graph and subset where both dualised minors are bipartite but the
     partial dual itself is not."""
 

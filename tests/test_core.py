@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import time
@@ -117,7 +118,46 @@ def test_vertex_rotation_is_coerced_to_a_tuple():
     ends = [EdgeEnd("a", 1), EdgeEnd("a", 2)]
     listed, tupled = Vertex("u", ends), Vertex("u", tuple(ends))
     assert listed == tupled and hash(listed) == hash(tupled)
-    assert isinstance(listed.rotation, tuple)
+    assert type(listed.rotation) is tuple and Vertex("u", iter(ends)).rotation == tuple(ends)
+    assert Vertex("u").rotation == () and listed == ("u", tuple(ends))
+    assert repr(listed) == "Vertex(name='u', rotation=(EdgeEnd(edge='a', end=1), EdgeEnd(edge='a', end=2)))"
+    assert pickle.loads(pickle.dumps(listed)) == listed
+
+
+def test_graphs_refuse_assignment_and_deletion():
+    # RibbonGraph.__setattr__ and __delattr__ refuse every name, stored
+    # fields and memos alike; the constructor and memos write __dict__.
+    g = graph("torus")
+    before = dict(vars(g))
+    for name in ("edges", "_flags", "_faces", "spare"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(g, name)
+    assert vars(g) == before and g == graph("torus")
+
+
+def test_graph_and_boundary_reprs_are_pinned():
+    g = parse_graph((FIXTURES / "twisted_loop.rg").read_text())
+    assert repr(g) == (
+        "RibbonGraph(vertices=(Vertex(name='u', rotation=(EdgeEnd(edge='a', end=1), EdgeEnd(edge='a', end=2))),),"
+        " edges=(Edge(name='a', sign=-1),))"
+    )
+    assert repr(trace_boundary(g)) == (
+        "BoundaryDecomposition(components=(BoundaryComponent(segments=("
+        "HalfEdgeSegment(end=EdgeEnd(edge='a', end=1), side='L'), HalfEdgeSegment(end=EdgeEnd(edge='a', end=2), side='L'), "
+        "HalfEdgeSegment(end=EdgeEnd(edge='a', end=1), side='R'), HalfEdgeSegment(end=EdgeEnd(edge='a', end=2), side='R')"
+        "), isolated_vertex=None),))"
+    )
+
+
+def test_graphs_survive_a_pickle_round_trip():
+    # Worker processes receive graphs and return results by pickle.
+    for g in (graph("torus"), parse_graph((FIXTURES / "twisted_loop.rg").read_text()), random_graph(50, 1)):
+        trace_boundary(g)  # memos travel with the graph
+        copy = pickle.loads(pickle.dumps(g))
+        assert type(copy) is RibbonGraph and copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
+        assert trace_boundary(copy) == trace_boundary(g) and graph_to_text(copy) == graph_to_text(g)
 
 
 def test_memos_leave_eq_hash_and_repr_alone(universe2):
@@ -467,6 +507,10 @@ def test_malformed_presentation_rejected():
     p = ArrowPresentation((Circle("u", (Arrow("e", True),)),))
     with pytest.raises(MalformedPresentationError):
         from_arrow_presentation(p)
+    # Every label on two arrows lays out valid flags; the circle names are still validated.
+    twins = ArrowPresentation((Circle("u", (Arrow("e", True),)), Circle("u", (Arrow("e", False),))))
+    with pytest.raises(InvalidGraphError, match="duplicate vertex name"):
+        from_arrow_presentation(twins)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ There is no linter in the toolchain, so this reads the source with ``ast``.
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +252,49 @@ def test_every_bench_binding_names_a_function():
         if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def function_imports(source: str) -> list[str]:
+    """Imports of a package module (relative, or of ``ribbonlab``) made
+    inside a function, where they would only move start-up work."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                out.extend(f"line {node.lineno}: {n}" for n in names if n.startswith((".", "ribbonlab")))
+    return out
+
+
+def test_function_import_checker_flags_package_modules():
+    source = (
+        "from .core import A\n"
+        "def f():\n"
+        "    import multiprocessing\n"
+        "    from . import core\n"
+        "    import ribbonlab.cli\n"
+        "    return A\n"
+    )
+    assert function_imports(source) == ["line 4: .", "line 5: ribbonlab.cli"]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "ribbonlab").glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_a_package_module(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_start_up_imports_no_dataclasses():
+    # Value types are named tuples, so starting the CLI generates no class
+    # code: neither ``dataclasses`` nor the ``inspect`` it pulls in is loaded.
+    probe = (
+        "import sys, ribbonlab.cli; ribbonlab.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -204,13 +204,13 @@ def test_operator_outputs_carry_their_flags_at_scale():
 
 def test_operator_chains_build_no_vertex_tuples(raw_universe3, monkeypatch):
     built = []
-    post_init = core.Vertex.__post_init__
+    new = core.Vertex.__new__
 
-    def counted(v):
-        built.append(v.name)
-        post_init(v)
+    def counted(cls, name, rotation=()):
+        built.append(name)
+        return new(cls, name, rotation)
 
-    monkeypatch.setattr(core.Vertex, "__post_init__", counted)
+    monkeypatch.setattr(core.Vertex, "__new__", counted)
     outs = []
     for g in raw_universe3:
         names = g.edge_names

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,16 @@ def test_workers_give_identical_reports():
         r2 = run_property_suite(u, suite, workers=2).to_dict()
         r1.pop("elapsed_ms"), r2.pop("elapsed_ms")
         assert r1 == r2 and r1["checked"] > 0
+
+
+def test_reports_survive_a_pickle_round_trip(monkeypatch):
+    # Reports and their failures are pickled like the graphs a worker receives.
+    monkeypatch.setitem(workbench.PROPERTIES, "always-fails", lambda g: [({"note": 1}, False, "deliberate")])
+    for name in ("arrow-roundtrip", "always-fails"):
+        report = run_property_suite(enumerate_graphs(1), name)
+        copy = pickle.loads(pickle.dumps(report))
+        assert type(copy) is type(report) and copy == report and copy.to_dict() == report.to_dict()
+    assert copy.failures and all(type(f) is workbench.PropertyFailure for f in copy.failures)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
