@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .core import (
     RibbonGraph,
     RibbonGraphError,
+    _flip_vertices,
     _orbit_ids,
     _orbits,
     _orientation_parity,
@@ -37,8 +38,6 @@ from .core import (
 from .medial import InternalInvariantError, _straight_ahead, d_edges
 from .operators import _check_edges, partial_dual, partial_petrial, twist_compose
 from .predicates import (
-    BLUE,
-    RED,
     FaceColouring,
     checkerboard_colouring,
     is_eulerian,
@@ -95,9 +94,12 @@ def checkerboard_twisted_dual(g: RibbonGraph, *, seed: int = 0) -> TwistedDualCe
     missing final colouring would be an implementation bug, never a valid
     outcome, and raises :class:`InternalInvariantError`.
     """
-    petrial_set = orienting_petrial_set(g)
+    bit, bad = _orientation_parity(g)
+    petrial_set = tuple(g.edges[i].name for i in bad)
     oriented = partial_petrial(g, petrial_set)
-    host, _ = oriented_form(oriented)
+    # Twisting the links the bits violate makes the bits satisfy every link,
+    # so flipping by them orients the twisted graph.
+    host = _flip_vertices(oriented, {name for name, b in zip(g.vertex_names, bit) if b})
     dual_set = d_edges(_straight_ahead(host._flags, seed)[1])
     result = partial_dual(oriented, dual_set)
     colouring = checkerboard_colouring(result)
@@ -140,9 +142,7 @@ class PartialPetrialCertificate(NamedTuple):
     colouring: FaceColouring
 
 
-def checkerboard_partial_petrial(
-    g: RibbonGraph, *, first_colour: str = RED
-) -> PartialPetrialCertificate:
+def checkerboard_partial_petrial(g: RibbonGraph) -> PartialPetrialCertificate:
     """Produce a checkerboard colourable partial Petrial of an Eulerian graph.
 
     Twisting exactly the inconsistent edges makes every edge consistent, so
@@ -154,8 +154,6 @@ def checkerboard_partial_petrial(
     """
     if not is_eulerian(g):
         raise NotEulerianError("graph has a vertex of odd degree")
-    if first_colour not in (RED, BLUE):
-        raise ValueError(f"unknown colour {first_colour!r}")
     # Swapping the two colours changes no output.
     col = _corner_bits(g)
     twisted = _inconsistent(g, col)

@@ -117,49 +117,44 @@ def _split_edges(arg: str) -> list[str]:
     return [part for part in arg.split(",") if part]
 
 
+def _word(arg: str) -> dict[str, str]:
+    word = {}
+    for part in _split_edges(arg):
+        edge, _, elem = part.partition(":")
+        if not _ or elem not in TWIST_ELEMENTS:
+            raise _CliError(
+                f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
+            )
+        if edge in word:
+            raise _CliError(f"bad word entry {part!r}; edge {edge!r} already has element {word[edge]!r}")
+        word[edge] = elem
+    return word
+
+
+_EDGE_LIST = {"help": "comma-separated edges"}
+_FLAG = {"action": "store_true"}
+
+#: ``op``'s operations in option order: the ``add_argument`` keywords of
+#: ``--<name>`` and the operation on the graph and the option's value.
+_OPS = {
+    "word": ({"help": 'per-edge word, e.g. "e1:dt,e2:1,e3:d"'}, lambda g, v: apply_twist_word(g, _word(v))),
+    "dual": (_FLAG, lambda g, _: geometric_dual(g)),
+    "petrial": (_FLAG, lambda g, _: petrial(g)),
+    "pdual": (_EDGE_LIST, lambda g, v: partial_dual(g, _split_edges(v))),
+    "ppetrial": (_EDGE_LIST, lambda g, v: partial_petrial(g, _split_edges(v))),
+    "delete": (_EDGE_LIST, lambda g, v: delete(g, _split_edges(v))),
+    "contract": (_EDGE_LIST, lambda g, v: contract(g, _split_edges(v))),
+}
+
+
 def _cmd_op(args) -> int:
     g = _load(args.file)
-    chosen = [
-        name
-        for name, value in (
-            ("word", args.word),
-            ("dual", args.dual),
-            ("petrial", args.petrial),
-            ("pdual", args.pdual),
-            ("ppetrial", args.ppetrial),
-            ("delete", args.delete),
-            ("contract", args.contract),
-        )
-        if value
-    ]
+    chosen = [name for name in _OPS if getattr(args, name)]
     if len(chosen) != 1:
-        raise _CliError("op needs exactly one of --word/--dual/--petrial/--pdual/--ppetrial/--delete/--contract")
-    kind = chosen[0]
+        raise _CliError(f"op needs exactly one of {'/'.join('--' + name for name in _OPS)}")
+    name = chosen[0]
     try:
-        if kind == "word":
-            word = {}
-            for part in _split_edges(args.word):
-                edge, _, elem = part.partition(":")
-                if not _ or elem not in TWIST_ELEMENTS:
-                    raise _CliError(
-                        f"bad word entry {part!r}; use <edge>:<element> with element one of {', '.join(TWIST_ELEMENTS)}"
-                    )
-                if edge in word:
-                    raise _CliError(f"bad word entry {part!r}; edge {edge!r} already has element {word[edge]!r}")
-                word[edge] = elem
-            out = apply_twist_word(g, word)
-        elif kind == "dual":
-            out = geometric_dual(g)
-        elif kind == "petrial":
-            out = petrial(g)
-        elif kind == "pdual":
-            out = partial_dual(g, _split_edges(args.pdual))
-        elif kind == "ppetrial":
-            out = partial_petrial(g, _split_edges(args.ppetrial))
-        elif kind == "delete":
-            out = delete(g, _split_edges(args.delete))
-        else:
-            out = contract(g, _split_edges(args.contract))
+        out = _OPS[name][1](g, getattr(args, name))
     except UnknownEdgeError as exc:
         raise _CliError(f"{args.file}: no edge {exc.args[0]!r}")
     if args.output:
@@ -189,30 +184,26 @@ def _cmd_medial(args) -> int:
 
 
 def _cmd_theorem1(args) -> int:
-    g = _load(args.file)
-    try:
-        cert = checkerboard_twisted_dual(g)
-    except InternalInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return FAILURE
-    print(f"petrial set A: {list(cert.petrial_set)}")
-    print(f"dual set D: {list(cert.dual_set)}")
-    print(f"twist word: {cert.twist_word()}")
-    print("result:")
-    sys.stdout.write(graph_to_text(cert.result))
-    print(f"colouring: {' '.join(cert.colouring.colours)}")
-    return 0
+    return _certify(args.file, checkerboard_twisted_dual, lambda cert: (
+        f"petrial set A: {list(cert.petrial_set)}",
+        f"dual set D: {list(cert.dual_set)}",
+        f"twist word: {cert.twist_word()}",
+    ))
 
 
 def _cmd_theorem2(args) -> int:
-    g = _load(args.file)
+    return _certify(args.file, checkerboard_partial_petrial, lambda cert: (f"twisted edges I: {list(cert.twisted)}",))
+
+
+def _certify(path: str, pipeline, head) -> int:
+    """Print the certificate a theorem pipeline makes of a graph file: ``head``'s lines, the result, its colouring."""
+    g = _load(path)
     try:
-        cert = checkerboard_partial_petrial(g)
+        cert = pipeline(g)
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return FAILURE
-    print(f"twisted edges I: {list(cert.twisted)}")
-    print("result:")
+    print(*head(cert), "result:", sep="\n")
     sys.stdout.write(graph_to_text(cert.result))
     print(f"colouring: {' '.join(cert.colouring.colours)}")
     return 0
@@ -307,13 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply a twisted-duality operator")
     p.add_argument("file")
-    p.add_argument("--word", help='per-edge word, e.g. "e1:dt,e2:1,e3:d"')
-    p.add_argument("--dual", action="store_true")
-    p.add_argument("--petrial", action="store_true")
-    p.add_argument("--pdual", help="comma-separated edges")
-    p.add_argument("--ppetrial", help="comma-separated edges")
-    p.add_argument("--delete", help="comma-separated edges")
-    p.add_argument("--contract", help="comma-separated edges")
+    for name, (option, _) in _OPS.items():
+        p.add_argument(f"--{name}", **option)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_op)
 

@@ -370,13 +370,12 @@ def _edge_subsets(g: RibbonGraph) -> Iterator[tuple[str, ...]]:
     names = g.edge_names
     k = len(names)
     if k <= SUBSET_EXHAUSTIVE_CAP:
-        for mask in range(1 << k):
-            yield tuple(names[i] for i in range(k) if mask >> i & 1)
-        return
-    rng = random.Random(graph_to_text(g))
-    masks = {0, (1 << k) - 1}
-    while len(masks) < 2 + SUBSET_SAMPLES:
-        masks.add(rng.randrange(1 << k))
+        masks = range(1 << k)
+    else:
+        rng = random.Random(graph_to_text(g))
+        masks = {0, (1 << k) - 1}
+        while len(masks) < 2 + SUBSET_SAMPLES:
+            masks.add(rng.randrange(1 << k))
     for mask in sorted(masks):
         yield tuple(names[i] for i in range(k) if mask >> i & 1)
 
@@ -386,15 +385,12 @@ def _disjoint_pairs(g: RibbonGraph) -> Iterator[tuple[tuple[str, ...], tuple[str
     names = g.edge_names
     k = len(names)
     if k <= SUBSET_EXHAUSTIVE_CAP:
-        for assignment in itertools.product((0, 1, 2), repeat=k):
-            b = tuple(names[i] for i in range(k) if assignment[i] == 1)
-            c = tuple(names[i] for i in range(k) if assignment[i] == 2)
-            yield b, c
-        return
-    rng = random.Random("pairs:" + graph_to_text(g))
-    chosen = {(0,) * k}
-    while len(chosen) < 1 + SUBSET_SAMPLES:
-        chosen.add(tuple(rng.randrange(3) for _ in range(k)))
+        chosen = itertools.product((0, 1, 2), repeat=k)
+    else:
+        rng = random.Random("pairs:" + graph_to_text(g))
+        chosen = {(0,) * k}
+        while len(chosen) < 1 + SUBSET_SAMPLES:
+            chosen.add(tuple(rng.randrange(3) for _ in range(k)))
     for assignment in sorted(chosen):
         b = tuple(names[i] for i in range(k) if assignment[i] == 1)
         c = tuple(names[i] for i in range(k) if assignment[i] == 2)
@@ -784,15 +780,9 @@ def _prop_theorem1_endtoend(g: RibbonGraph) -> Iterator[Instance]:
 def _prop_theorem2_endtoend(g: RibbonGraph) -> Iterator[Instance]:
     if not is_eulerian(g):
         return
-    for first in ("red", "blue"):
-        cert = checkerboard_partial_petrial(g, first_colour=first)
-        ok = (
-            cert.result == partial_petrial(g, cert.twisted)
-            and is_checkerboard_colourable(cert.result)
-        )
-        yield {"first_colour": first, "I": list(cert.twisted)}, ok, (
-            "the twisted graph must be checkerboard colourable"
-        )
+    cert = checkerboard_partial_petrial(g)
+    yield {"I": list(cert.twisted)}, cert.result == partial_petrial(g, cert.twisted), "the result must twist exactly I"
+    yield {}, is_checkerboard_colourable(cert.result), "the twisted graph must be checkerboard colourable"
 
 
 def _prop_orienting_set(g: RibbonGraph) -> Iterator[Instance]:

@@ -110,14 +110,6 @@ def test_odd_degree_rejected(universe3):
                 checkerboard_partial_petrial(g)
 
 
-def test_first_colour_changes_no_output(universe3):
-    for g in universe3:
-        if is_eulerian(g):
-            assert checkerboard_partial_petrial(g, first_colour=BLUE) == checkerboard_partial_petrial(g)
-    with pytest.raises(ValueError):
-        checkerboard_partial_petrial(graph("loop"), first_colour="green")
-
-
 def test_half_twist_toggles_consistency(universe3):
     for g in universe3:
         if not is_eulerian(g):
@@ -251,6 +243,20 @@ def test_twisted_dual_matches_the_medial_views(raw_universe3):
             cert = checkerboard_twisted_dual(g, seed=seed)
             m = build_medial(partial_petrial(g, cert.petrial_set))
             assert cert.dual_set == d_edges(classify_cd(m, straight_ahead_direction(m, seed=seed)))
+
+
+def test_twisted_dual_solves_orientation_once(monkeypatch):
+    # The bits that found the petrial set also orient the twisted graph.
+    from ribbonlab import algorithms, core
+
+    calls = []
+    real = core._orientation_parity
+    monkeypatch.setattr(core, "_orientation_parity", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(algorithms, "_orientation_parity", core._orientation_parity)
+    for g in (graph("twisted_loop"), graph("torus"), random_graph(300, 1)):
+        checkerboard_twisted_dual(g)
+        assert calls == [g]
+        calls.clear()
 
 
 def test_twisted_dual_certificate_at_scale():
