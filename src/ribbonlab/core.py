@@ -24,13 +24,15 @@ involution identities exercised in the test suite):
   of <corner, side>, memoised per graph and read by every face reader;
   :func:`trace_boundary` is their view as segments.  Vertices are the
   orbits of <corner, end>, and the flags hold each vertex's bounds.
-* Every graph is stored as flags.  ``RibbonGraph(vertices, edges)`` lays
-  them out from the given vertices, valid or not, and the graph is
-  validated on its first use.  Operator results are built from a valid
-  input with :func:`_flag_layout` or :func:`_twist_flags` and trusted as
-  valid; so are the enumerated, sampled, canonical and parsed graphs, laid
-  out from a list of edge-ends.  ``vertices`` is a memoised view, built as
-  ``Vertex`` tuples when read; validation, text, equality and hash read flags.
+* Every graph is stored as flags, and every graph is valid: input is
+  checked once, where it enters.  ``RibbonGraph(vertices, edges)`` raises
+  :class:`InvalidGraphError` before it lays out any flags, and so do
+  :func:`parse_graph` and :func:`from_arrow_presentation`.  Operator
+  results are built from a valid input with :func:`_flag_layout` or
+  :func:`_twist_flags`; so are the enumerated, sampled and canonical
+  graphs, laid out from a list of edge-ends, and no operator checks its
+  input again.  ``vertices`` is a memoised view, built as ``Vertex`` tuples
+  when read; text, equality and hash read flags.
 * Value types (edge-ends, edges, vertices, violations, boundaries, arrow
   presentations, and the certificates and reports of the other modules)
   are named tuples: they compare, hash, iterate and index as tuples of
@@ -56,7 +58,7 @@ class RibbonGraphError(Exception):
 
 
 class InvalidGraphError(RibbonGraphError):
-    """A structurally broken rotation system was passed where a valid one is required."""
+    """A graph was built from a structurally broken rotation system; ``violations`` lists each break."""
 
     def __init__(self, violations: Sequence["Violation"]):
         self.violations = tuple(violations)
@@ -170,8 +172,9 @@ class RibbonGraph:
     Vertex order is meaningful (it drives serialization); edges are always
     stored sorted by name, so graphs that differ only in edge declaration
     order compare equal.  Every graph stores its flags, vertex names and
-    edges: the constructor lays out the flags of the given vertices, valid
-    or not, and an operator result is built on its flags (see
+    edges: the constructor checks the given vertices and edges, raising
+    :class:`InvalidGraphError` with every violation, then lays out their
+    flags; an operator result is built on its flags (see
     :func:`_from_flags`).  ``vertices`` is a view of the flags, built as
     ``Vertex`` tuples when it is first read.
     """
@@ -180,7 +183,9 @@ class RibbonGraph:
         vertices = tuple(vertices)
         self.__dict__.update(edges=tuple(sorted(edges, key=_edge_name)), vertex_names=tuple(v.name for v in vertices))
         ends = [d for v in vertices for d in v.rotation]
-        self.__dict__["_flags"] = _flag_structure(ends, [0, *accumulate(len(v.rotation) for v in vertices)], self.signs())
+        bounds = [0, *accumulate(len(v.rotation) for v in vertices)]
+        require_valid(self.vertex_names, ends, bounds, self.edges)
+        self.__dict__["_flags"] = _flag_structure(ends, bounds, self.signs())
 
     @_memo
     def vertices(self) -> tuple[Vertex, ...]:
@@ -188,19 +193,13 @@ class RibbonGraph:
         return tuple(Vertex(name, tuple(ends[a:b])) for name, a, b in zip(self.vertex_names, bounds, bounds[1:]))
 
     @_memo
-    def _violations(self) -> tuple["Violation", ...]:
-        # The graph is immutable all the way down, so one verdict holds for
-        # its lifetime.  Eq, hash and repr ignore it.
-        return tuple(validate(self))
-
-    @_memo
     def _boundary(self) -> "BoundaryDecomposition":
-        # Read only through trace_boundary, which validates first.
+        # Read only through trace_boundary.
         return _trace_boundary(self)
 
     @_memo
     def _segments(self) -> list["HalfEdgeSegment"]:
-        # Flag f as a half-edge segment; read only after validation.
+        # Flag f as a half-edge segment.
         return [HalfEdgeSegment(d, letter) for d in self._flags.ends for letter in (L, R)]
 
     @_memo
@@ -215,7 +214,7 @@ class RibbonGraph:
     @_memo
     def _edge_endpoints(self) -> list[list[int]]:
         # Each edge's two vertex indices (lower first), in stored edge
-        # order; read only after validation, and never mutated.
+        # order; never mutated.
         ends, mate, _, _, _, bounds = self._flags
         vertex = [0] * len(ends)
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
@@ -253,7 +252,7 @@ class RibbonGraph:
         raise UnknownEdgeError(str(end))
 
     def is_loop(self, edge: str) -> bool:
-        e1, e2 = Edge(edge).ends
+        e1, e2 = self.edge(edge).ends
         return self.vertex_of(e1) == self.vertex_of(e2)
 
     def __str__(self) -> str:
@@ -280,10 +279,11 @@ class RibbonGraph:
 
 def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
     """The graph with flags ``fl``, built by an operator from a valid graph
-    or laid out from valid edge-ends: valid by construction, so it is never
-    validated, and ``edges`` are already in name order."""
+    or laid out from checked or library-made edge-ends: valid by
+    construction, so it is not checked again, and ``edges`` are already in
+    name order.  The one way in that skips the constructor."""
     g = object.__new__(RibbonGraph)
-    g.__dict__.update(_flags=fl, vertex_names=vertex_names, edges=edges, _violations=())
+    g.__dict__.update(_flags=fl, vertex_names=vertex_names, edges=edges)
     return g
 
 
@@ -331,23 +331,23 @@ class Violation(NamedTuple):
     end: EdgeEnd | None = None
 
 
-def validate(g: RibbonGraph) -> list[Violation]:
-    """Check every structural invariant; empty list means the graph is valid."""
+def validate(vertex_names: Sequence[str], ends: Sequence[EdgeEnd], bounds: Sequence[int], edges: Sequence[Edge]):
+    """Every structural violation of the graph with these vertex names,
+    edge-ends listed vertex by vertex (vertex k holds positions ``bounds[k]``
+    up to ``bounds[k + 1]``) and edges in name order; none means valid."""
     out: list[Violation] = []
-    vnames = g.vertex_names
-    if len(set(vnames)) != len(vnames):
+    if len(set(vertex_names)) != len(vertex_names):
         out.append(Violation("duplicate-vertex", "duplicate vertex name"))
-    enames = [e.name for e in g.edges]
+    enames = [e.name for e in edges]
     if len(set(enames)) != len(enames):
         out.append(Violation("duplicate-edge", "duplicate edge name"))
     known = set(enames)
-    for e in g.edges:
+    for e in edges:
         if e.sign not in (1, -1):
             out.append(Violation("bad-sign", f"edge {e.name} has sign {e.sign!r}, expected +1 or -1"))
 
     placed: dict[EdgeEnd, int] = {}
-    ends, bounds = g._flags.ends, g._flags.bounds
-    for vname, a, b in zip(vnames, bounds, bounds[1:]):
+    for vname, a, b in zip(vertex_names, bounds, bounds[1:]):
         for d in ends[a:b]:
             if d.end not in (1, 2):
                 out.append(Violation("bad-end-index", f"edge-end {d} at vertex {vname} has end index {d.end}", d))
@@ -361,17 +361,17 @@ def validate(g: RibbonGraph) -> list[Violation]:
     # ``placed`` holds only ends of declared edges, so it is full exactly
     # when every end is placed.
     if len(placed) < 2 * len(known):
-        for e in g.edges:
+        for e in edges:
             for d in e.ends:
                 if d not in placed:
                     out.append(Violation("unplaced-edge-end", f"edge-end {d} appears in no vertex rotation", d))
     return out
 
 
-def require_valid(g: RibbonGraph) -> None:
-    """Raise :class:`InvalidGraphError` unless ``g`` is valid; each graph is
-    validated at most once, on its first check."""
-    violations = g._violations
+def require_valid(vertex_names: Sequence[str], ends: Sequence[EdgeEnd], bounds: Sequence[int], edges: Sequence[Edge]):
+    """Raise :class:`InvalidGraphError` with :func:`validate`'s violations,
+    if any: the check made where a graph is built from outside input."""
+    violations = validate(vertex_names, ends, bounds, edges)
     if violations:
         raise InvalidGraphError(violations)
 
@@ -396,16 +396,15 @@ class _Flags(NamedTuple):
 
 
 def _flag_structure(ends: list[EdgeEnd], bounds: list[int], signs: Mapping[str, int]) -> _Flags:
-    """The flags of edge-ends listed vertex by vertex, each paired with its
-    edge's other end; an edge whose sign in ``signs`` is missing or not -1
-    lays out untwisted."""
+    """The flags of valid edge-ends listed vertex by vertex, each paired
+    with its edge's other end and twisted as its sign in ``signs`` says."""
     mate = [0] * len(ends)
     first: dict[str, int] = {}
     for i, d in enumerate(ends):
         # j == i at an edge's first end; its second end sets both entries.
         j = first.setdefault(d.edge, i)
         mate[i], mate[j] = j, i
-    return _flag_layout(ends, mate, [signs.get(d.edge, 1) == -1 for d in ends], bounds)
+    return _flag_layout(ends, mate, [signs[d.edge] < 0 for d in ends], bounds)
 
 
 def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], bounds: list[int]) -> _Flags:
@@ -518,9 +517,8 @@ def trace_boundary(g: RibbonGraph) -> BoundaryDecomposition:
     the edge is untwisted) with rounding one vertex line segment (``R`` to
     the next end's ``L``, ``L`` to the previous end's ``R``).  Isolated
     vertices give one empty component each, after the rest.  Each graph
-    builds the view at most once; an invalid graph raises on every call.
+    builds the view at most once.
     """
-    require_valid(g)
     return g._boundary
 
 
@@ -579,7 +577,6 @@ def _root(parent: list[int], c: int) -> int:
 
 def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected pieces of the underlying multigraph as (vertices, edges), in stored vertex order."""
-    require_valid(g)
     parent = list(range(len(g.vertex_names)))
     ends = g._edge_endpoints
     for u, w in ends:
@@ -597,7 +594,6 @@ def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[st
 
 def euler_characteristic_by_component(g: RibbonGraph) -> list[int]:
     """V - E + F for each connected piece (an isolated vertex counts 1 - 0 + 1 = 2)."""
-    require_valid(g)
     pieces = connected_components(g)
     # A face lies in the piece of any edge on it; an empty face is the next
     # piece without edges, an isolated vertex.
@@ -617,7 +613,6 @@ def euler_characteristic(g: RibbonGraph) -> int:
 def _orientation_parity(g: RibbonGraph) -> tuple[list[int], list[int]]:
     """Flip bits per vertex and the indices of the edges they leave
     twisted: one link per edge, odd exactly when it is twisted."""
-    require_valid(g)
     links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, g._edge_endpoints)]
     return _parity_colouring(len(g.vertex_names), links)
 
@@ -645,7 +640,6 @@ def flip_vertex(g: RibbonGraph, vertex: str) -> RibbonGraph:
     Edges with exactly one end at the vertex change sign; loops at it keep
     theirs.  Flipping twice restores the original graph exactly.
     """
-    require_valid(g)
     if vertex not in g.vertex_names:
         raise UnknownVertexError(vertex)
     return _flip_vertices(g, {vertex})
@@ -718,7 +712,6 @@ def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
     encoding which arrow is end 1, so the round trip through
     :func:`from_arrow_presentation` reproduces the graph exactly.
     """
-    require_valid(g)
     fl = g._flags
     arrows = [Arrow(d.edge, f) for d, f in zip(fl.ends, fl.forward)]
     return ArrowPresentation(tuple(
@@ -744,8 +737,8 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
                 f"label {label!r} appears on {len(occ)} arrows, expected exactly 2"
             )
 
-    # The flags are laid out from the arrows; only the circle names are
-    # left for validation to check.
+    # The flags are laid out from the arrows; only the circle names can
+    # still fail the check.
     n = len(arrows)
     ends: list[EdgeEnd] = [None] * n
     mate, twisted = [0] * n, [False] * n
@@ -755,14 +748,10 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
         ends[one], ends[two] = _new_end((label, 1)), _new_end((label, 2))
         mate[i], mate[j] = j, i
     edges = tuple(Edge(label, -1 if twisted[i] else 1) for label, (i, _) in sorted(positions.items()))
-    g = object.__new__(RibbonGraph)
-    g.__dict__.update(
-        _flags=_flag_layout(ends, mate, twisted, [0, *accumulate(len(c.arrows) for c in p.circles)]),
-        vertex_names=tuple(c.name for c in p.circles),
-        edges=edges,
-    )
-    require_valid(g)
-    return g
+    names = tuple(c.name for c in p.circles)
+    bounds = [0, *accumulate(len(c.arrows) for c in p.circles)]
+    require_valid(names, ends, bounds, edges)
+    return _from_flags(_flag_layout(ends, mate, twisted, bounds), names, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -838,12 +827,11 @@ def parse_graph(text: str) -> RibbonGraph:
     # Names, signs and end indices are checked: valid means each declared edge's two ends, once each.
     if len(set(ends)) == len(ends) == 2 * len(signs) and signs.keys() >= {d.edge for d in ends}:
         return _from_flags(_flag_structure(ends, bounds, signs), tuple(vertex_names), edges)
-    rotations = [tuple(ends[a:b]) for a, b in zip(bounds, bounds[1:])]
-    violations = validate(RibbonGraph(tuple(map(Vertex, vertex_names, rotations)), edges))
+    violations = validate(tuple(vertex_names), ends, bounds, edges)
     # Positions are found only now: edge-end -> (line, column) of each token.
     end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
-    for (lineno, line, start), rotation in zip(vertex_lines, rotations):
-        for d, col in zip(rotation, _token_columns(line, start)):
+    for (lineno, line, start), a, b in zip(vertex_lines, bounds, bounds[1:]):
+        for d, col in zip(ends[a:b], _token_columns(line, start)):
             end_at.setdefault(d, []).append((lineno, col))
     missing = [v.end for v in violations if v.kind == "unknown-edge-end"]
     if missing:
@@ -881,7 +869,6 @@ def save_graph(path, g: RibbonGraph) -> None:
     reads it back.  A vertex or edge name the format cannot hold (one that
     is not a word of ``\\w`` characters) raises ValueError, naming the first
     such name, before the file is opened."""
-    require_valid(g)
     bad = [name for name in (*g.vertex_names, *g.edge_names) if not _NAME.fullmatch(name)]
     if bad:
         raise ValueError(f"name {bad[0]!r} cannot be saved: the text format needs names of word characters")

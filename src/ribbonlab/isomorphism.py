@@ -24,7 +24,6 @@ from .core import (
     _new_end,
     _root,
     graph_to_text,
-    require_valid,
 )
 
 
@@ -213,7 +212,6 @@ def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[str, str]]]
 
 def canonical_key(g: RibbonGraph) -> tuple:
     """A hashable complete isomorphism invariant of a valid graph."""
-    require_valid(g)
     return canonical_key_darts(g._flags)
 
 
@@ -249,8 +247,6 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
     identity on names (vertices stay free), which is the right notion for
     identities that preserve edge labels by construction.
     """
-    require_valid(g)
-    require_valid(h)
     if len(g.edges) != len(h.edges) or len(g.vertex_names) != len(h.vertex_names):
         return False
     # Equal ends and corners fix every rotation, equal sides every twist and

@@ -44,7 +44,6 @@ from .core import (
     _Flags,
     _orbits,
     oriented_form,
-    require_valid,
 )
 
 
@@ -94,7 +93,6 @@ def build_medial(h: RibbonGraph) -> MedialGraph:
     chosen global orientation); a non-orientable host raises
     :class:`UnsupportedHostError`.
     """
-    require_valid(h)
     try:
         host, flipped = oriented_form(h)
     except NotOrientableError as exc:

@@ -18,9 +18,10 @@ them.  Contraction is G/C = G^C - C, with no special case for loops or
 twisted loops; contraction and minors run the same walk and skip the
 deleted and contracted edges' ends, so no intermediate graph is built.
 Every result is born with its flags: the walk emits them, deletion
-filters the input's, and a half-twist swaps sides on the chosen ends.  A
-result is built from a valid input, so it is stored as trusted and never
-validated again; its ``Vertex`` tuples are built only if read.
+filters the input's, and a half-twist swaps sides on the chosen ends.
+Every graph is valid from its construction, so no operator checks its
+input, and a result is stored without a check; its ``Vertex`` tuples are
+built only if read.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .core import (
     _flag_layout,
     _from_flags,
     _twist_flags,
-    require_valid,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,6 @@ def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> set[str]:
 
 def delete(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Remove the edges; vertices stay (possibly becoming isolated)."""
-    require_valid(g)
     return _without(g, _check_edges(g, edges))
 
 
@@ -105,7 +104,6 @@ def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
 def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Add a half-twist to each listed edge (toggle its sign); an involution.
     ``partial_petrial(g, [])`` is ``g`` itself."""
-    require_valid(g)
     chosen = _check_edges(g, edges)
     if not chosen:
         return g
@@ -142,7 +140,6 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     ``partial_dual(g, [])`` is ``g`` itself, and dualising the same set
     twice gives a graph isomorphic to ``g``.
     """
-    require_valid(g)
     chosen = _check_edges(g, edges)
     if not chosen:
         return g
@@ -230,7 +227,6 @@ def contract(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     One pass of the partial-dual splice that leaves the contracted edges
     out of the result it builds.
     """
-    require_valid(g)
     chosen = _check_edges(g, edges)
     return _dual_without(g, chosen, chosen)
 
@@ -240,7 +236,6 @@ def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> 
 
     The same single pass as :func:`contract`, dropping both sets.
     """
-    require_valid(g)
     dset = set(deleted)
     cset = set(contracted)
     overlap = dset & cset
@@ -258,7 +253,6 @@ def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:
     Petrial on the edges with ``a`` set, a partial dual on those with ``b``
     set and a partial Petrial on those with ``c`` set: one dual walk at most.
     """
-    require_valid(g)
     _check_edges(g, word.keys())
     for name, elem in word.items():
         if elem not in TWIST_ELEMENTS:

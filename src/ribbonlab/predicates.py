@@ -16,7 +16,6 @@ from .core import (
     RibbonGraph,
     _orbit_ids,
     _parity_colouring,
-    require_valid,
 )
 
 RED = "red"
@@ -32,26 +31,22 @@ class FaceColouring(NamedTuple):
 
 def is_eulerian(g: RibbonGraph) -> bool:
     """True when every vertex has even degree (isolated vertices count as 0)."""
-    require_valid(g)
     # Every degree is even exactly when every vertex bound is.
     return not any(b & 1 for b in g._flags.bounds)
 
 
 def is_bipartite(g: RibbonGraph) -> bool:
     """Bipartiteness of the underlying multigraph; any loop is an odd cycle."""
-    require_valid(g)
     links = [(u, w, 1) for u, w in g._edge_endpoints]
     return not _parity_colouring(len(g.vertex_names), links)[1]
 
 
 def face_degrees(g: RibbonGraph) -> Counter:
     """Multiset of face degrees: edge sides traversed per boundary component."""
-    require_valid(g)
     return Counter(map(len, g._faces))
 
 
 def is_even_face(g: RibbonGraph) -> bool:
-    require_valid(g)
     return all(len(face) % 2 == 0 for face in g._faces)
 
 
@@ -63,7 +58,6 @@ def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     Deterministic: the lowest-indexed component of each face-adjacency
     component is coloured red.
     """
-    require_valid(g)
     fl = g._flags
     face = _orbit_ids(g._faces, fl.side)
     # One link per edge, joining the faces its two ribbon sides (the flags

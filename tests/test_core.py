@@ -15,7 +15,9 @@ from ribbonlab import (
     NotOrientableError,
     RibbonGraph,
     TextFormatError,
+    UnknownEdgeError,
     Vertex,
+    Violation,
     connected_components,
     euler_characteristic,
     euler_characteristic_by_component,
@@ -34,10 +36,9 @@ from ribbonlab import (
     save_graph,
     to_arrow_presentation,
     trace_boundary,
-    validate,
 )
 from ribbonlab import core
-from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring, require_valid
+from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring
 
 from helpers import (
     FIXTURES,
@@ -52,32 +53,72 @@ from helpers import (
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: once, where a graph is built
 # ---------------------------------------------------------------------------
 
+#: One graph of each kind of structural violation, as (vertices, edges).
+INVALID = {
+    "duplicate-end": ((Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 1))),), (Edge("e"),)),
+    "unplaced-end": ((Vertex("u", (EdgeEnd("e", 1),)),), (Edge("e"),)),
+    "bad-sign": ((Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e", 0),)),
+    "no-ends": ((Vertex("u"),), (Edge("e"),)),
+    "duplicate-vertex": ((Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))), Vertex("u")), (Edge("e"),)),
+    "duplicate-edge": ((Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e"), Edge("e", -1))),
+    "bad-end-index": ((Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 3), EdgeEnd("e", 2))),), (Edge("e"),)),
+    "unknown-edge-end": (
+        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("f", 1))), Vertex("v", (EdgeEnd("e", 2),))), (Edge("e"),)
+    ),
+}
+
+
+def _unplaced(edge: str, end: int) -> Violation:
+    return Violation("unplaced-edge-end", f"edge-end {edge}.{end} appears in no vertex rotation", EdgeEnd(edge, end))
+
+
+#: The violations, messages and edge-ends reported for each graph of
+#: INVALID, pinned in report order.
+VIOLATIONS = {
+    "duplicate-end": (
+        Violation("duplicate-edge-end", "edge-end e.1 appears more than once", EdgeEnd("e", 1)),
+        _unplaced("e", 2),
+    ),
+    "unplaced-end": (_unplaced("e", 2),),
+    "bad-sign": (Violation("bad-sign", "edge e has sign 0, expected +1 or -1"),),
+    "no-ends": (_unplaced("e", 1), _unplaced("e", 2)),
+    "duplicate-vertex": (Violation("duplicate-vertex", "duplicate vertex name"),),
+    "duplicate-edge": (Violation("duplicate-edge", "duplicate edge name"),),
+    "bad-end-index": (
+        Violation("bad-end-index", "edge-end e.3 at vertex u has end index 3", EdgeEnd("e", 3)),
+    ),
+    "unknown-edge-end": (
+        Violation("unknown-edge-end", "edge-end f.1 at vertex u names no declared edge", EdgeEnd("f", 1)),
+    ),
+}
+
+
 def test_empty_graph_is_valid():
-    assert validate(RibbonGraph((Vertex("u"),), ())) == []
+    g = RibbonGraph((Vertex("u"),), ())
+    assert g.vertex_names == ("u",) and g.edges == ()
+    assert core.validate(("u",), [], [0, 0], ()) == []
 
 
-def test_duplicate_edge_end_flagged():
-    g = RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 1))),),
-        (Edge("e"),),
-    )
-    kinds = {v.kind for v in validate(g)}
-    assert "duplicate-edge-end" in kinds
+@pytest.mark.parametrize("kind", sorted(INVALID))
+def test_construction_raises_with_every_violation(kind):
+    with pytest.raises(InvalidGraphError) as info:
+        RibbonGraph(*INVALID[kind])
+    assert info.value.violations == VIOLATIONS[kind]
+    assert str(info.value) == "invalid ribbon graph: " + "; ".join(v.message for v in VIOLATIONS[kind])
 
 
-def test_unplaced_edge_end_flagged():
-    g = RibbonGraph((Vertex("u", (EdgeEnd("e", 1),)),), (Edge("e"),))
-    kinds = {v.kind for v in validate(g)}
-    assert "unplaced-edge-end" in kinds
-
-
-def test_trace_rejects_invalid_graph():
-    g = RibbonGraph((Vertex("u", (EdgeEnd("e", 1),)),), (Edge("e"),))
-    with pytest.raises(InvalidGraphError):
-        trace_boundary(g)
+@pytest.mark.parametrize("kind", sorted(set(INVALID) - {"duplicate-vertex", "duplicate-edge"}))
+def test_ribbon_graph_raises_with_every_violation(kind):
+    # A mapping holds each vertex and edge name once, so two kinds cannot be
+    # written as one; and every edge the rotations name is declared, so an
+    # unknown end's edge becomes an edge with an unplaced end.
+    vertices, edges = INVALID[kind]
+    with pytest.raises(InvalidGraphError) as info:
+        ribbon_graph({v.name: v.rotation for v in vertices}, {e.name: e.sign for e in edges})
+    assert info.value.violations == ((_unplaced("f", 2),) if kind == "unknown-edge-end" else VIOLATIONS[kind])
 
 
 def test_trace_boundary_traces_each_graph_once(monkeypatch):
@@ -165,11 +206,10 @@ def test_memos_leave_eq_hash_and_repr_alone(universe2):
     # RibbonGraph.__eq__ and __hash__ read them, and __repr__ the vertices view.
     g = graph("torus")
     fresh = RibbonGraph(g.vertices, g.edges)
-    stored, memos = {"_flags", "vertex_names", "edges"}, {"_faces", "edge_names", "_violations"}
+    stored, memos = {"_flags", "vertex_names", "edges"}, {"_faces", "edge_names"}
     assert stored <= vars(fresh).keys() and not vars(fresh).keys() & memos
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert not vars(fresh).keys() & memos  # eq, hash and repr read none of them
-    require_valid(fresh)
     faces, names = fresh._faces, fresh.edge_names
     # Each memo is stored on the instance at its first read, then read back.
     assert memos <= vars(fresh).keys()
@@ -199,9 +239,10 @@ def test_ribbon_graph_builder_is_linear_and_keeps_order():
 
 def test_edges_are_stored_in_name_order():
     edges = [Edge("e10", -1), Edge("b"), Edge("e2"), Edge("a", -1), Edge("e1")]
-    g = RibbonGraph((), edges)
+    vertices = (Vertex("u", [d for e in edges for d in e.ends]),)
+    g = RibbonGraph(vertices, edges)
     assert g.edge_names == ("a", "b", "e1", "e10", "e2")
-    assert g == RibbonGraph((), g.edges) == RibbonGraph((), reversed(edges))
+    assert g == RibbonGraph(vertices, g.edges) == RibbonGraph(vertices, reversed(edges))
     assert [e.sign for e in g.edges] == [-1, 1, 1, -1, 1]
 
 
@@ -209,6 +250,15 @@ def test_ribbon_graph_builder_accepts_strings():
     g = ribbon_graph({"u": ["a.1", "a.2"]}, {"a": -1})
     assert g == graph("twisted_loop")
     assert g.signs()["a"] == -1
+
+
+def test_lookups_name_the_unknown_edge():
+    g = graph("path2")
+    assert not g.is_loop("a") and graph("loop").is_loop("a")
+    for call in (g.edge, g.is_loop):
+        with pytest.raises(UnknownEdgeError) as info:
+            call("zz")
+        assert info.value.args == ("zz",)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +319,6 @@ def test_trace_matches_segment_walk(raw_universe3):
 
 def test_flag_structure_invariants(raw_universe3):
     for g in raw_universe3 + [random_graph(300, 1), random_graph(2000, 2)]:
-        require_valid(g)
         flags = g._flags
         n = 2 * len(flags.ends)
         for inv in (flags.corner, flags.side):
@@ -540,7 +589,7 @@ def test_save_graph_refuses_names_the_text_format_cannot_hold(tmp_path, name):
         RibbonGraph((Vertex(name, (EdgeEnd("a", 1), EdgeEnd("a", 2))),), (Edge("a"),)),
         RibbonGraph((Vertex("u", (EdgeEnd(name, 1), EdgeEnd(name, 2))),), (Edge(name),)),
     ):
-        assert validate(g) == [] and graph_to_text(g)
+        assert graph_to_text(g)
         for path in (kept, tmp_path / "new.rg"):
             with pytest.raises(ValueError, match=re.escape(repr(name))):
                 save_graph(path, g)
@@ -684,16 +733,20 @@ def mutated_rotations(draw):
 @settings(max_examples=300)
 @given(mutated_rotations())
 def test_parse_raises_exactly_when_validate_reports(case):
+    # Validation runs in the constructor: parsing fails exactly when building the same graph does.
     names, rotations, edges = case
     text = "".join(f"vertex {n}:" + "".join(f" {d}" for d in rot) + "\n" for n, rot in zip(names, rotations))
     text += "".join(f"edge {e.name}: {'+' if e.sign > 0 else '-'}\n" for e in edges)
-    ref = RibbonGraph(tuple(Vertex(n, tuple(rot)) for n, rot in zip(names, rotations)), edges)
+    try:
+        ref = RibbonGraph(tuple(Vertex(n, tuple(rot)) for n, rot in zip(names, rotations)), edges)
+    except InvalidGraphError:
+        ref = None
     try:
         parsed = parse_graph(text)
     except TextFormatError:
-        assert validate(ref)
+        assert ref is None
     else:
-        assert validate(ref) == [] and parsed == ref and parsed.vertices == ref.vertices
+        assert ref is not None and parsed == ref and parsed.vertices == ref.vertices
 
 
 def _valid_texts(graphs):
@@ -708,10 +761,11 @@ def test_parsed_graphs_are_born_with_flags(raw_universe3):
 
 
 def test_valid_text_is_never_validated(universe3, monkeypatch):
+    texts = _valid_texts(universe3)  # random graphs are built, and checked, by the constructor
     calls = []
     real = core.validate
-    monkeypatch.setattr(core, "validate", lambda g: calls.append(g) or real(g))
-    for text in _valid_texts(universe3):
+    monkeypatch.setattr(core, "validate", lambda *graph: calls.append(graph) or real(*graph))
+    for text in texts:
         parse_graph(text)
     assert calls == []
     with pytest.raises(TextFormatError):
@@ -727,18 +781,13 @@ def test_text_round_trip_keeps_flags(g):
 
 def test_equality_reads_flags_as_the_vertices_would(universe2):
     # RibbonGraph.__eq__ compares flags, which every graph holds from
-    # construction; that must agree with comparing the vertices, for valid
-    # and invalid graphs, whether hand-built or laid out by the library.
-    bad = [
-        RibbonGraph((Vertex("u", (EdgeEnd("a", 1), EdgeEnd("a", 1))),), (Edge("a"),)),
-        RibbonGraph((Vertex("u", (EdgeEnd("a", 1), EdgeEnd("b", 2))),), (Edge("a", 0),)),
-        RibbonGraph((Vertex("u"), Vertex("u")), ()),
-    ]
+    # construction; that must agree with comparing the vertices, whether the
+    # graphs are hand-built or laid out by the library.
     copies = [RibbonGraph(g.vertices, g.edges) for g in universe2]
     # Pairs of flag-born graphs that differ only in a vertex name, or only in the bounds.
     texts = ["vertex u: a.1 a.2\nedge a: +\n", "vertex w: a.1 a.2\nedge a: +\n",
              "vertex u: a.1\nvertex v: a.2\nedge a: +\n", "vertex u: a.1 a.2\nvertex v:\nedge a: +\n"]
-    graphs = universe2 + copies + bad + [parse_graph(text) for text in texts]
+    graphs = universe2 + copies + [parse_graph(text) for text in texts]
     for g in graphs:
         for h in graphs:
             assert (g == h) == ((g.vertices, g.edges) == (h.vertices, h.edges))

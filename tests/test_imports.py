@@ -3,7 +3,8 @@ every name a function assigns is read in that function, every function
 and class the package defines is named somewhere besides its definition,
 every name the package re-exports is used by the package or documented in
 the README, so is every public method and property of a re-exported
-class, and every function the benchmark's layer table binds exists.
+class, every function the benchmark's layer table binds exists, and only
+the ways a graph is built check it or make one without the constructor.
 
 There is no linter in the toolchain, so this reads the source with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -298,3 +299,70 @@ def test_cli_start_up_imports_no_dataclasses():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+#: The only callers of ``require_valid``, and the only function that makes a
+#: graph without the constructor: every other graph is built by one of them.
+TRUST_BOUNDARY = {
+    "require_valid": {"RibbonGraph.__init__", "from_arrow_presentation"},
+    "__new__(RibbonGraph)": {"_from_flags"},
+}
+
+
+def trust_boundary_breaches(source: str) -> list[str]:
+    """Calls of ``require_valid``, and of any ``__new__`` given
+    ``RibbonGraph``, made outside the functions :data:`TRUST_BOUNDARY`
+    allows them in; a function is named by its dotted path of classes and
+    functions."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "__new__" and child.args and getattr(child.args[0], "id", None) == "RibbonGraph":
+                    name = "__new__(RibbonGraph)"
+                if scope not in TRUST_BOUNDARY.get(name, {scope}):
+                    out.append(f"line {child.lineno}: {name} in {scope or 'module'}")
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_trust_boundary_checker_flags_other_callers():
+    source = (
+        "class RibbonGraph:\n"
+        "    def __init__(self, ends):\n"
+        "        require_valid(ends)\n"
+        "    def copy(self):\n"
+        "        return object.__new__(RibbonGraph)\n"
+        "def _from_flags():\n"
+        "    return object.__new__(RibbonGraph)\n"
+        "def from_arrow_presentation(p):\n"
+        "    def inner():\n"
+        "        core.require_valid(p)\n"
+        "    require_valid(p)\n"
+        "    return object.__new__(Circle)\n"
+        "def delete(g):\n"
+        "    require_valid(g)\n"
+        "require_valid(None)\n"
+    )
+    assert trust_boundary_breaches(source) == [
+        "line 5: __new__(RibbonGraph) in RibbonGraph.copy",
+        "line 10: require_valid in from_arrow_presentation.inner",
+        "line 14: require_valid in delete",
+        "line 15: require_valid in module",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "ribbonlab").glob("*.py")), ids=lambda p: p.name)
+def test_graphs_are_checked_only_where_they_are_built(path):
+    # The constructor, from_arrow_presentation and parse_graph check their
+    # input, and _from_flags trusts graphs built from valid ones, so no
+    # operator checks its input again and no graph skips both.
+    assert trust_boundary_breaches(path.read_text(encoding="utf-8")) == []

@@ -11,9 +11,14 @@ from ribbonlab import (
     Edge,
     EdgeEnd,
     InvalidGraphError,
+    NotEulerianError,
+    NotOrientableError,
     RibbonGraph,
     UnknownEdgeError,
+    UnknownVertexError,
+    UnsupportedHostError,
     Vertex,
+    Violation,
     apply_twist_word,
     are_isomorphic,
     contract,
@@ -23,6 +28,7 @@ from ribbonlab import (
     graph_to_text,
     is_checkerboard_colourable,
     is_orientable,
+    load_graph,
     minor,
     oriented_form,
     orienting_petrial_set,
@@ -30,14 +36,14 @@ from ribbonlab import (
     partial_dual,
     partial_petrial,
     petrial,
-    to_arrow_presentation,
+    save_graph,
     trace_boundary,
     twist_compose,
-    validate,
 )
 from ribbonlab import core, operators
 
 from helpers import (
+    TEXTS,
     arrow_splice_partial_dual,
     assert_born_with_flags,
     chain_contract,
@@ -50,106 +56,11 @@ from helpers import (
 
 
 # ---------------------------------------------------------------------------
-# validation: once per graph, still on every operator
+# validation: once, where a graph is built; operator results come out valid
 # ---------------------------------------------------------------------------
 
-INVALID = {
-    "duplicate-end": RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 1))),), (Edge("e"),)
-    ),
-    "unplaced-end": RibbonGraph((Vertex("u", (EdgeEnd("e", 1),)),), (Edge("e"),)),
-    "bad-sign": RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e", 0),)
-    ),
-    "no-ends": RibbonGraph((Vertex("u"),), (Edge("e"),)),
-    "duplicate-vertex": RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))), Vertex("u")), (Edge("e"),)
-    ),
-    "duplicate-edge": RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 2))),), (Edge("e"), Edge("e", -1))
-    ),
-    "bad-end-index": RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("e", 3), EdgeEnd("e", 2))),), (Edge("e"),)
-    ),
-    "unknown-edge-end": RibbonGraph(
-        (Vertex("u", (EdgeEnd("e", 1), EdgeEnd("f", 1))), Vertex("v", (EdgeEnd("e", 2),))), (Edge("e"),)
-    ),
-}
-#: The violation each graph of INVALID is built to show, where its key is not that kind.
-INVALID_KIND = {"duplicate-end": "duplicate-edge-end", "unplaced-end": "unplaced-edge-end", "no-ends": "unplaced-edge-end"}
-CHECKED_OPS = {
-    "delete": lambda g: delete(g, ["e"]),
-    "partial_petrial": lambda g: partial_petrial(g, ["e"]),
-    "partial_dual": lambda g: partial_dual(g, ["e"]),
-    "contract": lambda g: contract(g, ["e"]),
-    "minor": lambda g: minor(g, [], ["e"]),
-    "trace_boundary": trace_boundary,
-    "to_arrow_presentation": to_arrow_presentation,
-}
-
-
-@pytest.mark.parametrize("op", sorted(CHECKED_OPS))
-@pytest.mark.parametrize("kind", sorted(INVALID))
-def test_invalid_graph_rejected_on_every_call(kind, op):
-    g = INVALID[kind]
-    with pytest.raises(InvalidGraphError) as first:
-        CHECKED_OPS[op](g)
-    with pytest.raises(InvalidGraphError) as second:
-        CHECKED_OPS[op](g)
-    assert first.value.violations == second.value.violations == tuple(validate(g))
-
-
-@pytest.mark.parametrize("kind", sorted(INVALID))
-def test_invalid_graphs_are_laid_out_written_and_compared(kind):
-    # The constructor lays out the flags of any vertices, so an invalid
-    # graph is built, written and compared like a valid one.
-    g = INVALID[kind]
-    copy = RibbonGraph(g.vertices, g.edges)
-    assert {"_flags", "vertex_names", "edges"} <= vars(copy).keys() and "_violations" not in vars(copy)
-    assert INVALID_KIND.get(kind, kind) in {v.kind for v in validate(g)}
-    lines = [f"vertex {v.name}:" + "".join(f" {d}" for d in v.rotation) for v in g.vertices]
-    lines += [f"edge {e.name}: {'+' if e.sign > 0 else '-'}" for e in g.edges]
-    assert graph_to_text(g) == graph_to_text(copy) == "\n".join(lines) + "\n"
-    for h in [copy, *INVALID.values(), graph("loop")]:
-        same = (g.vertices, g.edges) == (h.vertices, h.edges)
-        assert (g == h) == (h == g) == same
-        if same:
-            assert hash(g) == hash(h)
-
-
-def takes_graph(p: inspect.Parameter) -> bool:
-    return p.annotation in ("RibbonGraph", RibbonGraph)
-
-
-#: Every public function that takes a graph, but ``validate``, which
-#: reports the violations, and ``graph_to_text``, which prints any graph.
-GRAPH_FUNCTIONS = [
-    fn
-    for name, fn in sorted(vars(ribbonlab).items())
-    if inspect.isfunction(fn)
-    and name not in ("validate", "graph_to_text")
-    and any(map(takes_graph, inspect.signature(fn).parameters.values()))
-]
-#: A value for each other required parameter.  The edge names are unknown,
-#: so the graph must be validated before they are checked.
-OTHER_ARGS = {"edges": ["zz"], "deleted": ["zz"], "contracted": ["zz"], "vertex": "u", "word": {}, "path": "unused.rg"}
-
-
-@pytest.mark.parametrize("kind", sorted(INVALID))
-@pytest.mark.parametrize("fn", GRAPH_FUNCTIONS, ids=lambda fn: fn.__name__)
-def test_every_public_function_rejects_invalid_graphs(fn, kind, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    args = [
-        INVALID[kind] if takes_graph(p) else OTHER_ARGS[p.name]
-        for p in inspect.signature(fn).parameters.values()
-        if p.default is inspect.Parameter.empty
-    ]
-    with pytest.raises(InvalidGraphError):
-        fn(*args)
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_operator_outputs_validate_afresh(universe3):
+    # The constructor checks a rebuilt copy; the output itself was not checked.
     ops = (delete, partial_petrial, partial_dual, contract)
     for g in universe3:
         names = g.edge_names
@@ -157,11 +68,162 @@ def test_operator_outputs_validate_afresh(universe3):
             for subset in itertools.combinations(names, r):
                 for op in ops:
                     out = op(g, subset)
-                    # A rebuilt copy carries no cached verdict.
-                    assert validate(RibbonGraph(out.vertices, out.edges)) == []
+                    assert RibbonGraph(out.vertices, out.edges) == out
         for b, c in _disjoint_pairs(names):
             out = minor(g, b, c)
-            assert validate(RibbonGraph(out.vertices, out.edges)) == []
+            assert RibbonGraph(out.vertices, out.edges) == out
+
+
+def takes_graph(p: inspect.Parameter) -> bool:
+    return p.annotation in ("RibbonGraph", RibbonGraph)
+
+
+#: Every public function that takes a graph, but ``graph_to_text``, which
+#: only prints it.
+GRAPH_FUNCTIONS = [
+    fn
+    for name, fn in sorted(vars(ribbonlab).items())
+    if inspect.isfunction(fn)
+    and name != "graph_to_text"
+    and any(map(takes_graph, inspect.signature(fn).parameters.values()))
+]
+#: The calls that refuse their graph for what it is, not for how it is built.
+REFUSED = {
+    ("build_medial", "twisted_loop"): UnsupportedHostError,
+    ("checkerboard_partial_petrial", "path2"): NotEulerianError,
+    ("has_alternating_boundary_orientation", "twisted_loop"): NotOrientableError,
+    ("oriented_form", "twisted_loop"): NotOrientableError,
+}
+
+
+def _other_args(g, unknown=None):
+    """A value for each parameter other than the graph: names from ``g``,
+    or the unknown name ``unknown`` for the edges, vertex and word (a minor
+    contracts a known edge then, as one name both deleted and contracted
+    is refused for that)."""
+    names = g.edge_names
+    other = {"edges": names[:1], "deleted": names[:1], "contracted": names[1:2], "vertex": g.vertex_names[0],
+             "word": dict(zip(names, ("dt", "d", "t"))), "path": "out.rg"}
+    if unknown is not None:
+        other.update(edges=[unknown], deleted=[unknown], vertex=unknown, word={unknown: "d"})
+    return other
+
+
+def _graphs_in(value):
+    """Every RibbonGraph in a result, through its tuples, lists and dicts."""
+    if isinstance(value, RibbonGraph):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return [h for x in value for h in _graphs_in(x)]
+    return []
+
+
+def _call(fn, g, other):
+    args = [
+        g if takes_graph(p) else other[p.name]
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is inspect.Parameter.empty
+    ]
+    return fn(*args)
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+@pytest.mark.parametrize("fn", GRAPH_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_every_public_function_keeps_its_graphs_valid(fn, name, tmp_path, monkeypatch):
+    # No function checks the graph it is given, so each must take every
+    # valid graph as built and return only graphs the constructor accepts;
+    # names from outside are still checked, before anything is written.
+    monkeypatch.chdir(tmp_path)
+    g = graph(name)
+    refused = REFUSED.get((fn.__name__, name))
+    if refused is not None:
+        with pytest.raises(refused):
+            _call(fn, g, _other_args(g))
+    else:
+        assert_born_with_flags(_graphs_in(_call(fn, g, _other_args(g))))
+    if fn is save_graph:
+        assert (tmp_path / "out.rg").read_text() == graph_to_text(g) and load_graph("out.rg") == g
+        (tmp_path / "out.rg").unlink()
+    assert list(tmp_path.iterdir()) == []
+    asked = {p.name for p in inspect.signature(fn).parameters.values()} & {"edges", "deleted", "contracted", "vertex", "word"}
+    if asked and refused is None:
+        with pytest.raises(UnknownVertexError if asked == {"vertex"} else UnknownEdgeError) as info:
+            _call(fn, g, _other_args(g, unknown="zz"))
+        assert info.value.args == ("zz",)
+
+
+def _corrupted(out, kind):
+    """The vertices and edges of ``out`` with one violation of ``kind`` put
+    in at its first edge ``e``, and the violations the check reports."""
+    vertices, edges = [list(v.rotation) for v in out.vertices], list(out.edges)
+    names = [v.name for v in out.vertices]
+    e = edges[0]
+    one, two = e.ends
+    at = next(k for k, rot in enumerate(vertices) if one in rot)
+    if kind == "duplicate-end":
+        rot = next(rot for rot in vertices if two in rot)
+        rot[rot.index(two)] = one
+        found = (Violation("duplicate-edge-end", f"edge-end {one} appears more than once", one), _unplaced(two))
+    elif kind == "unplaced-end":
+        next(rot for rot in vertices if two in rot).remove(two)
+        found = (_unplaced(two),)
+    elif kind == "bad-sign":
+        edges[0] = Edge(e.name, 0)
+        found = (Violation("bad-sign", f"edge {e.name} has sign 0, expected +1 or -1"),)
+    elif kind == "no-ends":
+        vertices = [[d for d in rot if d.edge != e.name] for rot in vertices]
+        found = (_unplaced(one), _unplaced(two))
+    elif kind == "duplicate-vertex":
+        names.append(names[0])
+        vertices.append([])
+        found = (Violation("duplicate-vertex", "duplicate vertex name"),)
+    elif kind == "duplicate-edge":
+        edges.append(Edge(e.name, -e.sign))
+        found = (Violation("duplicate-edge", "duplicate edge name"),)
+    elif kind == "bad-end-index":
+        bad = EdgeEnd(e.name, 3)
+        vertices[at].insert(vertices[at].index(one) + 1, bad)
+        found = (Violation("bad-end-index", f"edge-end {bad} at vertex {names[at]} has end index 3", bad),)
+    else:
+        unknown = EdgeEnd("zz", 1)
+        vertices[0].insert(0, unknown)
+        found = (Violation("unknown-edge-end", f"edge-end zz.1 at vertex {names[0]} names no declared edge", unknown),)
+    return [Vertex(n, tuple(rot)) for n, rot in zip(names, vertices)], edges, found
+
+
+def _unplaced(d: EdgeEnd) -> Violation:
+    return Violation("unplaced-edge-end", f"edge-end {d} appears in no vertex rotation", d)
+
+
+#: Graph operators, each applied to a 10-edge graph.
+CORRUPTED_OPS = {
+    "delete": lambda g: delete(g, g.edge_names[:3]),
+    "contract": lambda g: contract(g, g.edge_names[:3]),
+    "minor": lambda g: minor(g, g.edge_names[:2], g.edge_names[2:4]),
+    "partial_dual": lambda g: partial_dual(g, g.edge_names[::2]),
+    "partial_petrial": lambda g: partial_petrial(g, g.edge_names[::3]),
+    "apply_twist_word": lambda g: apply_twist_word(g, dict(zip(g.edge_names, TWIST_ELEMENTS * 2))),
+    "flip_vertex": lambda g: flip_vertex(g, g.vertex_names[-1]),
+}
+CORRUPTIONS = ("duplicate-end", "unplaced-end", "bad-sign", "no-ends", "duplicate-vertex", "duplicate-edge",
+               "bad-end-index", "unknown-edge-end")
+
+
+@pytest.mark.parametrize("op", sorted(CORRUPTED_OPS))
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_constructor_refuses_each_corruption_of_an_operator_result(kind, op):
+    # An operator's result is trusted unchecked; rebuilt from its parts it
+    # passes the check, and with one part broken it is refused, each time
+    # with the same violations.
+    out = CORRUPTED_OPS[op](random_graph(10, 4))
+    assert RibbonGraph(out.vertices, out.edges) == out
+    vertices, edges, found = _corrupted(out, kind)
+    for _ in range(2):
+        with pytest.raises(InvalidGraphError) as info:
+            RibbonGraph(vertices, edges)
+        assert info.value.violations == found
 
 
 def _operator_outputs(g, subsets, pairs):
@@ -227,14 +289,16 @@ def test_operator_chains_build_no_vertex_tuples(raw_universe3, monkeypatch):
 
 
 def test_operator_chain_validates_only_its_input(raw_universe3, monkeypatch):
+    # The input is checked once, when it is built; no operator checks again.
     checked = []
     real = core.validate
-    monkeypatch.setattr(core, "validate", lambda g: checked.append(g) or real(g))
+    monkeypatch.setattr(core, "validate", lambda *graph: checked.append(graph) or real(*graph))
     for g in raw_universe3:
         fresh = RibbonGraph(g.vertices, g.edges)
+        assert len(checked) == 1 and checked.pop()[0] == g.vertex_names
         names = g.edge_names
         minor(partial_dual(petrial(fresh), names[::2]), names[:1], names[1:2])
-        assert len(checked) == 1 and checked.pop() is fresh
+        assert checked == []
 
 
 @given(g=rotation_systems(), data=st.data())
@@ -476,18 +540,7 @@ def test_contract_and_minor_match_the_chain_at_scale():
 
 
 def test_minor_keeps_the_chains_error_order():
-    # An invalid graph, then an overlap, then an unknown contracted edge,
-    # then an unknown deleted edge.  The chain's first step, a partial
-    # dual, validates before it reads edge names.
-    bad = INVALID["bad-sign"]
-    for call in (minor, chain_minor):
-        with pytest.raises(InvalidGraphError):
-            call(bad, ["x"], ["y"])
-    with pytest.raises(InvalidGraphError):
-        minor(bad, ["e"], ["e"])
-    for call in (contract, chain_contract):
-        with pytest.raises(InvalidGraphError):
-            call(bad, ["y"])
+    # An overlap, then an unknown contracted edge, then an unknown deleted edge.
     with pytest.raises(ValueError):
         minor(graph("torus"), ["x"], ["x"])
     for call in (minor, chain_minor):
