@@ -402,6 +402,17 @@ def _complement(g: RibbonGraph, subset: Iterable[str]) -> tuple[str, ...]:
     return tuple(n for n in g.edge_names if n not in chosen)
 
 
+def _built(store: dict, key, build: Callable[..., RibbonGraph], *args) -> RibbonGraph:
+    """``store[key]``, built as ``build(*args)`` the first time it is asked for.
+
+    A suite names each operand it shares by its loop indices, so no graph
+    is hashed, and keeps the store for one graph only.
+    """
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]
+
+
 Instance = tuple[dict, bool, str]
 
 
@@ -477,10 +488,11 @@ def _prop_text_roundtrip(g: RibbonGraph) -> Iterator[Instance]:
 
 def _prop_canonical_stability(g: RibbonGraph) -> Iterator[Instance]:
     canon = canonical_graph(g)
-    yield {}, canonical_key(canon) == canonical_key(g), "canonical graph must stay in the class"
+    key = canonical_key(g)
+    yield {}, canonical_key(canon) == key, "canonical graph must stay in the class"
     yield {}, canonical_graph(canon) == canon, "canonicalisation must be idempotent"
     for v in g.vertex_names:
-        yield {"flip": v}, canonical_key(flip_vertex(g, v)) == canonical_key(g), (
+        yield {"flip": v}, canonical_key(flip_vertex(g, v)) == key, (
             "canonical key must be flip-invariant"
         )
 
@@ -501,9 +513,12 @@ def _prop_dual_involution(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_pdual_disjoint_union(g: RibbonGraph) -> Iterator[Instance]:
+    # G^(B∪C) is built once per union and G^B once per B.
+    unions: dict[frozenset, RibbonGraph] = {}
+    firsts: dict[tuple, RibbonGraph] = {}
     for b, c in _disjoint_pairs(g):
-        lhs = partial_dual(g, b + c)
-        rhs = partial_dual(partial_dual(g, b), c)
+        lhs = _built(unions, frozenset(b + c), partial_dual, g, b + c)
+        rhs = partial_dual(_built(firsts, b, partial_dual, g, b), c)
         yield {"A": list(b), "B": list(c)}, are_isomorphic(lhs, rhs, match_edge_labels=True), (
             "dualising a union must match dualising in stages"
         )
@@ -511,12 +526,17 @@ def _prop_pdual_disjoint_union(g: RibbonGraph) -> Iterator[Instance]:
 
 def _prop_delta_tau_commute(g: RibbonGraph) -> Iterator[Instance]:
     names = g.edge_names
-    for e1, e2 in itertools.permutations(names, 2):
-        lhs = partial_petrial(partial_dual(g, [e1]), [e2])
-        rhs = partial_dual(partial_petrial(g, [e2]), [e1])
-        yield {"dual": e1, "twist": e2}, are_isomorphic(lhs, rhs, match_edge_labels=True), (
-            "duals and twists on distinct edges must commute"
-        )
+    # In itertools.permutations order, with G^{e1} built once per e1.
+    for e1 in names:
+        dual = partial_dual(g, [e1])
+        for e2 in names:
+            if e2 == e1:
+                continue
+            lhs = partial_petrial(dual, [e2])
+            rhs = partial_dual(partial_petrial(g, [e2]), [e1])
+            yield {"dual": e1, "twist": e2}, are_isomorphic(lhs, rhs, match_edge_labels=True), (
+                "duals and twists on distinct edges must commute"
+            )
 
 
 def _prop_group_relations(g: RibbonGraph) -> Iterator[Instance]:
@@ -531,25 +551,29 @@ def _prop_group_relations(g: RibbonGraph) -> Iterator[Instance]:
 
 def _prop_twist_word_grouping(g: RibbonGraph) -> Iterator[Instance]:
     names = g.edge_names[:2]
+    # The letter chain's graph after each run of (edge, letter) steps, so
+    # words that begin with the same letters share their graphs.
+    chains: dict[tuple, RibbonGraph] = {}
     for combo in itertools.product(TWIST_ELEMENTS, repeat=len(names)):
         word = dict(zip(names, combo))
         grouped = apply_twist_word(g, word)
-        sequential = g
-        for name in reversed(names):
-            for op in reversed(word[name]):
-                if op == "t":
-                    sequential = partial_petrial(sequential, [name])
-                elif op == "d":
-                    sequential = partial_dual(sequential, [name])
+        sequential, done = g, ()
+        for name, op in [(name, op) for name in reversed(names) for op in reversed(word[name]) if op != "1"]:
+            done += ((name, op),)
+            build = partial_petrial if op == "t" else partial_dual
+            sequential = _built(chains, done, build, sequential, [name])
         yield {"word": dict(word)}, are_isomorphic(grouped, sequential, match_edge_labels=True), (
             "grouped and sequential word application must agree"
         )
 
 
 def _prop_minor_commute(g: RibbonGraph) -> Iterator[Instance]:
+    # G/C is built once per C and G - B once per B.
+    contracted: dict[tuple, RibbonGraph] = {}
+    deleted: dict[tuple, RibbonGraph] = {}
     for b, c in _disjoint_pairs(g):
-        lhs = delete(contract(g, c), b)
-        rhs = contract(delete(g, b), c)
+        lhs = delete(_built(contracted, c, contract, g, c), b)
+        rhs = contract(_built(deleted, b, delete, g, b), c)
         yield {"delete": list(b), "contract": list(c)}, are_isomorphic(
             lhs, rhs, match_edge_labels=True
         ), "deletion and contraction of disjoint sets must commute"
@@ -593,14 +617,16 @@ def _prop_contract_vs_splice(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_pdual_minor_exchange(g: RibbonGraph) -> Iterator[Instance]:
-    # Neither the minors nor the partial duals depend on the other loop, so
-    # each is built once.
-    minors = [(b, c, set(b) | set(c), minor(g, b, c)) for b, c in _disjoint_pairs(g)]
+    # The minors do not depend on A, nor G^A on (B, C), so each is built
+    # once; the left side depends on A only through A∖(B∪C), so each minor
+    # is dualised once per such rest.
+    minors = [(b, c, set(b) | set(c), minor(g, b, c), {}) for b, c in _disjoint_pairs(g)]
     for a in _edge_subsets(g):
         aset = set(a)
         dual = partial_dual(g, a)
-        for b, c, bc, m in minors:
-            lhs = partial_dual(m, [x for x in a if x not in bc])
+        for b, c, bc, m, duals in minors:
+            rest = tuple(x for x in a if x not in bc)
+            lhs = _built(duals, rest, partial_dual, m, rest)
             bp = tuple(sorted((set(b) - aset) | (set(c) & aset)))
             cp = tuple(sorted((set(c) - aset) | (set(b) & aset)))
             rhs = minor(dual, bp, cp)

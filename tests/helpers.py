@@ -15,14 +15,23 @@ from ribbonlab import (
     EdgeEnd,
     HalfEdgeSegment,
     MalformedPresentationError,
+    TWIST_ELEMENTS,
     RibbonGraph,
     Vertex,
+    apply_twist_word,
+    are_isomorphic,
+    canonical_graph,
+    canonical_key,
     connected_components,
+    contract,
     delete,
+    flip_vertex,
     from_arrow_presentation,
+    minor,
     oriented_form,
     parse_graph,
     partial_dual,
+    partial_petrial,
     to_arrow_presentation,
 )
 from ribbonlab.core import (
@@ -37,6 +46,7 @@ from ribbonlab.core import (
 )
 from ribbonlab.isomorphism import _permutation_graph
 from ribbonlab.medial import AllCrossingDirection, MedialGraph
+from ribbonlab.workbench import _disjoint_pairs, _edge_subsets
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -785,3 +795,88 @@ def unpruned_enumeration(max_edges: int, *, max_vertices=None, connected=False, 
                 seen.add(key)
                 edges = tuple(Edge(e.name, -1) if e.name in chosen else e for e in plus.edges)
                 yield _from_flags(fl, plus.vertex_names, edges)
+
+
+# ---------------------------------------------------------------------------
+# Property suites as they were before they shared operands across instances
+# ---------------------------------------------------------------------------
+# Each rebuilds every operand inside its innermost loop; the suites in
+# ribbonlab.workbench must yield the same (params, ok, detail) sequence.
+
+def reference_canonical_stability(g: RibbonGraph):
+    canon = canonical_graph(g)
+    yield {}, canonical_key(canon) == canonical_key(g), "canonical graph must stay in the class"
+    yield {}, canonical_graph(canon) == canon, "canonicalisation must be idempotent"
+    for v in g.vertex_names:
+        yield {"flip": v}, canonical_key(flip_vertex(g, v)) == canonical_key(g), (
+            "canonical key must be flip-invariant"
+        )
+
+
+def reference_pdual_disjoint_union(g: RibbonGraph):
+    for b, c in _disjoint_pairs(g):
+        lhs = partial_dual(g, b + c)
+        rhs = partial_dual(partial_dual(g, b), c)
+        yield {"A": list(b), "B": list(c)}, are_isomorphic(lhs, rhs, match_edge_labels=True), (
+            "dualising a union must match dualising in stages"
+        )
+
+
+def reference_delta_tau_commute(g: RibbonGraph):
+    for e1, e2 in itertools.permutations(g.edge_names, 2):
+        lhs = partial_petrial(partial_dual(g, [e1]), [e2])
+        rhs = partial_dual(partial_petrial(g, [e2]), [e1])
+        yield {"dual": e1, "twist": e2}, are_isomorphic(lhs, rhs, match_edge_labels=True), (
+            "duals and twists on distinct edges must commute"
+        )
+
+
+def reference_twist_word_grouping(g: RibbonGraph):
+    names = g.edge_names[:2]
+    for combo in itertools.product(TWIST_ELEMENTS, repeat=len(names)):
+        word = dict(zip(names, combo))
+        grouped = apply_twist_word(g, word)
+        sequential = g
+        for name in reversed(names):
+            for op in reversed(word[name]):
+                if op == "t":
+                    sequential = partial_petrial(sequential, [name])
+                elif op == "d":
+                    sequential = partial_dual(sequential, [name])
+        yield {"word": dict(word)}, are_isomorphic(grouped, sequential, match_edge_labels=True), (
+            "grouped and sequential word application must agree"
+        )
+
+
+def reference_minor_commute(g: RibbonGraph):
+    for b, c in _disjoint_pairs(g):
+        lhs = delete(contract(g, c), b)
+        rhs = contract(delete(g, b), c)
+        yield {"delete": list(b), "contract": list(c)}, are_isomorphic(
+            lhs, rhs, match_edge_labels=True
+        ), "deletion and contraction of disjoint sets must commute"
+
+
+def reference_pdual_minor_exchange(g: RibbonGraph):
+    minors = [(b, c, set(b) | set(c), minor(g, b, c)) for b, c in _disjoint_pairs(g)]
+    for a in _edge_subsets(g):
+        aset = set(a)
+        dual = partial_dual(g, a)
+        for b, c, bc, m in minors:
+            lhs = partial_dual(m, [x for x in a if x not in bc])
+            bp = tuple(sorted((set(b) - aset) | (set(c) & aset)))
+            cp = tuple(sorted((set(c) - aset) | (set(b) & aset)))
+            rhs = minor(dual, bp, cp)
+            yield {"A": list(a), "B": list(b), "C": list(c)}, are_isomorphic(
+                lhs, rhs, match_edge_labels=True
+            ), "partial duality must exchange deleted and contracted sets"
+
+
+REFERENCE_SUITES = {
+    "canonical-stability": reference_canonical_stability,
+    "pdual-disjoint-union": reference_pdual_disjoint_union,
+    "delta-tau-commute": reference_delta_tau_commute,
+    "twist-word-grouping": reference_twist_word_grouping,
+    "minor-commute": reference_minor_commute,
+    "pdual-minor-exchange": reference_pdual_minor_exchange,
+}
