@@ -61,7 +61,7 @@ def orienting_petrial_set(g: RibbonGraph) -> tuple[str, ...]:
     empty set.  Not minimised beyond that: any orientable partial Petrial
     will do.
     """
-    return tuple(g.edges[i].name for i in _orientation_parity(g)[1])
+    return tuple(g.edge_names[i] for i in _orientation_parity(g)[1])
 
 
 class TwistedDualCertificate(NamedTuple):
@@ -95,7 +95,7 @@ def checkerboard_twisted_dual(g: RibbonGraph, *, seed: int = 0) -> TwistedDualCe
     outcome, and raises :class:`InternalInvariantError`.
     """
     bit, bad = _orientation_parity(g)
-    petrial_set = tuple(g.edges[i].name for i in bad)
+    petrial_set = tuple(g.edge_names[i] for i in bad)
     oriented = partial_petrial(g, petrial_set)
     # Twisting the links the bits violate makes the bits satisfy every link,
     # so flipping by them orients the twisted graph.

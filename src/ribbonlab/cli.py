@@ -91,7 +91,7 @@ def _cmd_check(args) -> int:
     colouring = checkerboard_colouring(g)
     rows = [
         ("vertices", len(g.vertex_names)),
-        ("edges", len(g.edges)),
+        ("edges", len(g.edge_names)),
         ("boundary components", len(degrees)),
         ("face degrees", degrees),
         ("euler characteristic", euler_characteristic(g)),
@@ -223,7 +223,7 @@ def _cmd_enumerate(args) -> int:
     counts: dict[int, int] = {}
     total = 0
     for g in universe:
-        counts[len(g.edges)] = counts.get(len(g.edges), 0) + 1
+        counts[len(g.edge_names)] = counts.get(len(g.edge_names), 0) + 1
         total += 1
         if args.print:
             sys.stdout.write(graph_to_text(g) + "\n")

@@ -31,8 +31,9 @@ involution identities exercised in the test suite):
   results are built from a valid input with :func:`_flag_layout` or
   :func:`_twist_flags`; so are the enumerated, sampled and canonical
   graphs, laid out from a list of edge-ends, and no operator checks its
-  input again.  ``vertices`` is a memoised view, built as ``Vertex`` tuples
-  when read; text, equality and hash read flags.
+  input again.  A graph stores flags, vertex names and sorted edge names,
+  and each sign only as its edge's twist bit: ``vertices`` and ``edges``
+  are memoised views, built as tuples when read; equality and hash read flags.
 * Value types (edge-ends, edges, vertices, violations, boundaries, arrow
   presentations, and the certificates and reports of the other modules)
   are named tuples: they compare, hash, iterate and index as tuples of
@@ -153,7 +154,7 @@ class _memo:
     """A per-graph memo without ``functools.cached_property``'s lock: the
     first ``__get__`` stores the value in the instance ``__dict__``, which
     then shadows it.  Graphs are immutable and memos pure, so a race only
-    computes a value twice, and an operator may store one it knows."""
+    computes a value twice, and a builder that holds a value may store it."""
 
     def __init__(self, fn, name=None):
         self.fn = fn
@@ -169,14 +170,14 @@ class _memo:
 class RibbonGraph:
     """An immutable ribbon graph; all operations return new graphs.
 
-    Vertex order is meaningful (it drives serialization); edges are always
-    stored sorted by name, so graphs that differ only in edge declaration
-    order compare equal.  Every graph stores its flags, vertex names and
-    edges: the constructor checks the given vertices and edges, raising
+    Vertex order is meaningful (it drives serialization); edge names are
+    stored sorted, so graphs that differ only in edge declaration order
+    compare equal.  Every graph stores its flags, vertex names and edge
+    names: the constructor checks the given vertices and edges, raising
     :class:`InvalidGraphError` with every violation, then lays out their
-    flags; an operator result is built on its flags (see
-    :func:`_from_flags`).  ``vertices`` is a view of the flags, built as
-    ``Vertex`` tuples when it is first read.
+    flags (and keeps ``edges``); an operator result is built on its flags
+    (see :func:`_from_flags`).  ``vertices`` and ``edges`` are views of
+    the flags, built as ``Vertex`` and ``Edge`` tuples when first read.
     """
 
     def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable[Edge] = ()):
@@ -185,12 +186,20 @@ class RibbonGraph:
         ends = [d for v in vertices for d in v.rotation]
         bounds = [0, *accumulate(len(v.rotation) for v in vertices)]
         require_valid(self.vertex_names, ends, bounds, self.edges)
-        self.__dict__["_flags"] = _flag_structure(ends, bounds, self.signs())
+        fl = _flag_structure(ends, bounds, self.signs())
+        self.__dict__.update(_flags=fl, edge_names=tuple(map(_edge_name, self.edges)))
 
     @_memo
     def vertices(self) -> tuple[Vertex, ...]:
         ends, bounds = self._flags.ends, self._flags.bounds
         return tuple(Vertex(name, tuple(ends[a:b])) for name, a, b in zip(self.vertex_names, bounds, bounds[1:]))
+
+    @_memo
+    def edges(self) -> tuple[Edge, ...]:
+        # An edge is untwisted exactly when its ends' L flags cross to R flags (odd ones).
+        fl = self._flags
+        sign = {d.edge: 1 if f & 1 else -1 for d, f in zip(fl.ends, fl.side[::2])}
+        return tuple([Edge(name, sign[name]) for name in self.edge_names])
 
     @_memo
     def _boundary(self) -> "BoundaryDecomposition":
@@ -212,23 +221,19 @@ class RibbonGraph:
         return faces
 
     @_memo
-    def _edge_endpoints(self) -> list[list[int]]:
-        # Each edge's two vertex indices (lower first), in stored edge
-        # order; never mutated.
-        ends, mate, _, _, _, bounds = self._flags
+    def _edge_links(self) -> list[tuple[int, int, int]]:
+        # Each edge's two vertex indices (lower first) and its twist bit, in
+        # stored edge order: the links of _parity_colouring.
+        ends, mate, _, side, _, bounds = self._flags
         vertex = [0] * len(ends)
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
             vertex[a:b] = [k] * (b - a)
-        at = {ends[p].edge: [vertex[p], vertex[m]] for p, m in enumerate(mate) if p < m}
-        return [at[e.name] for e in self.edges]
+        at = {ends[p].edge: (vertex[p], vertex[m], ~side[2 * p] & 1) for p, m in enumerate(mate) if p < m}
+        return [at[name] for name in self.edge_names]
 
     @_memo
     def _edge_name_set(self) -> frozenset[str]:
-        return frozenset(e.name for e in self.edges)
-
-    @_memo
-    def edge_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.edges)
+        return frozenset(self.edge_names)
 
     def vertex(self, name: str) -> Vertex:
         for v in self.vertices:
@@ -261,11 +266,13 @@ class RibbonGraph:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        # Equal ends fix the edge names, and equal sides the twists.
         f, h = self._flags, other._flags
-        return (self.edges, self.vertex_names, f.ends, f.bounds) == (other.edges, other.vertex_names, h.ends, h.bounds)
+        return (self.vertex_names, f.ends, f.bounds, f.side) == (other.vertex_names, h.ends, h.bounds, h.side)
 
     def __hash__(self) -> int:
-        return hash((self.edges, self.vertex_names, tuple(self._flags.ends), tuple(self._flags.bounds)))
+        fl = self._flags
+        return hash((self.vertex_names, tuple(fl.ends), tuple(fl.bounds), tuple(fl.side)))
 
     def __repr__(self) -> str:
         return f"RibbonGraph(vertices={self.vertices!r}, edges={self.edges!r})"
@@ -277,13 +284,13 @@ class RibbonGraph:
         raise AttributeError(f"cannot delete {name!r}: a RibbonGraph is immutable")
 
 
-def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edges: tuple[Edge, ...]) -> RibbonGraph:
-    """The graph with flags ``fl``, built by an operator from a valid graph
-    or laid out from checked or library-made edge-ends: valid by
-    construction, so it is not checked again, and ``edges`` are already in
-    name order.  The one way in that skips the constructor."""
+def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edge_names: tuple[str, ...]) -> RibbonGraph:
+    """The graph with flags ``fl``, which hold every sign, built by an
+    operator from a valid graph or laid out from checked or library-made
+    edge-ends: valid by construction, so it is not checked again, and
+    ``edge_names`` are already sorted.  The one way in that skips the constructor."""
     g = object.__new__(RibbonGraph)
-    g.__dict__.update(_flags=fl, vertex_names=vertex_names, edges=edges)
+    g.__dict__.update(_flags=fl, vertex_names=vertex_names, edge_names=edge_names)
     return g
 
 
@@ -578,8 +585,8 @@ def _root(parent: list[int], c: int) -> int:
 def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected pieces of the underlying multigraph as (vertices, edges), in stored vertex order."""
     parent = list(range(len(g.vertex_names)))
-    ends = g._edge_endpoints
-    for u, w in ends:
+    links = g._edge_links
+    for u, w, _ in links:
         parent[_root(parent, u)] = _root(parent, w)
 
     # Keys are inserted in the order of each piece's first vertex.
@@ -587,8 +594,8 @@ def connected_components(g: RibbonGraph) -> list[tuple[tuple[str, ...], tuple[st
     for i, name in enumerate(g.vertex_names):
         groups.setdefault(_root(parent, i), []).append(name)
     edges_of: dict[int, list[str]] = {root: [] for root in groups}
-    for e, (u, _) in zip(g.edges, ends):
-        edges_of[_root(parent, u)].append(e.name)
+    for name, (u, _, _) in zip(g.edge_names, links):
+        edges_of[_root(parent, u)].append(name)
     return [(tuple(vs), tuple(edges_of[root])) for root, vs in groups.items()]
 
 
@@ -613,8 +620,7 @@ def euler_characteristic(g: RibbonGraph) -> int:
 def _orientation_parity(g: RibbonGraph) -> tuple[list[int], list[int]]:
     """Flip bits per vertex and the indices of the edges they leave
     twisted: one link per edge, odd exactly when it is twisted."""
-    links = [(u, w, e.sign < 0) for e, (u, w) in zip(g.edges, g._edge_endpoints)]
-    return _parity_colouring(len(g.vertex_names), links)
+    return _parity_colouring(len(g.vertex_names), g._edge_links)
 
 
 def orientation_flips(g: RibbonGraph) -> set[str] | None:
@@ -659,7 +665,6 @@ def _flip_vertices(g: RibbonGraph, flipped: set[str]) -> RibbonGraph:
         if name in flipped:
             at[a:b] = range(b - 1, a - 1, -1)
             rev.update(range(a, b))
-    toggled = set()
     for p in rev.union([mate[p] for p in rev]):
         k, m, d = at[p], at[mate[p]], ends[p]
         # An edge changes sign exactly when one of its ends is flipped.
@@ -668,10 +673,7 @@ def _flip_vertices(g: RibbonGraph, flipped: set[str]) -> RibbonGraph:
         new_ends[k], new_mate[k] = d, m
         new_side[2 * k], new_side[2 * k + 1] = 2 * m + 1 - t, 2 * m + t
         new_forward[k] = (t or k < m) == (d.end == 1)
-        if toggle:
-            toggled.add(d.edge)
-    fl = _Flags(new_ends, new_mate, corner, new_side, new_forward, bounds)
-    return _from_flags(fl, g.vertex_names, tuple(Edge(e.name, -e.sign) if e.name in toggled else e for e in g.edges))
+    return _from_flags(_Flags(new_ends, new_mate, corner, new_side, new_forward, bounds), g.vertex_names, g.edge_names)
 
 
 def oriented_form(g: RibbonGraph) -> tuple[RibbonGraph, tuple[str, ...]]:
@@ -737,8 +739,8 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
                 f"label {label!r} appears on {len(occ)} arrows, expected exactly 2"
             )
 
-    # The flags are laid out from the arrows; only the circle names can
-    # still fail the check.
+    # The flags, signs included, are laid out from the arrows; only the
+    # circle names can still fail the check.
     n = len(arrows)
     ends: list[EdgeEnd] = [None] * n
     mate, twisted = [0] * n, [False] * n
@@ -747,11 +749,11 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
         one, two = (i, j) if arrows[i].forward else (j, i)
         ends[one], ends[two] = _new_end((label, 1)), _new_end((label, 2))
         mate[i], mate[j] = j, i
-    edges = tuple(Edge(label, -1 if twisted[i] else 1) for label, (i, _) in sorted(positions.items()))
     names = tuple(c.name for c in p.circles)
     bounds = [0, *accumulate(len(c.arrows) for c in p.circles)]
-    require_valid(names, ends, bounds, edges)
-    return _from_flags(_flag_layout(ends, mate, twisted, bounds), names, edges)
+    edge_names = tuple(sorted(positions))
+    require_valid(names, ends, bounds, [Edge(name) for name in edge_names])
+    return _from_flags(_flag_layout(ends, mate, twisted, bounds), names, edge_names)
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +825,11 @@ def parse_graph(text: str) -> RibbonGraph:
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
             signs[name] = 1 if sig == "+" else -1
 
-    edges = tuple(sorted((Edge(n, s) for n, s in signs.items()), key=_edge_name))
+    edge_names = tuple(sorted(signs))
     # Names, signs and end indices are checked: valid means each declared edge's two ends, once each.
     if len(set(ends)) == len(ends) == 2 * len(signs) and signs.keys() >= {d.edge for d in ends}:
-        return _from_flags(_flag_structure(ends, bounds, signs), tuple(vertex_names), edges)
-    violations = validate(tuple(vertex_names), ends, bounds, edges)
+        return _from_flags(_flag_structure(ends, bounds, signs), tuple(vertex_names), edge_names)
+    violations = validate(tuple(vertex_names), ends, bounds, [Edge(name, signs[name]) for name in edge_names])
     # Positions are found only now: edge-end -> (line, column) of each token.
     end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
     for (lineno, line, start), a, b in zip(vertex_lines, bounds, bounds[1:]):

@@ -15,9 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .core import (
-    Edge,
     RibbonGraph,
-    _edge_name,
     _flag_layout,
     _Flags,
     _from_flags,
@@ -46,8 +44,8 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
     bounds += [len(darts)] * isolated
     ends = [_new_end((f"e{x >> 1}", 1 + (x & 1))) for x in darts]
     fl = _flag_layout(ends, [at[x ^ 1] for x in darts], [signs[x >> 1] < 0 for x in darts], bounds)
-    edges = tuple(sorted((Edge(f"e{i}", sign) for i, sign in enumerate(signs)), key=_edge_name))
-    return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edges)
+    edge_names = tuple(sorted([f"e{i}" for i in range(len(signs))]))
+    return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edge_names)
 
 
 def _component_key(
@@ -217,7 +215,12 @@ def canonical_key(g: RibbonGraph) -> tuple:
 
 def canonical_graph(g: RibbonGraph) -> RibbonGraph:
     """A canonical representative of g's isomorphism class, with names v0.., e0.. ."""
-    keys, isolated = canonical_key(g)
+    return _graph_of_key(canonical_key(g))
+
+
+def _graph_of_key(key: tuple) -> RibbonGraph:
+    """The canonical representative of the class whose canonical key is ``key``."""
+    keys, isolated = key
     # Stitch the component serializations into one permutation: serialized
     # dart d of a component becomes global dart at[d], numbered so that
     # partners pair as (2i, 2i+1).
@@ -247,11 +250,11 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
     identity on names (vertices stay free), which is the right notion for
     identities that preserve edge labels by construction.
     """
-    if len(g.edges) != len(h.edges) or len(g.vertex_names) != len(h.vertex_names):
+    if len(g.edge_names) != len(h.edge_names) or len(g.vertex_names) != len(h.vertex_names):
         return False
-    # Equal ends and corners fix every rotation, equal sides every twist and
-    # the vertex counts the isolated vertices: the identity is an isomorphism.
-    if g.edges == h.edges and g._flags[:4] == h._flags[:4]:
+    # Equal ends fix the edge names and, with equal corners, every rotation; equal sides fix
+    # every twist and the vertex counts the isolated vertices: the identity is an isomorphism.
+    if g._flags[:4] == h._flags[:4]:
         return True
     if not match_edge_labels:
         return canonical_key(g) == canonical_key(h)

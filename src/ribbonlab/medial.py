@@ -102,10 +102,10 @@ def build_medial(h: RibbonGraph) -> MedialGraph:
     segs = host._segments
     at = {d: i for i, d in enumerate(fl.ends)}
     vertices = []
-    for e in host.edges:
-        p = at[EdgeEnd(e.name, 1)]
+    for name in host.edge_names:
+        p = at[EdgeEnd(name, 1)]
         q = fl.mate[p]
-        vertices.append(MedialVertex(e.name, (segs[2 * p], segs[2 * q + 1], segs[2 * q], segs[2 * p + 1])))
+        vertices.append(MedialVertex(name, (segs[2 * p], segs[2 * q + 1], segs[2 * q], segs[2 * p + 1])))
     spans = list(zip(host.vertex_names, fl.bounds, fl.bounds[1:]))
     names = [name for name, a, b in spans for _ in range(a, b)]
     corners = tuple(

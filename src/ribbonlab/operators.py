@@ -17,11 +17,12 @@ Its vertices are named ``v0``, ``v1``, ... in the order the walk meets
 them.  Contraction is G/C = G^C - C, with no special case for loops or
 twisted loops; contraction and minors run the same walk and skip the
 deleted and contracted edges' ends, so no intermediate graph is built.
-Every result is born with its flags: the walk emits them, deletion
-filters the input's, and a half-twist swaps sides on the chosen ends.
-Every graph is valid from its construction, so no operator checks its
-input, and a result is stored without a check; its ``Vertex`` tuples are
-built only if read.
+Every result is born with its flags, which hold every sign: the walk
+emits them, deletion filters the input's, and a half-twist swaps sides on
+the chosen ends.  A result's edge names are the input's, filtered by
+deletion and contraction.  Every graph is valid from its construction, so
+no operator checks its input, and a result is stored without a check; its
+``Vertex`` and ``Edge`` tuples are built only if read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .core import (
-    Edge,
     RibbonGraph,
     UnknownEdgeError,
     _flag_layout,
@@ -98,7 +98,7 @@ def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
         [not side[2 * p] & 1 for p in kept],
         [at[b] for b in bounds],
     )
-    return _from_flags(fl, g.vertex_names, tuple(e for e in g.edges if e.name not in gone))
+    return _from_flags(fl, g.vertex_names, tuple(name for name in g.edge_names if name not in gone))
 
 
 def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
@@ -107,11 +107,7 @@ def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     chosen = _check_edges(g, edges)
     if not chosen:
         return g
-    return _from_flags(
-        _twist_flags(g._flags, chosen),
-        g.vertex_names,
-        tuple(Edge(e.name, -e.sign) if e.name in chosen else e for e in g.edges),
-    )
+    return _from_flags(_twist_flags(g._flags, chosen), g.vertex_names, g.edge_names)
 
 
 def petrial(g: RibbonGraph) -> RibbonGraph:
@@ -204,13 +200,9 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
     del new_ends[s:], new_mate[s:], twisted[s:]
     bounds.extend(s for a, b in zip(old_bounds, old_bounds[1:]) if a == b)
 
-    edges = tuple(
-        e if (e.sign < 0) == twisted[first[e.name][0]] else Edge(e.name, -e.sign)
-        for e in g.edges
-        if e.name not in gone
-    )
+    edge_names = tuple(name for name in g.edge_names if name not in gone) if gone else g.edge_names
     names = tuple([f"v{k}" for k in range(len(bounds) - 1)])
-    return _from_flags(_flag_layout(new_ends, new_mate, twisted, bounds), names, edges)
+    return _from_flags(_flag_layout(new_ends, new_mate, twisted, bounds), names, edge_names)
 
 
 def geometric_dual(g: RibbonGraph) -> RibbonGraph:

@@ -37,7 +37,7 @@ def is_eulerian(g: RibbonGraph) -> bool:
 
 def is_bipartite(g: RibbonGraph) -> bool:
     """Bipartiteness of the underlying multigraph; any loop is an odd cycle."""
-    links = [(u, w, 1) for u, w in g._edge_endpoints]
+    links = [(u, w, 1) for u, w, _ in g._edge_links]
     return not _parity_colouring(len(g.vertex_names), links)[1]
 
 

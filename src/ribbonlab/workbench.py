@@ -47,6 +47,7 @@ from .core import (
     trace_boundary,
 )
 from .isomorphism import (
+    _graph_of_key,
     _key_and_automorphisms,
     _permutation_graph,
     are_isomorphic,
@@ -423,10 +424,10 @@ Instance = tuple[dict, bool, str]
 def _prop_boundary_partition(g: RibbonGraph) -> Iterator[Instance]:
     decomp = trace_boundary(g)
     segs = [s for c in decomp.components for s in c.segments]
-    ok = len(segs) == 4 * len(g.edges) and len(set(segs)) == len(segs)
+    ok = len(segs) == 4 * len(g.edge_names) and len(set(segs)) == len(segs)
     yield {}, ok, "boundary walk must partition all half-edge segments"
     degs = decomp.face_degrees()
-    yield {}, sum(degs) == 2 * len(g.edges), "face degrees must sum to twice the edge count"
+    yield {}, sum(degs) == 2 * len(g.edge_names), "face degrees must sum to twice the edge count"
     chis = euler_characteristic_by_component(g)
     yield {}, all(2 - chi >= 0 for chi in chis), "per-component Euler characteristic above 2"
 
@@ -487,8 +488,8 @@ def _prop_text_roundtrip(g: RibbonGraph) -> Iterator[Instance]:
 
 
 def _prop_canonical_stability(g: RibbonGraph) -> Iterator[Instance]:
-    canon = canonical_graph(g)
     key = canonical_key(g)
+    canon = _graph_of_key(key)
     yield {}, canonical_key(canon) == key, "canonical graph must stay in the class"
     yield {}, canonical_graph(canon) == canon, "canonicalisation must be idempotent"
     for v in g.vertex_names:
@@ -526,14 +527,15 @@ def _prop_pdual_disjoint_union(g: RibbonGraph) -> Iterator[Instance]:
 
 def _prop_delta_tau_commute(g: RibbonGraph) -> Iterator[Instance]:
     names = g.edge_names
-    # In itertools.permutations order, with G^{e1} built once per e1.
+    # In itertools.permutations order, with G^{e1} built once per e1 and G^{τ(e2)} once per e2.
+    twisted: dict[str, RibbonGraph] = {}
     for e1 in names:
         dual = partial_dual(g, [e1])
         for e2 in names:
             if e2 == e1:
                 continue
             lhs = partial_petrial(dual, [e2])
-            rhs = partial_dual(partial_petrial(g, [e2]), [e1])
+            rhs = partial_dual(_built(twisted, e2, partial_petrial, g, [e2]), [e1])
             yield {"dual": e1, "twist": e2}, are_isomorphic(lhs, rhs, match_edge_labels=True), (
                 "duals and twists on distinct edges must commute"
             )
@@ -905,7 +907,7 @@ def run_all_properties(
 ) -> list[PropertyReport]:
     _require_workers(workers)
     # Enumerated once, off the suites' clocks; each suite gets fresh graphs, so its memos die with it.
-    flags = [(g._flags, g.vertex_names, g.edges) for g in universe]
+    flags = [(g._flags, g.vertex_names, g.edge_names) for g in universe]
     return [_run_suite(itertools.starmap(_from_flags, flags), universe.params(), name, workers) for name in PROPERTIES]
 
 

@@ -793,8 +793,7 @@ def unpruned_enumeration(max_edges: int, *, max_vertices=None, connected=False, 
                 if key in seen:
                     continue
                 seen.add(key)
-                edges = tuple(Edge(e.name, -1) if e.name in chosen else e for e in plus.edges)
-                yield _from_flags(fl, plus.vertex_names, edges)
+                yield _from_flags(fl, plus.vertex_names, plus.edge_names)
 
 
 # ---------------------------------------------------------------------------

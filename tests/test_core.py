@@ -18,7 +18,10 @@ from ribbonlab import (
     UnknownEdgeError,
     Vertex,
     Violation,
+    canonical_graph,
     connected_components,
+    delete,
+    enumerate_graphs,
     euler_characteristic,
     euler_characteristic_by_component,
     flip_vertex,
@@ -30,9 +33,11 @@ from ribbonlab import (
     oriented_form,
     orienting_petrial_set,
     parse_graph,
+    partial_dual,
     partial_petrial,
     ribbon_graph,
     canonical_text,
+    sample_graphs,
     save_graph,
     to_arrow_presentation,
     trace_boundary,
@@ -202,23 +207,25 @@ def test_graphs_survive_a_pickle_round_trip():
 
 
 def test_memos_leave_eq_hash_and_repr_alone(universe2):
-    # Every graph holds its flags, vertex names and edges from construction;
-    # RibbonGraph.__eq__ and __hash__ read them, and __repr__ the vertices view.
+    # Every graph holds its flags, vertex names and edge names from
+    # construction; RibbonGraph.__eq__ and __hash__ read the first two, and
+    # __repr__ the vertices and edges views.
     g = graph("torus")
     fresh = RibbonGraph(g.vertices, g.edges)
-    stored, memos = {"_flags", "vertex_names", "edges"}, {"_faces", "edge_names"}
+    stored, memos = {"_flags", "vertex_names", "edge_names"}, {"_faces", "_edge_links"}
     assert stored <= vars(fresh).keys() and not vars(fresh).keys() & memos
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert not vars(fresh).keys() & memos  # eq, hash and repr read none of them
-    faces, names = fresh._faces, fresh.edge_names
+    faces, links = fresh._faces, fresh._edge_links
     # Each memo is stored on the instance at its first read, then read back.
     assert memos <= vars(fresh).keys()
-    assert fresh._faces is faces and fresh.edge_names is names
-    assert names == ("a", "b")
+    assert fresh._faces is faces and fresh._edge_links is links
+    assert fresh.edge_names == ("a", "b")
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
-    # Equal graphs hash equal however they were built.
+    # Equal graphs hash equal however they were built, and a graph built on
+    # flags holds its signs only there until its edges view is read.
     for h in universe2:
-        v = h.vertex_names[0]
+        v, e = h.vertex_names[0], h.edge_names[:1]
         built = [
             RibbonGraph(h.vertices, h.edges),
             ribbon_graph({u.name: u.rotation for u in h.vertices}, h.signs()),
@@ -226,9 +233,17 @@ def test_memos_leave_eq_hash_and_repr_alone(universe2):
             partial_petrial(partial_petrial(h, h.edge_names), h.edge_names),
             flip_vertex(flip_vertex(h, v), v),
         ]
+        # With no edge named, a partial Petrial or dual is h itself.
+        operated = [flip_vertex(h, v), delete(h, e), canonical_graph(h)]
+        operated += [op(h, e) for op in (partial_petrial, partial_dual) if e]
+        for k in (built[2], *operated):
+            assert stored <= vars(k).keys() and "edges" not in vars(k)
+            assert k.edges is k.edges and "edges" in vars(k)
         for k in built:
             assert stored <= vars(k).keys()
             assert k == h and hash(k) == hash(h) and repr(k) == repr(h)
+    for k in [*enumerate_graphs(2), *sample_graphs(3, 2)]:
+        assert "edges" not in vars(k)
 
 
 def test_ribbon_graph_builder_is_linear_and_keeps_order():

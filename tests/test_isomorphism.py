@@ -167,7 +167,7 @@ SEARCH_GRAPHS = ["loop", "twisted_loop", "torus", "bouquet", "digon", "triangle"
 def test_equal_flags_are_isomorphic_without_a_search(monkeypatch):
     calls = _count_searches(monkeypatch)
     for g in [graph(name) for name in SEARCH_GRAPHS] + [random_graph(40, seed) for seed in (1, 2)]:
-        renamed = _from_flags(g._flags, tuple(f"w{i}" for i in range(len(g.vertex_names))), g.edges)
+        renamed = _from_flags(g._flags, tuple(f"w{i}" for i in range(len(g.vertex_names))), g.edge_names)
         chosen = g.edge_names[::2]
         twice = partial_petrial(partial_petrial(g, chosen), chosen)
         for h in (renamed, twice):

@@ -329,7 +329,7 @@ def test_verify_all_enumerates_once_and_hands_each_suite_fresh_graphs(monkeypatc
     reports = [r.to_dict() for r in workbench.run_all_properties(u)]
     assert len(passes) == 1
     # No suite sees a memo another suite left behind.
-    assert held == {"_flags", "vertex_names", "edges"}
+    assert held == {"_flags", "vertex_names", "edge_names"}
     singles = [run_property_suite(u, name).to_dict() for name in PROPERTIES]
     for r in reports + singles:
         r.pop("elapsed_ms")
@@ -359,22 +359,25 @@ SHARED_OPERAND_WALKS = {
 
 
 def test_suites_build_each_shared_operand_once(monkeypatch):
-    walks, keys = {}, {}
+    walks, keys, twists = {}, {}, {}
     suite = [""]
-    walk, key = operators._dual_without, isomorphism.canonical_key_darts
+    walk, key, twist = operators._dual_without, isomorphism.canonical_key_darts, operators._twist_flags
 
     def counted(calls, fn):
         return lambda *args: calls.__setitem__(suite[0], calls.get(suite[0], 0) + 1) or fn(*args)
 
     monkeypatch.setattr(operators, "_dual_without", counted(walks, walk))
     monkeypatch.setattr(isomorphism, "canonical_key_darts", counted(keys, key))
+    monkeypatch.setattr(operators, "_twist_flags", counted(twists, twist))
     u = list(enumerate_graphs(3))
     for name in PROPERTIES:
         suite[0] = name
         workbench._run_suite(u, {}, name, 1)
     assert {name: walks.get(name, 0) for name in SHARED_OPERAND_WALKS} == SHARED_OPERAND_WALKS
     assert sum(walks.values()) == 54767  # 71,187 with every operand rebuilt per instance
-    assert keys["canonical-stability"] == 795  # 1,082 with the graph's key made per instance
+    assert twists["delta-tau-commute"] == 1022  # 1,340 with G^{τ(e2)} rebuilt per pair
+    # 1,082 with the graph's key made per instance, 795 with canonical_graph keying the graph again
+    assert keys["canonical-stability"] == 668
 
 
 def test_spec_named_properties_pass_small():
