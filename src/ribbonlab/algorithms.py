@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .core import (
     RibbonGraph,
     RibbonGraphError,
+    _edge_mask,
     _flip_vertices,
     _orbit_ids,
     _orbits,
@@ -36,7 +37,7 @@ from .core import (
     oriented_form,
 )
 from .medial import InternalInvariantError, _straight_ahead, d_edges
-from .operators import _check_edges, partial_dual, partial_petrial, twist_compose
+from .operators import partial_dual, partial_petrial, twist_compose
 from .predicates import (
     FaceColouring,
     checkerboard_colouring,
@@ -100,7 +101,7 @@ def checkerboard_twisted_dual(g: RibbonGraph, *, seed: int = 0) -> TwistedDualCe
     # Twisting the links the bits violate makes the bits satisfy every link,
     # so flipping by them orients the twisted graph.
     host = _flip_vertices(oriented, {name for name, b in zip(g.vertex_names, bit) if b})
-    dual_set = d_edges(_straight_ahead(host._flags, seed)[1])
+    dual_set = d_edges(_straight_ahead(host, seed)[1])
     result = partial_dual(oriented, dual_set)
     colouring = checkerboard_colouring(result)
     if colouring is None:
@@ -133,7 +134,8 @@ def _inconsistent(g: RibbonGraph, col) -> tuple[str, ...]:
     always differ, so that side decides for both; half-twisting an edge
     swaps which far-end flags its sides meet and toggles its membership."""
     ends, _, _, side, _, _ = g._flags
-    return tuple(sorted(d.edge for i, d in enumerate(ends) if d.end == 1 and col[2 * i] != col[side[2 * i]]))
+    names = g.edge_names
+    return tuple(sorted(names[x >> 1] for i, x in enumerate(ends) if not x & 1 and col[2 * i] != col[side[2 * i]]))
 
 
 class PartialPetrialCertificate(NamedTuple):
@@ -197,9 +199,9 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     :class:`UnknownEdgeError` for an unknown edge name.
     """
     oriented, _ = oriented_form(g)  # raises NotOrientableError when impossible
-    removed = _check_edges(oriented, edges)
+    removed = _edge_mask(oriented, edges)
     ends, mate, corner, side, _, _ = oriented._flags
-    cut = [d.edge in removed for d in ends]
+    cut = [removed[x >> 1] for x in ends]
     across = [f ^ 1 if cut[f >> 1] else s for f, s in enumerate(side)]
     orbits = _orbits(corner, across, range(len(across)))
     comp = _orbit_ids(orbits, across)
@@ -207,7 +209,7 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     # removed edge's two attachment arcs.
     links = [
         (comp[2 * i], comp[2 * mate[i] if cut[i] else 2 * i + 1], 1)
-        for i, d in enumerate(ends)
-        if d.end == 1
+        for i, x in enumerate(ends)
+        if not x & 1
     ]
     return not _parity_colouring(len(orbits), links)[1]

@@ -30,10 +30,12 @@ involution identities exercised in the test suite):
   :func:`parse_graph` and :func:`from_arrow_presentation`.  Operator
   results are built from a valid input with :func:`_flag_layout` or
   :func:`_twist_flags`; so are the enumerated, sampled and canonical
-  graphs, laid out from a list of edge-ends, and no operator checks its
-  input again.  A graph stores flags, vertex names and sorted edge names,
-  and each sign only as its edge's twist bit: ``vertices`` and ``edges``
-  are memoised views, built as tuples when read; equality and hash read flags.
+  graphs, laid out from a list of darts, and no operator checks its input
+  again.  A graph stores flags, vertex names and sorted edge names, and
+  each sign only as its edge's twist bit.  The flags hold edge-end ``end``
+  of the edge ranked ``j`` in the sorted names as the dart ``2j + end - 1``;
+  ``EdgeEnd``, ``Vertex`` and ``Edge`` tuples are built only in views, such
+  as ``vertices`` and ``edges``.  Equality and hash read names and flags.
 * Value types (edge-ends, edges, vertices, violations, boundaries, arrow
   presentations, and the certificates and reports of the other modules)
   are named tuples: they compare, hash, iterate and index as tuples of
@@ -45,7 +47,7 @@ involution identities exercised in the test suite):
 from __future__ import annotations
 
 import re
-from functools import partial
+from bisect import bisect_left
 from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -147,7 +149,6 @@ class Vertex(_VertexFields):
 
 
 _edge_name = attrgetter("name")
-_new_end = partial(tuple.__new__, EdgeEnd)  # EdgeEnd(...) in C: the parser makes one per token
 
 
 class _memo:
@@ -182,24 +183,25 @@ class RibbonGraph:
 
     def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable[Edge] = ()):
         vertices = tuple(vertices)
-        self.__dict__.update(edges=tuple(sorted(edges, key=_edge_name)), vertex_names=tuple(v.name for v in vertices))
+        edges = tuple(sorted(edges, key=_edge_name))
+        names = tuple(map(_edge_name, edges))
+        self.__dict__.update(edges=edges, vertex_names=tuple(v.name for v in vertices), edge_names=names)
         ends = [d for v in vertices for d in v.rotation]
         bounds = [0, *accumulate(len(v.rotation) for v in vertices)]
-        require_valid(self.vertex_names, ends, bounds, self.edges)
-        fl = _flag_structure(ends, bounds, self.signs())
-        self.__dict__.update(_flags=fl, edge_names=tuple(map(_edge_name, self.edges)))
+        require_valid(self.vertex_names, ends, bounds, edges)
+        dart = {name: 2 * j - 1 for j, name in enumerate(names)}  # plus the end index
+        darts = [dart[d.edge] + d.end for d in ends]
+        self.__dict__["_flags"] = _flag_structure(darts, bounds, [e.sign < 0 for e in edges])
 
     @_memo
     def vertices(self) -> tuple[Vertex, ...]:
-        ends, bounds = self._flags.ends, self._flags.bounds
-        return tuple(Vertex(name, tuple(ends[a:b])) for name, a, b in zip(self.vertex_names, bounds, bounds[1:]))
+        ends, bounds = _end_view(self), self._flags.bounds
+        return tuple(Vertex(name, ends[a:b]) for name, a, b in zip(self.vertex_names, bounds, bounds[1:]))
 
     @_memo
     def edges(self) -> tuple[Edge, ...]:
-        # An edge is untwisted exactly when its ends' L flags cross to R flags (odd ones).
-        fl = self._flags
-        sign = {d.edge: 1 if f & 1 else -1 for d, f in zip(fl.ends, fl.side[::2])}
-        return tuple([Edge(name, sign[name]) for name in self.edge_names])
+        # Each sign is read from its edge's link: twist bit 1 is sign -1.
+        return tuple([Edge(name, 1 - 2 * t) for name, (_, _, t) in zip(self.edge_names, self._edge_links)])
 
     @_memo
     def _boundary(self) -> "BoundaryDecomposition":
@@ -209,7 +211,7 @@ class RibbonGraph:
     @_memo
     def _segments(self) -> list["HalfEdgeSegment"]:
         # Flag f as a half-edge segment.
-        return [HalfEdgeSegment(d, letter) for d in self._flags.ends for letter in (L, R)]
+        return [HalfEdgeSegment(d, letter) for d in _end_view(self) for letter in (L, R)]
 
     @_memo
     def _faces(self) -> list[list[int]]:
@@ -222,30 +224,22 @@ class RibbonGraph:
 
     @_memo
     def _edge_links(self) -> list[tuple[int, int, int]]:
-        # Each edge's two vertex indices (lower first) and its twist bit, in
+        # Each edge's vertex indices at ends 1 and 2 and its twist bit, in
         # stored edge order: the links of _parity_colouring.
-        ends, mate, _, side, _, bounds = self._flags
+        ends, _, _, side, _, bounds = self._flags
         vertex = [0] * len(ends)
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
             vertex[a:b] = [k] * (b - a)
-        at = {ends[p].edge: (vertex[p], vertex[m], ~side[2 * p] & 1) for p, m in enumerate(mate) if p < m}
-        return [at[name] for name in self.edge_names]
-
-    @_memo
-    def _edge_name_set(self) -> frozenset[str]:
-        return frozenset(self.edge_names)
+        at = _positions(ends)
+        return [(vertex[p], vertex[m], ~side[2 * p] & 1) for p, m in zip(at[::2], at[1::2])]
 
     def vertex(self, name: str) -> Vertex:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise UnknownVertexError(name)
+        if name not in self.vertex_names:
+            raise UnknownVertexError(name)
+        return self.vertices[self.vertex_names.index(name)]
 
     def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise UnknownEdgeError(name)
+        return self.edges[_edge_mask(self, [name]).index(1)]
 
     def signs(self) -> dict[str, int]:
         return {e.name: e.sign for e in self.edges}
@@ -257,8 +251,8 @@ class RibbonGraph:
         raise UnknownEdgeError(str(end))
 
     def is_loop(self, edge: str) -> bool:
-        e1, e2 = self.edge(edge).ends
-        return self.vertex_of(e1) == self.vertex_of(e2)
+        u, w, _ = self._edge_links[_edge_mask(self, [edge]).index(1)]
+        return u == w
 
     def __str__(self) -> str:
         return graph_to_text(self)
@@ -266,13 +260,15 @@ class RibbonGraph:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # Equal ends fix the edge names, and equal sides the twists.
+        # Darts name no edge: equal edge names and darts fix every edge-end, and equal sides the twists.
         f, h = self._flags, other._flags
-        return (self.vertex_names, f.ends, f.bounds, f.side) == (other.vertex_names, h.ends, h.bounds, h.side)
+        return (self.vertex_names, self.edge_names, f.ends, f.bounds, f.side) == (
+            other.vertex_names, other.edge_names, h.ends, h.bounds, h.side
+        )
 
     def __hash__(self) -> int:
         fl = self._flags
-        return hash((self.vertex_names, tuple(fl.ends), tuple(fl.bounds), tuple(fl.side)))
+        return hash((self.vertex_names, self.edge_names, tuple(fl.ends), tuple(fl.bounds), tuple(fl.side)))
 
     def __repr__(self) -> str:
         return f"RibbonGraph(vertices={self.vertices!r}, edges={self.edges!r})"
@@ -287,11 +283,30 @@ class RibbonGraph:
 def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edge_names: tuple[str, ...]) -> RibbonGraph:
     """The graph with flags ``fl``, which hold every sign, built by an
     operator from a valid graph or laid out from checked or library-made
-    edge-ends: valid by construction, so it is not checked again, and
+    darts: valid by construction, so it is not checked again, and
     ``edge_names`` are already sorted.  The one way in that skips the constructor."""
     g = object.__new__(RibbonGraph)
     g.__dict__.update(_flags=fl, vertex_names=vertex_names, edge_names=edge_names)
     return g
+
+
+def _edge_mask(g: RibbonGraph, edges: Iterable[str]) -> list[int]:
+    """The named edges as a mask over their ranks, each found by bisecting
+    the sorted names; raises UnknownEdgeError with the least unknown name."""
+    names, todo = g.edge_names, iter(edges)
+    mask = [0] * len(names)
+    for name in todo:
+        j = bisect_left(names, name)
+        if j == len(names) or names[j] != name:
+            raise UnknownEdgeError(min(n for n in (name, *todo) if n not in names))
+        mask[j] = 1
+    return mask
+
+
+def _end_view(g: RibbonGraph) -> tuple[EdgeEnd, ...]:
+    """The edge-end at each flag position, from one ``EdgeEnd`` per dart."""
+    end_of = [EdgeEnd(name, k) for name in g.edge_names for k in (1, 2)]
+    return tuple(map(end_of.__getitem__, g._flags.ends))
 
 
 def ribbon_graph(
@@ -304,27 +319,21 @@ def ribbon_graph(
     Edges missing from ``signs`` default to +1; edge order follows first
     appearance in the rotations, then the ``signs`` mapping.
     """
-    signs = dict(signs or {})
-    vertices = []
-    seen: dict[str, None] = {}
-    for vname, rot in rotations.items():
-        ends = []
-        for item in rot:
-            end = _parse_end(item) if isinstance(item, str) else item
-            ends.append(end)
-            seen.setdefault(end.edge)
-        vertices.append(Vertex(vname, tuple(ends)))
-    for name in signs:
-        seen.setdefault(name)
-    edges = tuple(Edge(name, signs.get(name, 1)) for name in seen)
-    return RibbonGraph(tuple(vertices), edges)
+    signs = signs or {}
+    vertices = [
+        Vertex(name, [EdgeEnd(*_parse_end(d)) if isinstance(d, str) else d for d in rot])
+        for name, rot in rotations.items()
+    ]
+    seen = dict.fromkeys([d.edge for v in vertices for d in v.rotation] + list(signs))
+    return RibbonGraph(vertices, [Edge(name, signs.get(name, 1)) for name in seen])
 
 
-def _parse_end(token: str) -> EdgeEnd:
+def _parse_end(token: str) -> tuple[str, int]:
+    """The edge name and end index of an edge-end token like ``"a.1"``."""
     name, _, endpart = token.rpartition(".")
     if not name or endpart not in ("1", "2"):
         raise ValueError(f"bad edge-end token {token!r}, expected '<edge>.1' or '<edge>.2'")
-    return _new_end((name, int(endpart)))
+    return name, int(endpart)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +398,14 @@ def require_valid(vertex_names: Sequence[str], ends: Sequence[EdgeEnd], bounds: 
 
 class _Flags(NamedTuple):
     """The flag structure of a valid graph, shared and never mutated:
-    ``ends[i]`` is the i-th edge-end in vertex order, ``mate[i]`` its
-    partner's position, ``forward[i]`` its arrow's direction in
-    :func:`to_arrow_presentation`, and vertex k holds positions
-    ``bounds[k]`` up to ``bounds[k + 1]``."""
+    ``ends[i]`` is the dart of the i-th edge-end in vertex order,
+    ``mate[i]`` its partner's position, ``forward[i]`` its arrow's
+    direction in :func:`to_arrow_presentation`, and vertex k holds
+    positions ``bounds[k]`` up to ``bounds[k + 1]``.  Dart ``x`` is end
+    ``1 + (x & 1)`` of the edge ranked ``x >> 1`` in the graph's sorted
+    edge names, which sort as strings (``e10`` before ``e2``)."""
 
-    ends: list[EdgeEnd]
+    ends: list[int]
     mate: list[int]
     corner: list[int]
     side: list[int]
@@ -402,20 +413,23 @@ class _Flags(NamedTuple):
     bounds: list[int]
 
 
-def _flag_structure(ends: list[EdgeEnd], bounds: list[int], signs: Mapping[str, int]) -> _Flags:
-    """The flags of valid edge-ends listed vertex by vertex, each paired
-    with its edge's other end and twisted as its sign in ``signs`` says."""
-    mate = [0] * len(ends)
-    first: dict[str, int] = {}
-    for i, d in enumerate(ends):
-        # j == i at an edge's first end; its second end sets both entries.
-        j = first.setdefault(d.edge, i)
-        mate[i], mate[j] = j, i
-    return _flag_layout(ends, mate, [signs[d.edge] < 0 for d in ends], bounds)
+def _flag_structure(ends: list[int], bounds: list[int], twisted: Sequence[bool]) -> _Flags:
+    """The flags of the valid darts ``ends`` listed vertex by vertex, each
+    paired with its edge's other end, edge ``j`` twisted iff ``twisted[j]``."""
+    at = _positions(ends)
+    return _flag_layout(ends, [at[x ^ 1] for x in ends], [twisted[x >> 1] for x in ends], bounds)
 
 
-def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], bounds: list[int]) -> _Flags:
-    """The flags of edge-ends listed vertex by vertex (vertex k holds
+def _positions(perm: Sequence[int]) -> list[int]:
+    """The inverse of a permutation of ``range(n)``, such as each dart's position."""
+    at = [0] * len(perm)
+    for i, x in enumerate(perm):
+        at[x] = i
+    return at
+
+
+def _flag_layout(ends: list[int], mate: list[int], twisted: list[bool], bounds: list[int]) -> _Flags:
+    """The flags of darts listed vertex by vertex (vertex k holds
     positions ``bounds[k]`` up to ``bounds[k + 1]``), from each end's
     partner position and its edge's twist: the one layout of ``corner``,
     ``side`` and ``forward``, for derived and operator-built flags alike."""
@@ -432,17 +446,17 @@ def _flag_layout(ends: list[EdgeEnd], mate: list[int], twisted: list[bool], boun
     for i, m in enumerate(mate):
         t = twisted[i]
         side[2 * i], side[2 * i + 1] = 2 * m + 1 - t, 2 * m + t
-        forward[i] = (t or i < m) == (ends[i].end == 1)
+        forward[i] = (t or i < m) == (not ends[i] & 1)
     return _Flags(ends, mate, corner, side, forward, bounds)
 
 
-def _twist_flags(fl: _Flags, chosen: set[str]) -> _Flags:
-    """The flags after toggling the sign of each edge in ``chosen``, as
-    :func:`_flag_layout` lays them out."""
+def _twist_flags(fl: _Flags, chosen: Sequence[int]) -> _Flags:
+    """The flags after toggling the sign of each edge ``j`` with
+    ``chosen[j]`` set, as :func:`_flag_layout` lays them out."""
     ends, mate, corner, side, forward, bounds = fl
     side, forward = side[:], forward[:]
-    for i, d in enumerate(ends):
-        if d.edge in chosen:
+    for i, x in enumerate(ends):
+        if chosen[x >> 1]:
             side[2 * i], side[2 * i + 1] = side[2 * i + 1], side[2 * i]
             # An edge's lower end points forward iff it is end 1, whatever its sign.
             forward[i] ^= i > mate[i]
@@ -607,9 +621,9 @@ def euler_characteristic_by_component(g: RibbonGraph) -> list[int]:
     piece_of = {name: i for i, (_, es) in enumerate(pieces) for name in es}
     isolated = (i for i, (_, es) in enumerate(pieces) if not es)
     faces = [0] * len(pieces)
-    ends = g._flags.ends
+    ends, names = g._flags.ends, g.edge_names
     for orbit in g._faces:
-        faces[piece_of[ends[orbit[0] >> 1].edge] if orbit else next(isolated)] += 1
+        faces[piece_of[names[ends[orbit[0] >> 1] >> 1]] if orbit else next(isolated)] += 1
     return [len(vs) - len(es) + faces[i] for i, (vs, es) in enumerate(pieces)]
 
 
@@ -654,26 +668,19 @@ def flip_vertex(g: RibbonGraph, vertex: str) -> RibbonGraph:
 def _flip_vertices(g: RibbonGraph, flipped: set[str]) -> RibbonGraph:
     """Flip every vertex in ``flipped`` at once: the same graph as flipping
     them one after another, since an edge with both ends in the set changes
-    sign twice.  The result's flags are laid out as by :func:`_flag_layout`
-    with each flipped vertex's ends reversed; ``corner`` depends on the
-    vertex bounds alone, so only the flipped ends and their partners change."""
-    ends, mate, corner, side, forward, bounds = g._flags
-    new_ends, new_mate, new_side, new_forward = ends[:], mate[:], side[:], forward[:]
-    at = list(range(len(ends)))  # the result position of each input position
-    rev: set[int] = set()  # the input positions at flipped vertices
+    sign twice.  Each flipped vertex's ends are laid out reversed, and an
+    edge changes sign exactly when one of its ends is flipped."""
+    ends, mate, corner, side, _, bounds = g._flags
+    at = list(range(len(ends)))  # the input position at each result position, and back
+    rev = bytearray(len(ends))  # 1 at the positions of flipped vertices
     for name, a, b in zip(g.vertex_names, bounds, bounds[1:]):
         if name in flipped:
             at[a:b] = range(b - 1, a - 1, -1)
-            rev.update(range(a, b))
-    for p in rev.union([mate[p] for p in rev]):
-        k, m, d = at[p], at[mate[p]], ends[p]
-        # An edge changes sign exactly when one of its ends is flipped.
-        toggle = (p in rev) != (mate[p] in rev)
-        t = (not side[2 * p] & 1) != toggle
-        new_ends[k], new_mate[k] = d, m
-        new_side[2 * k], new_side[2 * k + 1] = 2 * m + 1 - t, 2 * m + t
-        new_forward[k] = (t or k < m) == (d.end == 1)
-    return _from_flags(_Flags(new_ends, new_mate, corner, new_side, new_forward, bounds), g.vertex_names, g.edge_names)
+            rev[a:b] = b"\1" * (b - a)
+    twisted = [(not side[2 * p] & 1) != (rev[p] != rev[mate[p]]) for p in at]
+    # ``corner`` depends on the bounds alone, so the input's is shared.
+    fl = _flag_layout([ends[p] for p in at], [at[mate[p]] for p in at], twisted, bounds)._replace(corner=corner)
+    return _from_flags(fl, g.vertex_names, g.edge_names)
 
 
 def oriented_form(g: RibbonGraph) -> tuple[RibbonGraph, tuple[str, ...]]:
@@ -714,8 +721,8 @@ def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
     encoding which arrow is end 1, so the round trip through
     :func:`from_arrow_presentation` reproduces the graph exactly.
     """
-    fl = g._flags
-    arrows = [Arrow(d.edge, f) for d, f in zip(fl.ends, fl.forward)]
+    fl, names = g._flags, g.edge_names
+    arrows = [Arrow(names[x >> 1], f) for x, f in zip(fl.ends, fl.forward)]
     return ArrowPresentation(tuple(
         Circle(name, tuple(arrows[a:b])) for name, a, b in zip(g.vertex_names, fl.bounds, fl.bounds[1:])
     ))
@@ -740,19 +747,19 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
             )
 
     # The flags, signs included, are laid out from the arrows; only the
-    # circle names can still fail the check.
+    # circle names can still fail the check, so it is given no ends.
     n = len(arrows)
-    ends: list[EdgeEnd] = [None] * n
-    mate, twisted = [0] * n, [False] * n
-    for label, (i, j) in positions.items():
-        twisted[i] = twisted[j] = arrows[i].forward != arrows[j].forward
-        one, two = (i, j) if arrows[i].forward else (j, i)
-        ends[one], ends[two] = _new_end((label, 1)), _new_end((label, 2))
-        mate[i], mate[j] = j, i
-    names = tuple(c.name for c in p.circles)
-    bounds = [0, *accumulate(len(c.arrows) for c in p.circles)]
+    ends, mate, twisted = [0] * n, [0] * n, [False] * n
     edge_names = tuple(sorted(positions))
-    require_valid(names, ends, bounds, [Edge(name) for name in edge_names])
+    for j, label in enumerate(edge_names):
+        i, k = positions[label]
+        twisted[i] = twisted[k] = arrows[i].forward != arrows[k].forward
+        one, two = (i, k) if arrows[i].forward else (k, i)
+        ends[one], ends[two] = 2 * j, 2 * j + 1
+        mate[i], mate[k] = k, i
+    names = tuple(c.name for c in p.circles)
+    require_valid(names, [], [0], [])
+    bounds = [0, *accumulate(len(c.arrows) for c in p.circles)]
     return _from_flags(_flag_layout(ends, mate, twisted, bounds), names, edge_names)
 
 
@@ -762,8 +769,9 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
 
 def graph_to_text(g: RibbonGraph) -> str:
     """Serialize in the plain-text format; inverse of :func:`parse_graph`.
-    Rotations are written from the flags, so no ``Vertex`` is built."""
-    ends, bounds = [f" {e}.{k}" for e, k in g._flags.ends], g._flags.bounds
+    Rotations are written from the names and darts, so no ``Vertex`` is built."""
+    token = [f" {name}.{k}" for name in g.edge_names for k in (1, 2)]
+    ends, bounds = [token[x] for x in g._flags.ends], g._flags.bounds
     lines = [f"vertex {name}:" + "".join(ends[a:b]) for name, a, b in zip(g.vertex_names, bounds, bounds[1:])]
     lines.extend(f"edge {e.name}: {'+' if e.sign > 0 else '-'}" for e in g.edges)
     return "\n".join(lines) + "\n"
@@ -781,7 +789,10 @@ def parse_graph(text: str) -> RibbonGraph:
     and column of the first offending token.  Only invalid text is validated.
     """
     vertex_names: dict[str, None] = {}
-    ends: list[EdgeEnd] = []
+    # Each edge name gets a provisional id when first used, and each token the
+    # dart 2 * id + end - 1; ids become ranks once every name is read.
+    edge_ids: dict[str, int] = {}
+    darts: list[int] = []
     bounds = [0]
     signs: dict[str, int] = {}
     # (line number, text, offset of the rotation) of each vertex line
@@ -810,11 +821,12 @@ def parse_graph(text: str) -> RibbonGraph:
             vertex_names[name] = None
             for k, token in enumerate(rest.split()):
                 try:
-                    ends.append(_parse_end(token))
+                    edge, end = _parse_end(token)
                 except ValueError as exc:
                     col = list(_token_columns(line, len(line) - len(rest)))[k]
                     raise TextFormatError(lineno, col, str(exc)) from None
-            bounds.append(len(ends))
+                darts.append(2 * edge_ids.setdefault(edge, len(edge_ids)) + end - 1)
+            bounds.append(len(darts))
             vertex_lines.append((lineno, line, len(line) - len(rest)))
         else:
             if name in declared_at:
@@ -827,8 +839,14 @@ def parse_graph(text: str) -> RibbonGraph:
 
     edge_names = tuple(sorted(signs))
     # Names, signs and end indices are checked: valid means each declared edge's two ends, once each.
-    if len(set(ends)) == len(ends) == 2 * len(signs) and signs.keys() >= {d.edge for d in ends}:
-        return _from_flags(_flag_structure(ends, bounds, signs), tuple(vertex_names), edge_names)
+    if len(set(darts)) == len(darts) == 2 * len(signs) and signs.keys() >= edge_ids.keys():
+        rank = {name: j for j, name in enumerate(edge_names)}
+        dart = [2 * rank[name] for name in edge_ids]  # end 1's dart, by provisional id
+        darts = [dart[x >> 1] | x & 1 for x in darts]
+        twisted = [signs[name] < 0 for name in edge_names]
+        return _from_flags(_flag_structure(darts, bounds, twisted), tuple(vertex_names), edge_names)
+    used = list(edge_ids)
+    ends = [EdgeEnd(used[x >> 1], 1 + (x & 1)) for x in darts]
     violations = validate(tuple(vertex_names), ends, bounds, [Edge(name, signs[name]) for name in edge_names])
     # Positions are found only now: edge-end -> (line, column) of each token.
     end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}

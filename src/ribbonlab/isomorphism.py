@@ -5,9 +5,9 @@ combined with any set of vertex flips, carries rotations to rotations (up to
 cyclic shift) and signs to signs.  The canonical form relabels darts along a
 deterministic traversal and minimises the serialization over every choice of
 start dart and start orientation, so equality of canonical keys decides
-isomorphism.  The key reads a graph's flags, whose darts are its edge-end
-positions, so the enumerator keys each sign vector by twisting the flags of
-one graph per vertex structure.
+isomorphism.  The key reads a graph's flags and takes its edge-end
+positions as darts, reading no edge names, so the enumerator keys each sign
+vector by twisting the flags of one graph per vertex structure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .core import (
     _flag_layout,
     _Flags,
     _from_flags,
-    _new_end,
+    _positions,
     _root,
     graph_to_text,
 )
@@ -30,7 +30,8 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
     ``signs[i]`` and whose vertices are the cycles of ``sigma`` (each dart
     to the next one round its vertex), named ``v0..`` in order of their
     least dart and read from it, then ``isolated`` vertices without ends.
-    Laid out as flags and valid by construction, so it is never validated."""
+    In the flags edge ``e<i>`` is its name's rank.  Laid out as flags and
+    valid by construction, so it is never validated."""
     at = [-1] * len(sigma)  # each dart's position in vertex order
     darts: list[int] = []
     bounds = [0]
@@ -42,9 +43,11 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
         if len(darts) > bounds[-1]:
             bounds.append(len(darts))
     bounds += [len(darts)] * isolated
-    ends = [_new_end((f"e{x >> 1}", 1 + (x & 1))) for x in darts]
+    order = sorted(range(len(signs)), key=str)  # edge numbers by name: e0, e1, e10, e11, e2, ...
+    rank = _positions(order)
+    ends = [2 * rank[x >> 1] | x & 1 for x in darts]
     fl = _flag_layout(ends, [at[x ^ 1] for x in darts], [signs[x >> 1] < 0 for x in darts], bounds)
-    edge_names = tuple(sorted([f"e{i}" for i in range(len(signs))]))
+    edge_names = tuple([f"e{i}" for i in order])
     return _from_flags(fl, tuple(f"v{k}" for k in range(len(bounds) - 1)), edge_names)
 
 
@@ -182,10 +185,10 @@ def canonical_key_darts(fl: _Flags) -> tuple:
     return _key_and_automorphisms(fl)[0]
 
 
-def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[str, str]]]:
-    """The canonical key, and each automorphism it found as the map of every
-    edge of one component to its image (the edges it leaves out are fixed),
-    built only when read."""
+def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[int, int]]]:
+    """The canonical key, and each automorphism it found as the map of the
+    rank of every edge of one component to its image's (the edges it leaves
+    out are fixed), built only when read."""
     _, mate, corner, side, _, bounds = fl
     nxt = [f >> 1 for f in corner[1::2]]
     prv = [f >> 1 for f in corner[::2]]
@@ -205,7 +208,8 @@ def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[str, str]]]
             for q in comp:
                 seen[q] = 1
     key = (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
-    return key, ({fl.ends[p].edge: fl.ends[q].edge for p, q in zip(a, b)} for a, b in ties)
+    ends = fl.ends
+    return key, ({ends[p] >> 1: ends[q] >> 1 for p, q in zip(a, b)} for a, b in ties)
 
 
 def canonical_key(g: RibbonGraph) -> tuple:
@@ -252,14 +256,16 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
     """
     if len(g.edge_names) != len(h.edge_names) or len(g.vertex_names) != len(h.vertex_names):
         return False
-    # Equal ends fix the edge names and, with equal corners, every rotation; equal sides fix
-    # every twist and the vertex counts the isolated vertices: the identity is an isomorphism.
+    # Edges are stored sorted by name, and darts name no edge: the names are compared first.
+    if match_edge_labels and g.edge_names != h.edge_names:
+        return False
+    # Equal darts and corners fix every rotation up to edge names, equal sides every twist,
+    # and the vertex counts the isolated vertices: the map of each dart to itself is an isomorphism.
     if g._flags[:4] == h._flags[:4]:
         return True
     if not match_edge_labels:
         return canonical_key(g) == canonical_key(h)
-    # Edges are stored sorted by name.
-    return g.edge_names == h.edge_names and _labelled_search(g, h)
+    return _labelled_search(g, h)
 
 
 def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
@@ -272,11 +278,11 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     each end's partner maps to the image's partner; and the sign rule fixes
     the flip at the partner's vertex, so a loop must keep its sign.  So
     each component needs at most four linear tries.  The caller has checked
-    that the counts and edge names agree.
+    that the counts and edge names agree, so equal edge ranks are one edge.
     """
     ends, mate, corner, side, _, _ = g._flags
     h_ends, h_mate, h_corner, h_side, _, _ = h._flags
-    at = {d.edge: j for j, d in enumerate(h_ends)}
+    at = _positions(h_ends)
 
     def place(p0: int, q0: int, flip0: bool) -> dict[int, tuple[int, bool]] | None:
         """Image and flip of each end of p0's component if the forced map holds."""
@@ -294,7 +300,7 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
             p_start, q_start = p, q
             turn = 0 if flipped else 1
             while True:
-                if ends[p].edge != h_ends[q].edge:
+                if ends[p] >> 1 != h_ends[q] >> 1:
                     return None
                 image[p] = q, flipped
                 # The edge's sign differs in g and h iff its side flags differ in parity.
@@ -311,7 +317,7 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     done: set[int] = set()
     for p in range(len(ends)):
         if p not in done:
-            q = at[ends[p].edge]
+            q = at[ends[p]]
             image = (
                 place(p, q, False) or place(p, q, True)
                 or place(p, h_mate[q], False) or place(p, h_mate[q], True)

@@ -41,8 +41,8 @@ from .core import (
     NotOrientableError,
     RibbonGraphError,
     Vertex,
-    _Flags,
     _orbits,
+    _positions,
     oriented_form,
 )
 
@@ -100,19 +100,18 @@ def build_medial(h: RibbonGraph) -> MedialGraph:
 
     fl = host._flags
     segs = host._segments
-    at = {d: i for i, d in enumerate(fl.ends)}
-    vertices = []
-    for name in host.edge_names:
-        p = at[EdgeEnd(name, 1)]
-        q = fl.mate[p]
-        vertices.append(MedialVertex(name, (segs[2 * p], segs[2 * q + 1], segs[2 * q], segs[2 * p + 1])))
+    at = _positions(fl.ends)  # edge j's ends 1 and 2 are at at[2j] and at[2j + 1]
+    vertices = tuple(
+        MedialVertex(name, (segs[2 * p], segs[2 * q + 1], segs[2 * q], segs[2 * p + 1]))
+        for name, p, q in zip(host.edge_names, at[::2], at[1::2])
+    )
     spans = list(zip(host.vertex_names, fl.bounds, fl.bounds[1:]))
     names = [name for name, a, b in spans for _ in range(a, b)]
     corners = tuple(
         CornerEdge(i, name, (segs[2 * i + 1], segs[fl.corner[2 * i + 1]])) for i, name in enumerate(names)
     )
     free = tuple(name for name, a, b in spans if a == b)
-    return MedialGraph(host, flipped, tuple(vertices), corners, free)
+    return MedialGraph(host, flipped, vertices, corners, free)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ class AllCrossingDirection(NamedTuple):
 CDClassification = dict[str, str]
 
 
-def _straight_ahead(fl: _Flags, seed: int) -> tuple[list[list[int]], CDClassification]:
+def _straight_ahead(host: RibbonGraph, seed: int) -> tuple[list[list[int]], CDClassification]:
     """The straight-ahead walks of an oriented host, as tail flags, and the
     c/d classification of the direction they induce.
 
@@ -145,7 +144,7 @@ def _straight_ahead(fl: _Flags, seed: int) -> tuple[list[list[int]], CDClassific
     edge walked both ways, or heads that are not all-crossing, raise
     :class:`InternalInvariantError`.
     """
-    ends, mate, corner = fl.ends, fl.mate, fl.corner
+    ends, mate, corner, _, _, _ = host._flags
     ahead = [2 * mate[f >> 1] | f & 1 for f in range(len(corner))]
     tails = [2 * i + 1 if seed == 0 else corner[2 * i + 1] for i in range(len(ends))]
     head = bytearray(len(corner))
@@ -157,7 +156,7 @@ def _straight_ahead(fl: _Flags, seed: int) -> tuple[list[list[int]], CDClassific
                     f"straight-ahead walk traverses corner edge {_corner_index(corner, t)} both ways"
                 )
             head[corner[t]] = 1
-    cls, bad = _classify(fl, head)
+    cls, bad = _classify(host, head)
     if bad:
         raise InternalInvariantError(
             f"straight-ahead direction is not all-crossing at {sorted(bad)}"
@@ -169,7 +168,7 @@ def _corner_index(corner: list[int], f: int) -> int:
     return f >> 1 if f & 1 else corner[f] >> 1
 
 
-def _classify(fl: _Flags, head) -> tuple[CDClassification, list[str]]:
+def _classify(host: RibbonGraph, head) -> tuple[CDClassification, list[str]]:
     """The c/d label of every edge under the head bits ``head``, in flag
     order of end 1, and the edges whose ports do not read head, head, tail,
     tail.
@@ -182,15 +181,15 @@ def _classify(fl: _Flags, head) -> tuple[CDClassification, list[str]]:
     """
     cls: CDClassification = {}
     bad = []
-    mate = fl.mate
-    for p, d in enumerate(fl.ends):
-        if d.end == 1:
+    ends, mate, names = host._flags.ends, host._flags.mate, host.edge_names
+    for p, x in enumerate(ends):
+        if not x & 1:
             q = mate[p]
             h0, h1, h2, h3 = head[2 * p], head[2 * q + 1], head[2 * q], head[2 * p + 1]
             side_ok = h0 != h1 and h2 != h3
             if side_ok == (h0 != h3 and h1 != h2):
-                bad.append(d.edge)
-            cls[d.edge] = "c" if side_ok else "d"
+                bad.append(names[x >> 1])
+            cls[names[x >> 1]] = "c" if side_ok else "d"
     return cls, bad
 
 
@@ -219,7 +218,7 @@ def straight_ahead_direction(m: MedialGraph, *, seed: int = 0) -> AllCrossingDir
     :class:`InternalInvariantError`.
     """
     fl = m.host._flags
-    walks, _ = _straight_ahead(fl, seed)
+    walks, _ = _straight_ahead(m.host, seed)
     corner, segs = fl.corner, m.host._segments
     directions: list = [None] * len(fl.ends)
     for walk in walks:
@@ -233,7 +232,7 @@ def straight_ahead_direction(m: MedialGraph, *, seed: int = 0) -> AllCrossingDir
 
 def is_all_crossing(m: MedialGraph, direction: AllCrossingDirection) -> bool:
     """True when the arrowheads read head, head, tail, tail at every crossing."""
-    return not _classify(m.host._flags, _heads(m, direction)[2])[1]
+    return not _classify(m.host, _heads(m, direction)[2])[1]
 
 
 def classify_cd(m: MedialGraph, direction: AllCrossingDirection) -> CDClassification:
@@ -244,7 +243,7 @@ def classify_cd(m: MedialGraph, direction: AllCrossingDirection) -> CDClassifica
     a direction that is not all-crossing raises
     :class:`InvalidDirectionError`.
     """
-    cls, bad = _classify(m.host._flags, _heads(m, direction)[2])
+    cls, bad = _classify(m.host, _heads(m, direction)[2])
     if bad:
         raise InvalidDirectionError("direction is not all-crossing")
     return {mv.edge: cls[mv.edge] for mv in m.vertices}
@@ -289,7 +288,8 @@ def smooth(
         if mv.edge not in cls:
             raise InvalidDirectionError(f"classification missing edge {mv.edge!r}")
     ends, _, corner, side, _, _ = m.host._flags
-    c_edge = [cls[d.edge] == "c" for d in ends]
+    names = m.host.edge_names
+    c_edge = [cls[names[x >> 1]] == "c" for x in ends]
     pair = [s if c_edge[f >> 1] else f ^ 1 for f, s in enumerate(side)]
     segs, heads, head = _heads(m, direction)
     curves: list[SmoothedCurve] = []
@@ -301,7 +301,7 @@ def smooth(
                 )
         strands = tuple(
             CurveSegment(
-                ends[f >> 1].edge,
+                names[ends[f >> 1] >> 1],
                 EDGE_LINE if c_edge[f >> 1] else COMMON_LINE,
                 segs[f],
                 segs[pair[f]],
@@ -326,17 +326,10 @@ def to_ribbon_graph(m: MedialGraph) -> RibbonGraph:
     edges (named ``c<i>``) in port order; every sign is +1.  A free loop has
     no crossing on it, so it degenerates to an isolated vertex here.
     """
-    end_of: dict[HalfEdgeSegment, EdgeEnd] = {}
-    for c in m.corner_edges:
-        end_of[c.ports[0]] = EdgeEnd(f"c{c.index}", 1)
-        end_of[c.ports[1]] = EdgeEnd(f"c{c.index}", 2)
-    vertices = [
-        Vertex(f"m_{mv.edge}", tuple(end_of[p] for p in mv.ports)) for mv in m.vertices
-    ]
-    for name in m.free_loops:
-        vertices.append(Vertex(f"free_{name}"))
-    edges = tuple(Edge(f"c{c.index}", 1) for c in m.corner_edges)
-    return RibbonGraph(tuple(vertices), edges)
+    end_of = {port: EdgeEnd(f"c{c.index}", k) for c in m.corner_edges for k, port in enumerate(c.ports, 1)}
+    vertices = [Vertex(f"m_{mv.edge}", [end_of[p] for p in mv.ports]) for mv in m.vertices]
+    vertices += [Vertex(f"free_{name}") for name in m.free_loops]
+    return RibbonGraph(vertices, [Edge(f"c{c.index}") for c in m.corner_edges])
 
 
 def medial_to_dot(

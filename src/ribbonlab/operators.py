@@ -19,10 +19,11 @@ twisted loops; contraction and minors run the same walk and skip the
 deleted and contracted edges' ends, so no intermediate graph is built.
 Every result is born with its flags, which hold every sign: the walk
 emits them, deletion filters the input's, and a half-twist swaps sides on
-the chosen ends.  A result's edge names are the input's, filtered by
-deletion and contraction.  Every graph is valid from its construction, so
-no operator checks its input, and a result is stored without a check; its
-``Vertex`` and ``Edge`` tuples are built only if read.
+the chosen ends.  Edges are chosen as masks over their ranks.  A result's
+edge names are the input's, filtered by deletion and contraction, which
+renumber the kept darts to the kept ranks.  Every graph is valid from its
+construction, so no operator checks its input, and a result is stored
+without a check; its ``Vertex`` and ``Edge`` tuples are built only if read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Mapping
 
 from .core import (
     RibbonGraph,
-    UnknownEdgeError,
+    _edge_mask,
     _flag_layout,
     _from_flags,
     _twist_flags,
@@ -68,44 +69,50 @@ def twist_compose(after: str, before: str) -> str:
     return _PRODUCT[after, before]
 
 
-def _check_edges(g: RibbonGraph, edges: Iterable[str]) -> set[str]:
-    """The named edges as a set; raises UnknownEdgeError with the least unknown name."""
-    out = set(edges)
-    if not out <= g._edge_name_set:
-        raise UnknownEdgeError(min(out - g._edge_name_set))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Deletion and half-twisting
 # ---------------------------------------------------------------------------
 
 def delete(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Remove the edges; vertices stay (possibly becoming isolated)."""
-    return _without(g, _check_edges(g, edges))
+    return _without(g, _edge_mask(g, edges))
 
 
-def _without(g: RibbonGraph, gone: set[str]) -> RibbonGraph:
+def _without(g: RibbonGraph, gone: list[int]) -> RibbonGraph:
     # The result's flags are the input's on the kept ends, renumbered: a
     # kept end's new position is the count of kept ends before it.
     ends, mate, _, side, _, bounds = g._flags
-    keep = [d.edge not in gone for d in ends]
+    keep = [not gone[x >> 1] for x in ends]
     at = list(accumulate(keep, initial=0))
     kept = [p for p, k in enumerate(keep) if k]
+    before, edge_names = _kept(g, gone)
     fl = _flag_layout(
-        [ends[p] for p in kept],
+        [ends[p] - 2 * before[ends[p] >> 1] for p in kept],
         [at[mate[p]] for p in kept],
         [not side[2 * p] & 1 for p in kept],
         [at[b] for b in bounds],
     )
-    return _from_flags(fl, g.vertex_names, tuple(name for name in g.edge_names if name not in gone))
+    return _from_flags(fl, g.vertex_names, edge_names)
+
+
+def _kept(g: RibbonGraph, gone: list[int]) -> tuple[list[int], tuple[str, ...]]:
+    """Per edge, how many edges in ``gone`` rank before it (its darts drop by twice that); the kept names."""
+    if not any(gone):
+        return gone, g.edge_names  # all zeros
+    before, kept, k = [], [], 0
+    for name, d in zip(g.edge_names, gone):
+        before.append(k)
+        k += d
+        if not d:
+            kept.append(name)
+    return before, tuple(kept)
 
 
 def partial_petrial(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Add a half-twist to each listed edge (toggle its sign); an involution.
     ``partial_petrial(g, [])`` is ``g`` itself."""
-    chosen = _check_edges(g, edges)
-    if not chosen:
+    chosen = _edge_mask(g, edges)
+    if not any(chosen):
         return g
     return _from_flags(_twist_flags(g._flags, chosen), g.vertex_names, g.edge_names)
 
@@ -136,23 +143,24 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     ``partial_dual(g, [])`` is ``g`` itself, and dualising the same set
     twice gives a graph isomorphic to ``g``.
     """
-    chosen = _check_edges(g, edges)
-    if not chosen:
+    chosen = _edge_mask(g, edges)
+    if not any(chosen):
         return g
-    return _dual_without(g, chosen, set())
+    return _dual_without(g, chosen, [0] * len(chosen))
 
 
-def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGraph:
-    """``delete(partial_dual(g, chosen), gone)`` for a valid ``g``, in one pass.
+def _dual_without(g: RibbonGraph, chosen: list[int], gone: list[int]) -> RibbonGraph:
+    """``delete(partial_dual(g, chosen), gone)`` for a valid ``g``, in one
+    pass, the two edge sets given as masks over edge ranks.
 
     The splice and trace are :func:`partial_dual`'s; the ends and edges in
     ``gone`` are left out while the result is built.  Deletion keeps vertex
     order and names, so vertices that lose every end stay as isolated
     vertices, exactly as the two-step chain leaves them.
     """
-    if not chosen:
+    if not any(chosen):
         return _without(g, gone)
-    ends, mate, corner, side, forward, old_bounds = g._flags
+    ends, _, corner, side, forward, old_bounds = g._flags
     n = len(ends)
 
     # A spliced arrow is crossed to the partner end, an unspliced one from
@@ -160,14 +168,15 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
     # head; the walk meets an arrow forward iff it enters an unspliced one
     # at its tail or a spliced one at its head.  Each flag crossed from is
     # the result's next slot unless its end is ``gone``; a slot gets its
-    # edge-end, partner slot and twist as from_arrow_presentation reads
-    # arrows back: matching directions mean untwisted, and end 1 is the
-    # edge's first slot if that arrow is forward, else its second.
-    new_ends = [ends[0]] * n
+    # dart, partner slot and twist as from_arrow_presentation reads arrows
+    # back: matching directions mean untwisted, and end 1 (the even dart)
+    # is the edge's first slot if that arrow is forward, else its second.
+    new_ends = [0] * n
     new_mate = [0] * n
     twisted = [False] * n
     bounds = [0]
-    first: dict[str, tuple[int, bool]] = {}
+    first: dict[int, tuple[int, bool]] = {}
+    before, edge_names = _kept(g, gone)
     seen = bytearray(2 * n)
     s = 0
     for f0 in range(2 * n):
@@ -177,21 +186,21 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
         f = f0
         while True:
             p = f >> 1
-            d = ends[p]
-            name = d.edge
-            spliced = name in chosen
+            x = ends[p]
+            j = x >> 1
+            spliced = chosen[j]
             h = side[f] if spliced else f ^ 1
             seen[f] = seen[h] = 1
-            if name not in gone:
+            if not gone[j]:
                 fwd = (f & 1 ^ 1 ^ forward[p]) == spliced
-                if name in first:
-                    t, t_fwd = first[name]
-                    e = ends[mate[p]]
-                    new_ends[t], new_ends[s] = (d, e) if (d.end == 1) == t_fwd else (e, d)
+                if j in first:
+                    t, t_fwd = first[j]
+                    x -= 2 * before[j]
+                    new_ends[t], new_ends[s] = (x, x ^ 1) if (not x & 1) == t_fwd else (x ^ 1, x)
                     new_mate[t], new_mate[s] = s, t
                     twisted[t] = twisted[s] = t_fwd != fwd
                 else:
-                    first[name] = s, fwd
+                    first[j] = s, fwd
                 s += 1
             f = corner[h]
             if f == f0:
@@ -200,7 +209,6 @@ def _dual_without(g: RibbonGraph, chosen: set[str], gone: set[str]) -> RibbonGra
     del new_ends[s:], new_mate[s:], twisted[s:]
     bounds.extend(s for a, b in zip(old_bounds, old_bounds[1:]) if a == b)
 
-    edge_names = tuple(name for name in g.edge_names if name not in gone) if gone else g.edge_names
     names = tuple([f"v{k}" for k in range(len(bounds) - 1)])
     return _from_flags(_flag_layout(new_ends, new_mate, twisted, bounds), names, edge_names)
 
@@ -219,7 +227,7 @@ def contract(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     One pass of the partial-dual splice that leaves the contracted edges
     out of the result it builds.
     """
-    chosen = _check_edges(g, edges)
+    chosen = _edge_mask(g, edges)
     return _dual_without(g, chosen, chosen)
 
 
@@ -228,13 +236,12 @@ def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> 
 
     The same single pass as :func:`contract`, dropping both sets.
     """
-    dset = set(deleted)
-    cset = set(contracted)
+    dset, cset = set(deleted), set(contracted)
     overlap = dset & cset
     if overlap:
         raise ValueError(f"cannot both delete and contract: {sorted(overlap)}")
-    chosen = _check_edges(g, cset)
-    return _dual_without(g, chosen, _check_edges(g, dset) | chosen)
+    chosen = _edge_mask(g, cset)
+    return _dual_without(g, chosen, _edge_mask(g, dset | cset))
 
 
 def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:
@@ -245,7 +252,7 @@ def apply_twist_word(g: RibbonGraph, word: TwistWord) -> RibbonGraph:
     Petrial on the edges with ``a`` set, a partial dual on those with ``b``
     set and a partial Petrial on those with ``c`` set: one dual walk at most.
     """
-    _check_edges(g, word.keys())
+    _edge_mask(g, word.keys())
     for name, elem in word.items():
         if elem not in TWIST_ELEMENTS:
             raise ValueError(f"unknown twist word {elem!r} for edge {name!r}")

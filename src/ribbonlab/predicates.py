@@ -63,7 +63,7 @@ def checkerboard_colouring(g: RibbonGraph) -> FaceColouring | None:
     # One link per edge, joining the faces its two ribbon sides (the flags
     # at its end 1) lie on.  The link order cannot change the colours: they
     # are forced from each piece's lowest face, or there are none.
-    links = [(face[2 * i], face[2 * i + 1], 1) for i, d in enumerate(fl.ends) if d.end == 1]
+    links = [(face[2 * i], face[2 * i + 1], 1) for i, x in enumerate(fl.ends) if not x & 1]
     bit, bad = _parity_colouring(len(g._faces), links)
     if bad:
         return None

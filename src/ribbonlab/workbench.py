@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .core import (
     RibbonGraph,
     RibbonGraphError,
+    Vertex,
     _from_flags,
     _root,
     connected_components,
@@ -51,7 +52,6 @@ from .isomorphism import (
     _key_and_automorphisms,
     _permutation_graph,
     are_isomorphic,
-    canonical_graph,
     canonical_key,
     canonical_key_darts,
     canonical_text,
@@ -278,7 +278,7 @@ def _pairings(free: list[int], p: bytearray) -> Iterator[bytes]:
         yield from _pairings(free[1:j] + free[j + 1:], p)
 
 
-def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[str, str]]) -> list[int]:
+def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[int, int]]) -> list[int]:
     """The sign vectors of σ least in their orbit under the symmetries of
     its all-plus graph, in increasing order; bit k - 1 - i of a vector is
     set iff edge ``e<i>`` is twisted, so numeric order is product order.
@@ -287,14 +287,15 @@ def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[str, 
     with one end there: these toggles span a space W, kept as a reduced
     echelon basis, and the least member of a coset of W is its one member
     with no pivot bit set.  An automorphism the key found, as the image of
-    each edge it moves, carries each vector onto the one with its edges
-    moved.  So the least member of an orbit has no pivot bit set and is at
-    most the reduced image of itself under each automorphism.  The first
+    each edge it moves (edges given by their names' ranks, as in the flags
+    of σ's graph), carries each vector onto the one with its edges moved.
+    So the least member of an orbit has no pivot bit set and is at most
+    the reduced image of itself under each automorphism.  The first
     member of a class in enumeration order is least in its orbit, so no
     vector left out is the first of its class.
     """
     k = len(sigma) // 2
-    edge_bits = {f"e{i}": 1 << (k - 1 - i) for i in range(k)}
+    edge_bits = [1 << (k - 1 - i) for i in sorted(range(k), key=str)]  # by name rank
     bit = [1 << (k - 1 - (d >> 1)) for d in range(2 * k)]
     basis: list[tuple[int, int]] = []  # (pivot bit, vector)
 
@@ -315,8 +316,8 @@ def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[str, 
             basis.append((p, m))
     pivots = sum(p for p, _ in basis)
     # Each automorphism that moves an edge, as the bit each edge's bit moves to.
-    fixed = tuple(edge_bits.values())
-    moves = {tuple(edge_bits[m.get(e, e)] for e in edge_bits) for m in automorphisms} - {fixed}
+    fixed = tuple(edge_bits)
+    moves = {tuple(edge_bits[m.get(j, j)] for j in range(k)) for m in automorphisms} - {fixed}
     return [
         v for v in range(1 << k)
         if not v & pivots
@@ -490,8 +491,9 @@ def _prop_text_roundtrip(g: RibbonGraph) -> Iterator[Instance]:
 def _prop_canonical_stability(g: RibbonGraph) -> Iterator[Instance]:
     key = canonical_key(g)
     canon = _graph_of_key(key)
-    yield {}, canonical_key(canon) == key, "canonical graph must stay in the class"
-    yield {}, canonical_graph(canon) == canon, "canonicalisation must be idempotent"
+    again = canonical_key(canon)
+    yield {}, again == key, "canonical graph must stay in the class"
+    yield {}, _graph_of_key(again) == canon, "canonicalisation must be idempotent"
     for v in g.vertex_names:
         yield {"flip": v}, canonical_key(flip_vertex(g, v)) == key, (
             "canonical key must be flip-invariant"
@@ -587,24 +589,15 @@ def _splice_contract_nonloop(g: RibbonGraph, name: str) -> RibbonGraph:
     twisted."""
     e = g.edge(name)
     if e.sign < 0:
-        u2 = g.vertex_of(e.ends[1])
-        return _splice_contract_nonloop(flip_vertex(g, u2), name)
+        return _splice_contract_nonloop(flip_vertex(g, g.vertex_of(e.ends[1])), name)
     d1, d2 = e.ends
     u1, u2 = g.vertex_of(d1), g.vertex_of(d2)
     assert u1 != u2
-    r1 = g.vertex(u1).rotation
-    r2 = g.vertex(u2).rotation
+    rotations = {v.name: v.rotation for v in g.vertices}
+    r1, r2 = rotations[u1], rotations.pop(u2)
     i1, i2 = r1.index(d1), r2.index(d2)
-    merged = r1[i1 + 1:] + r1[:i1] + r2[i2 + 1:] + r2[:i2]
-    vertices = []
-    for v in g.vertices:
-        if v.name == u1:
-            vertices.append(type(v)(v.name, merged))
-        elif v.name == u2:
-            continue
-        else:
-            vertices.append(v)
-    return RibbonGraph(tuple(vertices), tuple(x for x in g.edges if x.name != name))
+    rotations[u1] = r1[i1 + 1:] + r1[:i1] + r2[i2 + 1:] + r2[:i2]
+    return RibbonGraph([Vertex(v, r) for v, r in rotations.items()], [x for x in g.edges if x.name != name])
 
 
 def _prop_contract_vs_splice(g: RibbonGraph) -> Iterator[Instance]:
@@ -674,12 +667,7 @@ def _prop_pdual_checkerboard_minors(g: RibbonGraph) -> Iterator[Instance]:
         comp = _complement(g, a)
         kept = delete(g, a)
         dual_kept = delete(gdual, comp)
-        ok = (
-            is_checkerboard_colourable(kept)
-            and is_eulerian(kept)
-            and is_checkerboard_colourable(dual_kept)
-            and is_eulerian(dual_kept)
-        )
+        ok = all(is_checkerboard_colourable(h) and is_eulerian(h) for h in (kept, dual_kept))
         yield {"A": list(a)}, ok, (
             "checkerboard partial dual forces checkerboard Eulerian minors"
         )
@@ -718,9 +706,7 @@ def _prop_smoothing_signs(g: RibbonGraph) -> Iterator[Instance]:
     direction = straight_ahead_direction(m)
     cls = classify_cd(m, direction)
     curves = smooth(m, direction, cls)
-    coherent = all(
-        len({s.sign for s in curve.segments}) <= 1 for curve in curves
-    )
+    coherent = all(len({s.sign for s in curve.segments}) <= 1 for curve in curves)
     yield {}, coherent, "every smoothed curve must be all-positive or all-negative"
     by_edge: dict[str, list[int]] = {}
     for curve in curves:
@@ -746,19 +732,8 @@ def _prop_curves_match_boundary(g: RibbonGraph) -> Iterator[Instance]:
     )
     # Each curve's kept-edge strands must form exactly the side pairs of one
     # boundary component.
-    comp_keys = sorted(
-        _side_pair_key(
-            (comp.segments[i], comp.segments[i + 1])
-            for i in range(0, len(comp.segments), 2)
-        )
-        for comp in decomp.components
-    )
-    curve_keys = sorted(
-        _side_pair_key(
-            (s.entry, s.exit) for s in curve.segments if s.kind == "edge-line"
-        )
-        for curve in curves
-    )
+    comp_keys = sorted(_side_pair_key(zip(c.segments[::2], c.segments[1::2])) for c in decomp.components)
+    curve_keys = sorted(_side_pair_key((s.entry, s.exit) for s in c.segments if s.kind == "edge-line") for c in curves)
     yield {"D": list(removed)}, comp_keys == curve_keys, (
         "curves must traverse exactly the ribbon sides of their boundary component"
     )
@@ -913,26 +888,23 @@ def run_all_properties(
 
 def predicate_implication_table(universe: GraphUniverse) -> dict[str, dict]:
     """Empirical implication table for the four predicates over a universe."""
-    names = ("bipartite", "even-face", "eulerian", "checkerboard")
     tests = {
-        "bipartite": is_bipartite,
-        "even-face": is_even_face,
-        "eulerian": is_eulerian,
-        "checkerboard": is_checkerboard_colourable,
+        "bipartite": is_bipartite, "even-face": is_even_face,
+        "eulerian": is_eulerian, "checkerboard": is_checkerboard_colourable,
     }
-    counts = {p: {q: 0 for q in names} for p in names}
+    counts = {p: {q: 0 for q in tests} for p in tests}
     total = 0
     for g in universe:
         total += 1
-        values = {name: tests[name](g) for name in names}
-        for p in names:
-            for q in names:
+        values = {name: test(g) for name, test in tests.items()}
+        for p in tests:
+            for q in tests:
                 if values[p] and not values[q]:
                     counts[p][q] += 1
     return {
         "graphs": total,
         "counterexamples": counts,
-        "holds": {p: {q: counts[p][q] == 0 for q in names} for p in names},
+        "holds": {p: {q: counts[p][q] == 0 for q in tests} for p in tests},
     }
 
 

@@ -47,6 +47,7 @@ from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring
 
 from helpers import (
     FIXTURES,
+    RENAMED_PAIRS,
     TEXTS,
     assert_born_with_flags,
     brute_force_parity,
@@ -792,6 +793,28 @@ def test_valid_text_is_never_validated(universe3, monkeypatch):
 def test_text_round_trip_keeps_flags(g):
     h = parse_graph(graph_to_text(g))
     assert h == g and h._flags == g._flags and h.vertices == g.vertices
+
+
+def test_graphs_that_differ_only_in_edge_names_are_unequal():
+    for a, b in RENAMED_PAIRS:
+        g, h = parse_graph(a), parse_graph(b)
+        assert g != h and h != g and len({g, h}) == 2
+        assert RibbonGraph(g.vertices, g.edges) != RibbonGraph(h.vertices, h.edges)
+
+
+def test_flags_hold_darts_that_name_no_edge():
+    # Dart 2j + (end - 1) stands for an end of the edge ranked j in the sorted
+    # names, so copies that differ only in edge names share every flag.
+    for a, b in RENAMED_PAIRS[:2]:
+        g, h = parse_graph(a), parse_graph(b)
+        assert g._flags == h._flags and g.edge_names != h.edge_names
+    assert parse_graph(TEXTS["torus"])._flags.ends == [0, 2, 1, 3]
+    # Names sort as strings, so past ten edges a name's rank is not its number.
+    g = sample_graphs(12, 1)[0]
+    assert g.edge_names[:5] == ("e0", "e1", "e10", "e11", "e2")
+    rank = {name: j for j, name in enumerate(g.edge_names)}
+    assert [2 * rank[d.edge] + d.end - 1 for v in g.vertices for d in v.rotation] == g._flags.ends
+    assert parse_graph(graph_to_text(g)) == g
 
 
 def test_equality_reads_flags_as_the_vertices_would(universe2):

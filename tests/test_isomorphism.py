@@ -28,6 +28,7 @@ from ribbonlab.isomorphism import _permutation_graph, canonical_key_darts
 from ribbonlab.workbench import sample_graphs
 
 from helpers import (
+    RENAMED_PAIRS,
     assert_born_with_flags,
     backtracking_labelled_search,
     dart_graph,
@@ -178,6 +179,16 @@ def test_equal_flags_are_isomorphic_without_a_search(monkeypatch):
     assert calls == []
 
 
+def test_renamed_copies_are_isomorphic_but_not_with_their_labels():
+    # The first two pairs share every flag, so the equal-flag answer must
+    # not hold for a labelled comparison before the edge names are checked.
+    for a, b in RENAMED_PAIRS:
+        g, h = parse_graph(a), parse_graph(b)
+        assert are_isomorphic(g, h) and are_isomorphic(h, g)
+        assert not are_isomorphic(g, h, match_edge_labels=True)
+        assert not are_isomorphic(h, g, match_edge_labels=True)
+
+
 def test_differing_flags_still_reach_the_search(monkeypatch):
     calls = _count_searches(monkeypatch)
     answers = []
@@ -238,6 +249,27 @@ def test_key_partition_matches_flip_mask_reference_on_four_edge_candidates():
     assert [dart_graph(g) for g in graphs] == darts
     assert same_partition(graphs, canonical_key, _flip_mask_key)
     assert len({canonical_key(g) for g in graphs}) == 850
+
+
+def test_permutation_graph_names_darts_2i_and_2i_plus_1_edge_e_i_past_ten_edges():
+    # The flags number edge e<i> by its name's rank, and e10 ranks before e2,
+    # so a builder that took i for the rank would rename edges past ten.
+    rng = random.Random("twelve edges")
+    sigma = list(range(24))
+    rng.shuffle(sigma)
+    signs = [rng.choice((1, -1)) for _ in range(12)]
+    g = _permutation_graph(sigma, signs, 0)
+    rotations, met = [], set()
+    for d in range(24):
+        cycle = []
+        while d not in met:
+            met.add(d)
+            cycle.append(EdgeEnd(f"e{d >> 1}", 1 + (d & 1)))
+            d = sigma[d]
+        rotations += [tuple(cycle)] if cycle else []
+    assert [v.rotation for v in g.vertices] == rotations
+    assert g.edges == tuple(sorted(Edge(f"e{i}", sign) for i, sign in enumerate(signs)))
+    assert g.edge_names[:5] == ("e0", "e1", "e10", "e11", "e2")
 
 
 def _cycle(n: int, sign: int) -> RibbonGraph:

@@ -376,8 +376,9 @@ def test_suites_build_each_shared_operand_once(monkeypatch):
     assert {name: walks.get(name, 0) for name in SHARED_OPERAND_WALKS} == SHARED_OPERAND_WALKS
     assert sum(walks.values()) == 54767  # 71,187 with every operand rebuilt per instance
     assert twists["delta-tau-commute"] == 1022  # 1,340 with G^{τ(e2)} rebuilt per pair
-    # 1,082 with the graph's key made per instance, 795 with canonical_graph keying the graph again
-    assert keys["canonical-stability"] == 668
+    # 1,082 with the graph's key made per instance, 795 with canonical_graph keying the graph
+    # again, 668 with canonical_graph keying the canonical graph again
+    assert keys["canonical-stability"] == 541
 
 
 def test_spec_named_properties_pass_small():
