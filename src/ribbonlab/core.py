@@ -291,14 +291,15 @@ def _from_flags(fl: "_Flags", vertex_names: tuple[str, ...], edge_names: tuple[s
 
 
 def _edge_mask(g: RibbonGraph, edges: Iterable[str]) -> list[int]:
-    """The named edges as a mask over their ranks, each found by bisecting
-    the sorted names; raises UnknownEdgeError with the least unknown name."""
+    """The named edges as a mask over their ranks, found by bisecting the sorted names;
+    raises UnknownEdgeError with the least unknown name, or the first if not all are strings."""
     names, todo = g.edge_names, iter(edges)
     mask = [0] * len(names)
     for name in todo:
-        j = bisect_left(names, name)
+        j = bisect_left(names, name) if isinstance(name, str) else len(names)
         if j == len(names) or names[j] != name:
-            raise UnknownEdgeError(min(n for n in (name, *todo) if n not in names))
+            unknown = [n for n in (name, *todo) if n not in names]
+            raise UnknownEdgeError(min(unknown) if all(isinstance(n, str) for n in unknown) else name)
         mask[j] = 1
     return mask
 
@@ -842,6 +843,7 @@ def parse_graph(text: str) -> RibbonGraph:
     if len(set(darts)) == len(darts) == 2 * len(signs) and signs.keys() >= edge_ids.keys():
         rank = {name: j for j, name in enumerate(edge_names)}
         dart = [2 * rank[name] for name in edge_ids]  # end 1's dart, by provisional id
+        del vertex_lines, declared_at, edge_ids, rank  # for errors and ids only: freed before the layout peaks
         darts = [dart[x >> 1] | x & 1 for x in darts]
         twisted = [signs[name] < 0 for name in edge_names]
         return _from_flags(_flag_structure(darts, bounds, twisted), tuple(vertex_names), edge_names)

@@ -236,8 +236,8 @@ def minor(g: RibbonGraph, deleted: Iterable[str], contracted: Iterable[str]) -> 
 
     The same single pass as :func:`contract`, dropping both sets.
     """
-    dset, cset = set(deleted), set(contracted)
-    overlap = dset & cset
+    dset, cset = dict.fromkeys(deleted), dict.fromkeys(contracted)  # in the order given
+    overlap = dset.keys() & cset
     if overlap:
         raise ValueError(f"cannot both delete and contract: {sorted(overlap)}")
     chosen = _edge_mask(g, cset)

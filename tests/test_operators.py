@@ -154,6 +154,25 @@ def test_every_public_function_keeps_its_graphs_valid(fn, name, tmp_path, monkey
         assert info.value.args == ("zz",)
 
 
+#: The public functions that take edge names, and the lookups that take one.
+EDGE_NAME_FUNCTIONS = [fn for fn in GRAPH_FUNCTIONS if {"edges", "deleted", "word"} & set(inspect.signature(fn).parameters)]
+LOOKUPS = [RibbonGraph.edge, RibbonGraph.is_loop]
+
+
+@pytest.mark.parametrize("names", [[1], [None], ["zz", 1], [1, "zz"], ["zz", "yy"]], ids=repr)
+@pytest.mark.parametrize("fn", EDGE_NAME_FUNCTIONS + LOOKUPS, ids=lambda fn: fn.__name__)
+def test_unknown_edge_names_of_any_type_are_named(fn, names):
+    # The least unknown name when all are strings, else the first one given.
+    g = graph("torus")
+    if fn in LOOKUPS:
+        names = names[:1]
+    other = _other_args(g)
+    other.update(edges=names, deleted=names, word=dict.fromkeys(names, "d"))
+    with pytest.raises(UnknownEdgeError) as info:
+        fn(g, names[0]) if fn in LOOKUPS else _call(fn, g, other)
+    assert info.value.args == (min(names) if all(isinstance(n, str) for n in names) else names[0],)
+
+
 def _corrupted(out, kind):
     """The vertices and edges of ``out`` with one violation of ``kind`` put
     in at its first edge ``e``, and the violations the check reports."""

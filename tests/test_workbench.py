@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -290,7 +291,7 @@ def test_report_shape_and_determinism():
 def test_workers_give_identical_reports():
     # pdual-minor-exchange runs operator chains inside each worker; the
     # pickling of operator results is checked by
-    # test_operators._assert_born_with_flags.
+    # helpers.assert_born_with_flags.
     for suite, max_edges in (("arrow-roundtrip", 1), ("pdual-minor-exchange", 2)):
         u = enumerate_graphs(max_edges)
         r1 = run_property_suite(u, suite, workers=1).to_dict()
@@ -320,20 +321,58 @@ def test_workers_below_one_are_rejected(workers):
             call()
 
 
-def test_verify_all_enumerates_once_and_hands_each_suite_fresh_graphs(monkeypatch):
-    passes, held = [], set()
-    real_iter, real_evaluate = workbench.GraphUniverse.__iter__, workbench._evaluate
+def test_verify_all_runs_each_graph_through_every_suite_in_one_pass(monkeypatch):
+    passes, calls, graphs = [], [], []
+    real_iter = workbench.GraphUniverse.__iter__
     monkeypatch.setattr(workbench.GraphUniverse, "__iter__", lambda self: passes.append(1) or real_iter(self))
-    monkeypatch.setattr(workbench, "_evaluate", lambda name, g: held.update(vars(g)) or real_evaluate(name, g))
+
+    def recorded(name, prop):
+        def run(g):
+            if not graphs or graphs[-1]() is not g:
+                # Only the enumerator's all-plus graph may outlive its last suite, until the next pairing.
+                assert sum(ref() is not None for ref in graphs) <= 1
+                graphs.append(weakref.ref(g))
+            calls.append((len(graphs) - 1, name))
+            return prop(g)
+        return run
+
+    for name, prop in list(PROPERTIES.items()):
+        monkeypatch.setitem(workbench.PROPERTIES, name, recorded(name, prop))
     u = enumerate_graphs(2)
     reports = [r.to_dict() for r in workbench.run_all_properties(u)]
     assert len(passes) == 1
-    # No suite sees a memo another suite left behind.
-    assert held == {"_flags", "vertex_names", "edge_names"}
+    # Graph-major: each graph runs every suite, in catalogue order, before the next is made.
+    assert calls == [(i, name) for i in range(21) for name in PROPERTIES]
     singles = [run_property_suite(u, name).to_dict() for name in PROPERTIES]
     for r in reports + singles:
         r.pop("elapsed_ms")
     assert reports == singles
+
+
+def test_verify_all_opens_one_pool_per_run(monkeypatch):
+    import multiprocessing
+
+    opened = []
+    real_pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args: opened.append(args) or real_pool(*args))
+    u = enumerate_graphs(2)
+    two = [r.to_dict() for r in run_all_properties(u, workers=2)]
+    assert opened == [(2,)]
+    one = [r.to_dict() for r in run_all_properties(u, workers=1)]
+    assert opened == [(2,)]
+    for r in one + two:
+        r.pop("elapsed_ms")
+    assert two == one and len(one) == len(PROPERTIES) and all(r["checked"] for r in one)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_empty_universe_gives_every_suite_an_empty_report(workers):
+    u = enumerate_graphs(1, max_vertices=0)
+    assert list(u) == []
+    reports = run_all_properties(u, workers=workers)
+    assert [r.name for r in reports] == list(PROPERTIES)
+    assert all(r.checked == 0 and r.passed and r.elapsed_ms == 0 for r in reports)
+    assert run_property_suite(u, "arrow-roundtrip", workers=workers).checked == 0
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SUITES))
@@ -369,10 +408,17 @@ def test_suites_build_each_shared_operand_once(monkeypatch):
     monkeypatch.setattr(operators, "_dual_without", counted(walks, walk))
     monkeypatch.setattr(isomorphism, "canonical_key_darts", counted(keys, key))
     monkeypatch.setattr(operators, "_twist_flags", counted(twists, twist))
-    u = list(enumerate_graphs(3))
-    for name in PROPERTIES:
-        suite[0] = name
-        workbench._run_suite(u, {}, name, 1)
+
+    def attributed(name, prop):
+        def run(g):
+            suite[0] = name
+            return prop(g)
+        return run
+
+    for name, prop in list(PROPERTIES.items()):
+        monkeypatch.setitem(workbench.PROPERTIES, name, attributed(name, prop))
+    # Enumerated first, so that its keys and twists count for no suite.
+    workbench._run(list(enumerate_graphs(3)), {}, tuple(PROPERTIES), 1)
     assert {name: walks.get(name, 0) for name in SHARED_OPERAND_WALKS} == SHARED_OPERAND_WALKS
     assert sum(walks.values()) == 54767  # 71,187 with every operand rebuilt per instance
     assert twists["delta-tau-commute"] == 1022  # 1,340 with G^{τ(e2)} rebuilt per pair
