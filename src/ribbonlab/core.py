@@ -329,12 +329,17 @@ def ribbon_graph(
     return RibbonGraph(vertices, [Edge(name, signs.get(name, 1)) for name in seen])
 
 
+#: The end bit of an edge-end token's last part: ``<edge>.1`` is bit 0, ``<edge>.2`` bit 1.
+_END_BIT = {"1": 0, "2": 1}
+_BAD_END = "bad edge-end token {!r}, expected '<edge>.1' or '<edge>.2'"
+
+
 def _parse_end(token: str) -> tuple[str, int]:
     """The edge name and end index of an edge-end token like ``"a.1"``."""
     name, _, endpart = token.rpartition(".")
-    if not name or endpart not in ("1", "2"):
-        raise ValueError(f"bad edge-end token {token!r}, expected '<edge>.1' or '<edge>.2'")
-    return name, int(endpart)
+    if not name or endpart not in _END_BIT:
+        raise ValueError(_BAD_END.format(token))
+    return name, 1 + _END_BIT[endpart]
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +634,8 @@ def euler_characteristic_by_component(g: RibbonGraph) -> list[int]:
 
 
 def euler_characteristic(g: RibbonGraph) -> int:
-    return sum(euler_characteristic_by_component(g))
+    """V - E + F, where each isolated vertex has one empty face."""
+    return len(g.vertex_names) - len(g.edge_names) + len(g._faces)
 
 
 def _orientation_parity(g: RibbonGraph) -> tuple[list[int], list[int]]:
@@ -790,76 +796,78 @@ def parse_graph(text: str) -> RibbonGraph:
     and column of the first offending token.  Only invalid text is validated.
     """
     vertex_names: dict[str, None] = {}
-    # Each edge name gets a provisional id when first used, and each token the
-    # dart 2 * id + end - 1; ids become ranks once every name is read.
-    edge_ids: dict[str, int] = {}
-    darts: list[int] = []
+    # The edge name and end bit of each edge-end token, vertex by vertex.
+    names: list[str] = []
+    bits: list[int] = []
     bounds = [0]
-    signs: dict[str, int] = {}
-    # (line number, text, offset of the rotation) of each vertex line
-    vertex_lines: list[tuple[int, str, int]] = []
-    # edge name -> (line, column) of its declaration
-    declared_at: dict[str, tuple[int, int]] = {}
+    twisted: dict[str, bool] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].rstrip()
         if not line:
             continue
-        stripped = line.lstrip()
-        indent = len(line) - len(stripped)
-        head, _, rest = stripped.partition(":")
-        if not _:
-            raise TextFormatError(lineno, indent + 1, "expected ':' after declaration head")
+        head, colon, rest = line.partition(":")
+        if not colon:
+            raise TextFormatError(lineno, _indent(line) + 1, "expected ':' after declaration head")
         parts = head.split()
         if len(parts) != 2 or parts[0] not in ("vertex", "edge"):
-            raise TextFormatError(lineno, indent + 1, "expected 'vertex <name>:' or 'edge <name>:'")
+            raise TextFormatError(lineno, _indent(line) + 1, "expected 'vertex <name>:' or 'edge <name>:'")
         kind, name = parts
         if not _NAME.fullmatch(name):
             raise TextFormatError(lineno, line.index(name) + 1, f"bad name {name!r}")
         if kind == "vertex":
             if name in vertex_names:
-                raise TextFormatError(lineno, indent + 1, f"vertex {name!r} declared twice")
+                raise TextFormatError(lineno, _indent(line) + 1, f"vertex {name!r} declared twice")
             vertex_names[name] = None
-            for k, token in enumerate(rest.split()):
-                try:
-                    edge, end = _parse_end(token)
-                except ValueError as exc:
+            for token in rest.split():
+                edge, _, end = token.rpartition(".")
+                if not edge or end not in _END_BIT:
+                    k = rest.split().index(token)  # the first bad token; any copy before it is bad too
                     col = list(_token_columns(line, len(line) - len(rest)))[k]
-                    raise TextFormatError(lineno, col, str(exc)) from None
-                darts.append(2 * edge_ids.setdefault(edge, len(edge_ids)) + end - 1)
-            bounds.append(len(darts))
-            vertex_lines.append((lineno, line, len(line) - len(rest)))
+                    raise TextFormatError(lineno, col, _BAD_END.format(token))
+                names.append(edge)
+                bits.append(_END_BIT[end])
+            bounds.append(len(names))
         else:
-            if name in declared_at:
-                raise TextFormatError(lineno, indent + 1, f"edge {name!r} declared twice")
-            declared_at[name] = (lineno, indent + 1)
+            if name in twisted:
+                raise TextFormatError(lineno, _indent(line) + 1, f"edge {name!r} declared twice")
             sig = rest.strip()
             if sig not in ("+", "-"):
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
-            signs[name] = 1 if sig == "+" else -1
+            twisted[name] = sig == "-"
 
-    edge_names = tuple(sorted(signs))
-    # Names, signs and end indices are checked: valid means each declared edge's two ends, once each.
-    if len(set(darts)) == len(darts) == 2 * len(signs) and signs.keys() >= edge_ids.keys():
-        rank = {name: j for j, name in enumerate(edge_names)}
-        dart = [2 * rank[name] for name in edge_ids]  # end 1's dart, by provisional id
-        del vertex_lines, declared_at, edge_ids, rank  # for errors and ids only: freed before the layout peaks
-        darts = [dart[x >> 1] | x & 1 for x in darts]
-        twisted = [signs[name] < 0 for name in edge_names]
-        return _from_flags(_flag_structure(darts, bounds, twisted), tuple(vertex_names), edge_names)
-    used = list(edge_ids)
-    ends = [EdgeEnd(used[x >> 1], 1 + (x & 1)) for x in darts]
-    violations = validate(tuple(vertex_names), ends, bounds, [Edge(name, signs[name]) for name in edge_names])
-    # Positions are found only now: edge-end -> (line, column) of each token.
-    end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}
-    for (lineno, line, start), a, b in zip(vertex_lines, bounds, bounds[1:]):
-        for d, col in zip(ends[a:b], _token_columns(line, start)):
-            end_at.setdefault(d, []).append((lineno, col))
+    vertices, edge_names = tuple(vertex_names), tuple(sorted(twisted))
+    dart = {name: 2 * j for j, name in enumerate(edge_names)}  # end 1's dart
+    try:
+        darts = [dart[name] | bit for name, bit in zip(names, bits)]
+    except KeyError:  # an undeclared edge
+        darts = None
+    # Names, signs and end bits are checked: valid means each declared edge's two ends, once each.
+    if darts is not None and len(set(darts)) == len(darts) == 2 * len(edge_names):
+        twist = [twisted[name] for name in edge_names]
+        del vertex_names, names, bits, dart, twisted  # freed before the layout peaks
+        return _from_flags(_flag_structure(darts, bounds, twist), vertices, edge_names)
+    # Invalid text only: validate, then re-scan the text for where each token and declaration is.
+    ends = [EdgeEnd(name, 1 + bit) for name, bit in zip(names, bits)]
+    violations = validate(vertices, ends, bounds, [Edge(name, -1 if twisted[name] else 1) for name in edge_names])
+    end_at: dict[EdgeEnd, list[tuple[int, int]]] = {}  # edge-end -> (line, column) of each token
+    declared_at: dict[str, tuple[int, int]] = {}  # edge name -> (line, column) of its declaration
+    placed = iter(ends)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].rstrip()
+        if line:
+            head, _, rest = line.partition(":")
+            kind, name = head.split()
+            if kind == "vertex":
+                for col in _token_columns(line, len(line) - len(rest)):
+                    end_at.setdefault(next(placed), []).append((lineno, col))
+            else:
+                declared_at[name] = (lineno, _indent(line) + 1)
     missing = [v.end for v in violations if v.kind == "unknown-edge-end"]
     if missing:
         line, col = end_at[missing[0]][0]
-        names = ", ".join(sorted({d.edge for d in missing}))
-        raise TextFormatError(line, col, f"edges used but never declared: {names}")
+        undeclared = ", ".join(sorted({d.edge for d in missing}))
+        raise TextFormatError(line, col, f"edges used but never declared: {undeclared}")
     # Text that got this far can only repeat an edge-end or leave one out: a
     # repeat is shown at its second token, a missing end at its edge's
     # declaration.
@@ -871,6 +879,10 @@ def parse_graph(text: str) -> RibbonGraph:
 
 
 _NAME = re.compile(r"\w+")
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
 
 
 def _token_columns(line: str, start: int) -> Iterator[int]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import operator
 import random
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -879,8 +878,10 @@ def _run(graphs: Iterable[RibbonGraph], params: dict, names: tuple[str, ...], wo
 
             per_graph = stack.enter_context(multiprocessing.Pool(workers)).imap(evaluate, graphs, 4)
         for results in per_graph:
-            for total, result in zip(totals, results):
-                total[:] = map(operator.iadd, total, result)  # failures are extended in place
+            for total, (checked, failures, seconds) in zip(totals, results):
+                total[0] += checked
+                total[1] += failures  # extended in place
+                total[2] += seconds
     return [PropertyReport(name, params, c, tuple(f), s * 1000) for name, (c, f, s) in zip(names, totals)]
 
 

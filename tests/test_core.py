@@ -417,6 +417,15 @@ def test_euler_characteristic_is_linear_on_a_digon_chain():
     assert time.perf_counter() - start < 0.5
 
 
+def test_euler_characteristic_is_the_sum_over_components(raw_universe3):
+    # The total counts V - E + F at once, with one empty face per isolated
+    # vertex; the per-piece count assigns each face to its piece.
+    graphs = raw_universe3 + list(enumerate_graphs(2, extra_isolated=2)) + sample_graphs(50, 10, seed=4)
+    assert any(len(connected_components(g)) > 2 for g in graphs)
+    for g in graphs:
+        assert euler_characteristic(g) == sum(euler_characteristic_by_component(g))
+
+
 # ---------------------------------------------------------------------------
 # the parity solver
 # ---------------------------------------------------------------------------
@@ -793,6 +802,68 @@ def test_valid_text_is_never_validated(universe3, monkeypatch):
 def test_text_round_trip_keeps_flags(g):
     h = parse_graph(graph_to_text(g))
     assert h == g and h._flags == g._flags and h.vertices == g.vertices
+
+
+@st.composite
+def layout_variants(draw):
+    """A valid graph and its text re-rendered with other layout: runs of
+    spaces and tabs between tokens and before ``:``, indents, trailing
+    comments, blank and comment-only lines, and ``\\n``, ``\\r\\n`` or ``\\r``
+    line endings."""
+    g = draw(rotation_systems())
+    spaces, gaps = st.text(" \t", max_size=3), st.text(" \t", min_size=1, max_size=3)
+    comments = st.one_of(st.just(""), st.text("ab.:# \t", max_size=6).map("#".__add__))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = ""
+    for line in graph_to_text(g).splitlines():
+        for _ in range(draw(st.integers(0, 2))):
+            text += draw(spaces) + draw(comments) + draw(endings)
+        head, _, rest = line.partition(":")
+        kind, name = head.split()
+        fields = [name + draw(spaces) + ":", *rest.split()]
+        text += draw(spaces) + kind + "".join(draw(gaps) + f for f in fields)
+        text += draw(spaces) + draw(comments) + draw(endings)
+    return g, text
+
+
+@given(layout_variants())
+def test_layout_variants_parse_to_the_same_graph(case):
+    g, text = case
+    h = parse_graph(text)
+    assert h == g and h._flags == g._flags and h.vertex_names == g.vertex_names
+
+
+def test_late_errors_in_a_large_file_carry_their_positions():
+    # One error of each kind injected near the end of a 1,000-edge text,
+    # with the line and column worked out from where it was put.
+    lines = graph_to_text(random_graph(1000, 0)).splitlines()
+    v = max(i for i, line in enumerate(lines) if line.startswith("vertex "))  # the last vertex line
+    last = lines[v]
+    placed = lines[0].partition(":")[2].split()[0]  # an edge-end on the first line
+    dropped = last.split()[-1]
+    declared = next(i for i, line in enumerate(lines) if line.startswith(f"edge {dropped.partition('.')[0]}:"))
+    twice = lines[-3].partition(":")[0].split()[1]
+    sign = lines[-1].index(":") + 1
+
+    def edited(changes):
+        return "".join(changes.get(i, line) + "\n" for i, line in enumerate(lines))
+
+    cases = [
+        (edited({v: last + "\t " + placed}), v + 1, len(last) + 3, f"edge-end {placed} appears more than once"),
+        (edited({v: last[: -len(dropped) - 1], declared: "\t" + lines[declared]}), declared + 1, 2,
+         f"edge-end {dropped} appears in no vertex rotation"),
+        (edited({v: last + "  zz.2 zz.1"}), v + 1, len(last) + 3, "edges used but never declared: zz"),
+        (edited({len(lines) - 1: lines[-1] + "\n  " + lines[-3]}), len(lines) + 1, 3, f"edge {twice!r} declared twice"),
+        (edited({v: last + " e7.1 e7.3"}), v + 1, len(last) + 7,
+         "bad edge-end token 'e7.3', expected '<edge>.1' or '<edge>.2'"),
+        (edited({len(lines) - 1: lines[-1][:sign] + " *"}), len(lines), sign + 1,
+         "edge sign must be '+' or '-', got '*'"),
+    ]
+    assert v > 400 and declared > v
+    for text, line, column, message in cases:
+        with pytest.raises(TextFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {line}, column {column}: {message}"
 
 
 def test_graphs_that_differ_only_in_edge_names_are_unequal():
