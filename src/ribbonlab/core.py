@@ -808,16 +808,16 @@ def parse_graph(text: str) -> RibbonGraph:
             continue
         head, colon, rest = line.partition(":")
         if not colon:
-            raise TextFormatError(lineno, _indent(line) + 1, "expected ':' after declaration head")
+            raise TextFormatError(lineno, _head_column(line), "expected ':' after declaration head")
         parts = head.split()
         if len(parts) != 2 or parts[0] not in ("vertex", "edge"):
-            raise TextFormatError(lineno, _indent(line) + 1, "expected 'vertex <name>:' or 'edge <name>:'")
+            raise TextFormatError(lineno, _head_column(line), "expected 'vertex <name>:' or 'edge <name>:'")
         kind, name = parts
         if not _NAME.fullmatch(name):
             raise TextFormatError(lineno, line.index(name) + 1, f"bad name {name!r}")
         if kind == "vertex":
             if name in vertex_names:
-                raise TextFormatError(lineno, _indent(line) + 1, f"vertex {name!r} declared twice")
+                raise TextFormatError(lineno, _head_column(line), f"vertex {name!r} declared twice")
             vertex_names[name] = None
             for token in rest.split():
                 edge, _, end = token.rpartition(".")
@@ -830,7 +830,7 @@ def parse_graph(text: str) -> RibbonGraph:
             bounds.append(len(names))
         else:
             if name in twisted:
-                raise TextFormatError(lineno, _indent(line) + 1, f"edge {name!r} declared twice")
+                raise TextFormatError(lineno, _head_column(line), f"edge {name!r} declared twice")
             sig = rest.strip()
             if sig not in ("+", "-"):
                 raise TextFormatError(lineno, len(line) - len(rest) + 1, f"edge sign must be '+' or '-', got {sig!r}")
@@ -862,7 +862,7 @@ def parse_graph(text: str) -> RibbonGraph:
                 for col in _token_columns(line, len(line) - len(rest)):
                     end_at.setdefault(next(placed), []).append((lineno, col))
             else:
-                declared_at[name] = (lineno, _indent(line) + 1)
+                declared_at[name] = (lineno, _head_column(line))
     missing = [v.end for v in violations if v.kind == "unknown-edge-end"]
     if missing:
         line, col = end_at[missing[0]][0]
@@ -881,8 +881,9 @@ def parse_graph(text: str) -> RibbonGraph:
 _NAME = re.compile(r"\w+")
 
 
-def _indent(line: str) -> int:
-    return len(line) - len(line.lstrip())
+def _head_column(line: str) -> int:
+    """The 1-based column of a line's first token."""
+    return len(line) - len(line.lstrip()) + 1
 
 
 def _token_columns(line: str, start: int) -> Iterator[int]:
