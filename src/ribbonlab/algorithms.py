@@ -133,7 +133,7 @@ def _inconsistent(g: RibbonGraph, col) -> tuple[str, ...]:
     corner colouring fails to propagate.  The two flags of an edge-end
     always differ, so that side decides for both; half-twisting an edge
     swaps which far-end flags its sides meet and toggles its membership."""
-    ends, _, _, side, _, _ = g._flags
+    ends, _, side, _, _ = g._flags
     names = g.edge_names
     return tuple(sorted(names[x >> 1] for i, x in enumerate(ends) if not x & 1 and col[2 * i] != col[side[2 * i]]))
 
@@ -200,15 +200,15 @@ def has_alternating_boundary_orientation(g: RibbonGraph, edges) -> bool:
     """
     oriented, _ = oriented_form(g)  # raises NotOrientableError when impossible
     removed = _edge_mask(oriented, edges)
-    ends, mate, corner, side, _, _ = oriented._flags
+    ends, corner, side, _, _ = oriented._flags
     cut = [removed[x >> 1] for x in ends]
     across = [f ^ 1 if cut[f >> 1] else s for f, s in enumerate(side)]
     orbits = _orbits(corner, across, range(len(across)))
     comp = _orbit_ids(orbits, across)
-    # One link per edge, at its end 1: a kept edge's two ribbon sides, a
-    # removed edge's two attachment arcs.
+    # One link per edge, at its end 1: a kept edge's two ribbon sides, a removed
+    # edge's two attachment arcs (its partner's holds the flag across the ribbon).
     links = [
-        (comp[2 * i], comp[2 * mate[i] if cut[i] else 2 * i + 1], 1)
+        (comp[2 * i], comp[side[2 * i] if cut[i] else 2 * i + 1], 1)
         for i, x in enumerate(ends)
         if not x & 1
     ]

@@ -31,11 +31,12 @@ involution identities exercised in the test suite):
   results are built from a valid input with :func:`_flag_layout` or
   :func:`_twist_flags`; so are the enumerated, sampled and canonical
   graphs, laid out from a list of darts, and no operator checks its input
-  again.  A graph stores flags, vertex names and sorted edge names, and
-  each sign only as its edge's twist bit.  The flags hold edge-end ``end``
-  of the edge ranked ``j`` in the sorted names as the dart ``2j + end - 1``;
-  ``EdgeEnd``, ``Vertex`` and ``Edge`` tuples are built only in views, such
-  as ``vertices`` and ``edges``.  Equality and hash read names and flags.
+  again.  A graph stores flags, vertex names and sorted edge names, each
+  sign only as its edge's twist bit and each end's partner only in
+  ``side``.  The flags hold edge-end ``end`` of the edge ranked ``j`` in
+  the sorted names as the dart ``2j + end - 1``; ``EdgeEnd``, ``Vertex``
+  and ``Edge`` tuples are built only in views, such as ``vertices`` and
+  ``edges``.  Equality and hash read names and flags.
 * Value types (edge-ends, edges, vertices, violations, boundaries, arrow
   presentations, and the certificates and reports of the other modules)
   are named tuples: they compare, hash, iterate and index as tuples of
@@ -226,7 +227,7 @@ class RibbonGraph:
     def _edge_links(self) -> list[tuple[int, int, int]]:
         # Each edge's vertex indices at ends 1 and 2 and its twist bit, in
         # stored edge order: the links of _parity_colouring.
-        ends, _, _, side, _, bounds = self._flags
+        ends, _, side, _, bounds = self._flags
         vertex = [0] * len(ends)
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
             vertex[a:b] = [k] * (b - a)
@@ -405,14 +406,14 @@ def require_valid(vertex_names: Sequence[str], ends: Sequence[EdgeEnd], bounds: 
 class _Flags(NamedTuple):
     """The flag structure of a valid graph, shared and never mutated:
     ``ends[i]`` is the dart of the i-th edge-end in vertex order,
-    ``mate[i]`` its partner's position, ``forward[i]`` its arrow's
-    direction in :func:`to_arrow_presentation`, and vertex k holds
-    positions ``bounds[k]`` up to ``bounds[k + 1]``.  Dart ``x`` is end
-    ``1 + (x & 1)`` of the edge ranked ``x >> 1`` in the graph's sorted
-    edge names, which sort as strings (``e10`` before ``e2``)."""
+    ``forward[i]`` its arrow's direction in :func:`to_arrow_presentation`,
+    and vertex k holds positions ``bounds[k]`` up to ``bounds[k + 1]``.
+    Dart ``x`` is end ``1 + (x & 1)`` of the edge ranked ``x >> 1`` in the
+    graph's sorted edge names, which sort as strings (``e10`` before
+    ``e2``).  The partner of the end at position ``p`` is stored once, as
+    the end of the flag across the ribbon: position ``side[2 * p] >> 1``."""
 
     ends: list[int]
-    mate: list[int]
     corner: list[int]
     side: list[int]
     forward: list[bool]
@@ -453,20 +454,20 @@ def _flag_layout(ends: list[int], mate: list[int], twisted: list[bool], bounds: 
         t = twisted[i]
         side[2 * i], side[2 * i + 1] = 2 * m + 1 - t, 2 * m + t
         forward[i] = (t or i < m) == (not ends[i] & 1)
-    return _Flags(ends, mate, corner, side, forward, bounds)
+    return _Flags(ends, corner, side, forward, bounds)
 
 
 def _twist_flags(fl: _Flags, chosen: Sequence[int]) -> _Flags:
     """The flags after toggling the sign of each edge ``j`` with
     ``chosen[j]`` set, as :func:`_flag_layout` lays them out."""
-    ends, mate, corner, side, forward, bounds = fl
+    ends, corner, side, forward, bounds = fl
     side, forward = side[:], forward[:]
     for i, x in enumerate(ends):
         if chosen[x >> 1]:
             side[2 * i], side[2 * i + 1] = side[2 * i + 1], side[2 * i]
             # An edge's lower end points forward iff it is end 1, whatever its sign.
-            forward[i] ^= i > mate[i]
-    return _Flags(ends, mate, corner, side, forward, bounds)
+            forward[i] ^= i > side[2 * i] >> 1
+    return _Flags(ends, corner, side, forward, bounds)
 
 
 def _orbits(step: Sequence[int], across: Sequence[int], starts: Iterable[int]) -> list[list[int]]:
@@ -677,16 +678,16 @@ def _flip_vertices(g: RibbonGraph, flipped: set[str]) -> RibbonGraph:
     them one after another, since an edge with both ends in the set changes
     sign twice.  Each flipped vertex's ends are laid out reversed, and an
     edge changes sign exactly when one of its ends is flipped."""
-    ends, mate, corner, side, _, bounds = g._flags
+    ends, corner, side, _, bounds = g._flags
     at = list(range(len(ends)))  # the input position at each result position, and back
     rev = bytearray(len(ends))  # 1 at the positions of flipped vertices
     for name, a, b in zip(g.vertex_names, bounds, bounds[1:]):
         if name in flipped:
             at[a:b] = range(b - 1, a - 1, -1)
             rev[a:b] = b"\1" * (b - a)
-    twisted = [(not side[2 * p] & 1) != (rev[p] != rev[mate[p]]) for p in at]
+    twisted = [(not side[2 * p] & 1) != (rev[p] != rev[side[2 * p] >> 1]) for p in at]
     # ``corner`` depends on the bounds alone, so the input's is shared.
-    fl = _flag_layout([ends[p] for p in at], [at[mate[p]] for p in at], twisted, bounds)._replace(corner=corner)
+    fl = _flag_layout([ends[p] for p in at], [at[side[2 * p] >> 1] for p in at], twisted, bounds)._replace(corner=corner)
     return _from_flags(fl, g.vertex_names, g.edge_names)
 
 
@@ -776,11 +777,13 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
 
 def graph_to_text(g: RibbonGraph) -> str:
     """Serialize in the plain-text format; inverse of :func:`parse_graph`.
-    Rotations are written from the names and darts, so no ``Vertex`` is built."""
+    Written from the names, darts and twist bits, so no ``Vertex`` or ``Edge`` is built."""
+    fl = g._flags
     token = [f" {name}.{k}" for name in g.edge_names for k in (1, 2)]
-    ends, bounds = [token[x] for x in g._flags.ends], g._flags.bounds
+    ends, bounds = [token[x] for x in fl.ends], fl.bounds
     lines = [f"vertex {name}:" + "".join(ends[a:b]) for name, a, b in zip(g.vertex_names, bounds, bounds[1:])]
-    lines.extend(f"edge {e.name}: {'+' if e.sign > 0 else '-'}" for e in g.edges)
+    at = _positions(fl.ends)  # edge j's end 1 is at at[2j]; its L flag crosses to an R flag iff it is untwisted
+    lines.extend(f"edge {name}: {'+' if fl.side[2 * p] & 1 else '-'}" for name, p in zip(g.edge_names, at[::2]))
     return "\n".join(lines) + "\n"
 
 

@@ -54,7 +54,7 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
 def _component_key(
     nxt: list[int],
     prv: list[int],
-    mate: list[int],
+    partner: list[int],
     sign: list[int],
     vertex_of: list[int],
     first: int,
@@ -69,10 +69,11 @@ def _component_key(
 
     A serialization is a breadth-first walk from the start dart that visits
     each dart's successor around its vertex (``nxt``, or ``prv`` if the
-    vertex is read reversed) and then its partner (``mate``).  A vertex's
-    reading direction is fixed when its first dart is reached across an
-    edge, so that the edge reads untwisted; every other edge records its
-    sign relative to the directions of both ends.  Reversing vertices
+    vertex is read reversed) and then the other end of its edge
+    (``partner``).  A vertex's reading direction is fixed when its first
+    dart is reached across an edge, so that the edge reads untwisted;
+    every other edge records its sign relative to the directions of both
+    ends.  Reversing vertices
     therefore never changes the set of serializations, and 4E candidates
     suffice.
 
@@ -116,7 +117,7 @@ def _component_key(
                         break
                     tied = x == y
                 S.append(x)
-                p = mate[d]
+                p = partner[d]
                 if ids[p] < 0:
                     ids[p] = len(order)
                     order.append(p)
@@ -126,8 +127,8 @@ def _component_key(
             else:
                 key = (
                     tuple(S),
-                    tuple([ids[mate[d]] for d in order]),
-                    tuple([sign[d] * ori[vertex_of[d]] * ori[vertex_of[mate[d]]] for d in order]),
+                    tuple([ids[partner[d]] for d in order]),
+                    tuple([sign[d] * ori[vertex_of[d]] * ori[vertex_of[partner[d]]] for d in order]),
                 )
                 if best is None:
                     # The first walk never breaks off, so it meets every
@@ -138,8 +139,8 @@ def _component_key(
                     best, best_order, best_o0 = key, order, o0
                 elif key == best:
                     if not parent:
-                        parent += range(2 * len(mate))
-                        done += bytes(2 * len(mate))
+                        parent += range(2 * len(partner))
+                        done += bytes(2 * len(partner))
                         for s in comp[:j]:
                             done[2 * s] = done[2 * s + 1] = 1
                         done[2 * start] = done[c] = 1
@@ -189,21 +190,22 @@ def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[int, int]]]
     """The canonical key, and each automorphism it found as the map of the
     rank of every edge of one component to its image's (the edges it leaves
     out are fixed), built only when read."""
-    _, mate, corner, side, _, bounds = fl
+    _, corner, side, _, bounds = fl
     nxt = [f >> 1 for f in corner[1::2]]
     prv = [f >> 1 for f in corner[::2]]
+    partner = [f >> 1 for f in side[::2]]
     sign = [1 if f & 1 else -1 for f in side[::2]]
     vertex_of = [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
-    ids = [-1] * len(mate)
+    ids = [-1] * len(partner)
     ori = [0] * len(bounds)
     parent: list[int] = []
     done = bytearray()
     ties: list[tuple[list[int], list[int]]] = []
     keys = []
-    seen = bytearray(len(mate))
-    for p in range(len(mate)):
+    seen = bytearray(len(partner))
+    for p in range(len(partner)):
         if not seen[p]:
-            key, comp = _component_key(nxt, prv, mate, sign, vertex_of, p, ids, ori, parent, done, ties)
+            key, comp = _component_key(nxt, prv, partner, sign, vertex_of, p, ids, ori, parent, done, ties)
             keys.append(key)
             for q in comp:
                 seen[q] = 1
@@ -261,7 +263,7 @@ def are_isomorphic(g: RibbonGraph, h: RibbonGraph, *, match_edge_labels: bool = 
         return False
     # Equal darts and corners fix every rotation up to edge names, equal sides every twist,
     # and the vertex counts the isolated vertices: the map of each dart to itself is an isomorphism.
-    if g._flags[:4] == h._flags[:4]:
+    if g._flags[:3] == h._flags[:3]:
         return True
     if not match_edge_labels:
         return canonical_key(g) == canonical_key(h)
@@ -280,8 +282,8 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     each component needs at most four linear tries.  The caller has checked
     that the counts and edge names agree, so equal edge ranks are one edge.
     """
-    ends, mate, corner, side, _, _ = g._flags
-    h_ends, h_mate, h_corner, h_side, _, _ = h._flags
+    ends, corner, side, _, _ = g._flags
+    h_ends, h_corner, h_side, _, _ = h._flags
     at = _positions(h_ends)
 
     def place(p0: int, q0: int, flip0: bool) -> dict[int, tuple[int, bool]] | None:
@@ -305,7 +307,7 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
                 image[p] = q, flipped
                 # The edge's sign differs in g and h iff its side flags differ in parity.
                 toggled = (side[2 * p] ^ h_side[2 * q]) & 1
-                todo.append((mate[p], h_mate[q], flipped != toggled))
+                todo.append((side[2 * p] >> 1, h_side[2 * q] >> 1, flipped != toggled))
                 p = corner[2 * p + 1] >> 1
                 q = h_corner[2 * q + turn] >> 1
                 if p == p_start or q == q_start:
@@ -318,10 +320,8 @@ def _labelled_search(g: RibbonGraph, h: RibbonGraph) -> bool:
     for p in range(len(ends)):
         if p not in done:
             q = at[ends[p]]
-            image = (
-                place(p, q, False) or place(p, q, True)
-                or place(p, h_mate[q], False) or place(p, h_mate[q], True)
-            )
+            r = h_side[2 * q] >> 1  # the partner of q
+            image = place(p, q, False) or place(p, q, True) or place(p, r, False) or place(p, r, True)
             if not image:
                 return False
             done.update(image)

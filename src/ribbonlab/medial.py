@@ -138,14 +138,14 @@ def _straight_ahead(host: RibbonGraph, seed: int) -> tuple[list[list[int]], CDCl
     """The straight-ahead walks of an oriented host, as tail flags, and the
     c/d classification of the direction they induce.
 
-    Straight ahead (other end, same side letter) is flag ``2 mate + letter``,
-    so the walks are the orbits of <corner, ahead> from tail flags; ``seed``
-    picks which flag of each corner edge a walk may start from.  A corner
-    edge walked both ways, or heads that are not all-crossing, raise
-    :class:`InternalInvariantError`.
+    Straight ahead (other end, same side letter) is flag ``2 (side[f] >> 1)
+    + letter``, so the walks are the orbits of <corner, ahead> from tail
+    flags; ``seed`` picks which flag of each corner edge a walk may start
+    from.  A corner edge walked both ways, or heads that are not
+    all-crossing, raise :class:`InternalInvariantError`.
     """
-    ends, mate, corner, _, _, _ = host._flags
-    ahead = [2 * mate[f >> 1] | f & 1 for f in range(len(corner))]
+    ends, corner, side, _, _ = host._flags
+    ahead = [2 * (side[f] >> 1) | f & 1 for f in range(len(corner))]
     tails = [2 * i + 1 if seed == 0 else corner[2 * i + 1] for i in range(len(ends))]
     head = bytearray(len(corner))
     walks = _orbits(ahead, corner, tails)
@@ -169,9 +169,8 @@ def _corner_index(corner: list[int], f: int) -> int:
 
 
 def _classify(host: RibbonGraph, head) -> tuple[CDClassification, list[str]]:
-    """The c/d label of every edge under the head bits ``head``, in flag
-    order of end 1, and the edges whose ports do not read head, head, tail,
-    tail.
+    """The c/d label of every edge under the head bits ``head``, in edge
+    order, and the edges whose ports do not read head, head, tail, tail.
 
     The side smoothing pairs ports 0+1 and 2+3, the end smoothing 0+3 and
     1+2; an edge is ``c`` when each side strand joins a head to a tail and
@@ -181,15 +180,13 @@ def _classify(host: RibbonGraph, head) -> tuple[CDClassification, list[str]]:
     """
     cls: CDClassification = {}
     bad = []
-    ends, mate, names = host._flags.ends, host._flags.mate, host.edge_names
-    for p, x in enumerate(ends):
-        if not x & 1:
-            q = mate[p]
-            h0, h1, h2, h3 = head[2 * p], head[2 * q + 1], head[2 * q], head[2 * p + 1]
-            side_ok = h0 != h1 and h2 != h3
-            if side_ok == (h0 != h3 and h1 != h2):
-                bad.append(names[x >> 1])
-            cls[names[x >> 1]] = "c" if side_ok else "d"
+    at = _positions(host._flags.ends)  # edge j's ends 1 and 2 are at at[2j] and at[2j + 1]
+    for name, p, q in zip(host.edge_names, at[::2], at[1::2]):
+        h0, h1, h2, h3 = head[2 * p], head[2 * q + 1], head[2 * q], head[2 * p + 1]
+        side_ok = h0 != h1 and h2 != h3
+        if side_ok == (h0 != h3 and h1 != h2):
+            bad.append(name)
+        cls[name] = "c" if side_ok else "d"
     return cls, bad
 
 
@@ -246,7 +243,7 @@ def classify_cd(m: MedialGraph, direction: AllCrossingDirection) -> CDClassifica
     cls, bad = _classify(m.host, _heads(m, direction)[2])
     if bad:
         raise InvalidDirectionError("direction is not all-crossing")
-    return {mv.edge: cls[mv.edge] for mv in m.vertices}
+    return cls
 
 
 def d_edges(cls: CDClassification) -> tuple[str, ...]:
@@ -287,7 +284,7 @@ def smooth(
     for mv in m.vertices:
         if mv.edge not in cls:
             raise InvalidDirectionError(f"classification missing edge {mv.edge!r}")
-    ends, _, corner, side, _, _ = m.host._flags
+    ends, corner, side, _, _ = m.host._flags
     names = m.host.edge_names
     c_edge = [cls[names[x >> 1]] == "c" for x in ends]
     pair = [s if c_edge[f >> 1] else f ^ 1 for f, s in enumerate(side)]

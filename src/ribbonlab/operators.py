@@ -81,14 +81,14 @@ def delete(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
 def _without(g: RibbonGraph, gone: list[int]) -> RibbonGraph:
     # The result's flags are the input's on the kept ends, renumbered: a
     # kept end's new position is the count of kept ends before it.
-    ends, mate, _, side, _, bounds = g._flags
+    ends, _, side, _, bounds = g._flags
     keep = [not gone[x >> 1] for x in ends]
     at = list(accumulate(keep, initial=0))
     kept = [p for p, k in enumerate(keep) if k]
     before, edge_names = _kept(g, gone)
     fl = _flag_layout(
         [ends[p] - 2 * before[ends[p] >> 1] for p in kept],
-        [at[mate[p]] for p in kept],
+        [at[side[2 * p] >> 1] for p in kept],
         [not side[2 * p] & 1 for p in kept],
         [at[b] for b in bounds],
     )
@@ -160,7 +160,7 @@ def _dual_without(g: RibbonGraph, chosen: list[int], gone: list[int]) -> RibbonG
     """
     if not any(chosen):
         return _without(g, gone)
-    ends, _, corner, side, forward, old_bounds = g._flags
+    ends, corner, side, forward, old_bounds = g._flags
     n = len(ends)
 
     # A spliced arrow is crossed to the partner end, an unspliced one from

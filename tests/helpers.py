@@ -111,8 +111,8 @@ def random_graph(edges: int, seed: int) -> RibbonGraph:
 def assert_born_with_flags(graphs):
     """The trust gate for graphs the library builds as flags without the
     constructor's check (operator results, enumerated, sampled, parsed and
-    canonical graphs): the flags hold integer darts, not ``EdgeEnd``s, and
-    a copy rebuilt from each graph's vertices and edges must pass that
+    canonical graphs): the flags hold integer darts, not ``EdgeEnd``s, with
+    each partner across the ribbon, and a copy rebuilt from each graph's vertices and edges must pass that
     check, carry the same flags, and compare, hash and unpickle as the
     graph does.  Equality reads the vertex names, edge names and flags, of
     which the ``vertices`` and ``edges`` views are functions, so equal
@@ -123,10 +123,22 @@ def assert_born_with_flags(graphs):
     for out, copy in zip(graphs, copies):
         assert "_flags" in vars(out)
         assert all(type(x) is int for x in out._flags.ends)
+        assert_partners_across_the_ribbon(out._flags)
         ref = RibbonGraph(out.vertices, out.edges)
         assert out._flags == ref._flags
         assert out == ref and hash(out) == hash(ref)
         assert copy == ref
+
+
+def assert_partners_across_the_ribbon(fl: _Flags) -> None:
+    """Each end's partner is stored once, as the end across the ribbon:
+    both flags of the end at position p cross to flags of one other end q,
+    whose L flag crosses back to p, and q holds the other end of p's edge."""
+    ends, _, side, _, _ = fl
+    assert len(side) == 2 * len(ends)
+    for p, x in enumerate(ends):
+        q = side[2 * p] >> 1
+        assert side[2 * p + 1] >> 1 == q and q != p and side[2 * q] >> 1 == p and ends[q] == x ^ 1
 
 
 @st.composite
@@ -672,9 +684,10 @@ def quadratic_canonical_key_darts(fl: _Flags) -> tuple:
     of its R flag and the previous one at the corner of its L flag, an
     edge is untwisted when its L flag crosses to an R flag, and the empty
     vertex bounds are the isolated vertices."""
-    _, mate, corner, side, _, bounds = fl
+    _, corner, side, _, bounds = fl
     nxt = [f >> 1 for f in corner[1::2]]
     prv = [f >> 1 for f in corner[::2]]
+    mate = [f >> 1 for f in side[::2]]
     sign = [1 if f & 1 else -1 for f in side[::2]]
     vertex_of = [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
     keys = []

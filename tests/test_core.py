@@ -19,6 +19,8 @@ from ribbonlab import (
     Vertex,
     Violation,
     canonical_graph,
+    checkerboard_partial_petrial,
+    checkerboard_twisted_dual,
     connected_components,
     delete,
     enumerate_graphs,
@@ -28,6 +30,7 @@ from ribbonlab import (
     from_arrow_presentation,
     graph_to_text,
     is_checkerboard_colourable,
+    is_eulerian,
     is_orientable,
     orientation_flips,
     oriented_form,
@@ -43,13 +46,14 @@ from ribbonlab import (
     trace_boundary,
 )
 from ribbonlab import core
-from ribbonlab.core import Arrow, ArrowPresentation, Circle, _parity_colouring
+from ribbonlab.core import Arrow, ArrowPresentation, Circle, _Flags, _parity_colouring
 
 from helpers import (
     FIXTURES,
     RENAMED_PAIRS,
     TEXTS,
     assert_born_with_flags,
+    assert_partners_across_the_ribbon,
     brute_force_parity,
     graph,
     random_graph,
@@ -604,6 +608,23 @@ def test_text_round_trip_universe(universe2):
         assert graph_to_text(parse_graph(text)) == text
 
 
+def test_writing_an_operator_result_builds_no_edges(raw_universe3):
+    # graph_to_text writes each sign from its edge's twist bit, so neither the
+    # edges view nor the links it was read through are built.
+    for g in raw_universe3:
+        names = g.edge_names
+        outs = [partial_dual(g, names[::2]), partial_petrial(g, names[1:]), checkerboard_twisted_dual(g).result]
+        if is_eulerian(g):
+            outs.append(checkerboard_partial_petrial(g).result)
+        for out in outs:
+            if out is g:  # an operator given no edge returns its input
+                continue
+            text = graph_to_text(out)
+            assert not vars(out).keys() & {"edges", "_edge_links"}
+            signs = "".join(f"edge {e.name}: {'+' if e.sign > 0 else '-'}\n" for e in out.edges)
+            assert text.endswith(signs) and parse_graph(text) == out
+
+
 @pytest.mark.parametrize("name", ["a.b", "u v", "a#x", "u:1", ""])
 def test_save_graph_refuses_names_the_text_format_cannot_hold(tmp_path, name):
     # Such graphs are valid and graph_to_text writes them, but load_graph
@@ -886,6 +907,17 @@ def test_flags_hold_darts_that_name_no_edge():
     rank = {name: j for j, name in enumerate(g.edge_names)}
     assert [2 * rank[d.edge] + d.end - 1 for v in g.vertices for d in v.rotation] == g._flags.ends
     assert parse_graph(graph_to_text(g)) == g
+
+
+def test_flags_store_each_partner_once_across_the_ribbon(raw_universe3, universe4):
+    # An end's partner is read as the end across the ribbon; no field stores
+    # it again.  Parsed, sampled, canonical, ≤3-edge enumerated graphs and
+    # operator results are checked by helpers.assert_born_with_flags.
+    assert _Flags._fields == ("ends", "corner", "side", "forward", "bounds")
+    built = [RibbonGraph(g.vertices, g.edges) for g in raw_universe3]
+    arrows = [from_arrow_presentation(to_arrow_presentation(g)) for g in built]
+    for g in built + arrows + universe4:
+        assert_partners_across_the_ribbon(g._flags)
 
 
 def test_equality_reads_flags_as_the_vertices_would(universe2):
