@@ -112,13 +112,14 @@ def assert_born_with_flags(graphs):
     """The trust gate for graphs the library builds as flags without the
     constructor's check (operator results, enumerated, sampled, parsed and
     canonical graphs): the flags hold integer darts, not ``EdgeEnd``s, with
-    each partner across the ribbon, and a copy rebuilt from each graph's vertices and edges must pass that
-    check, carry the same flags, and compare, hash and unpickle as the
-    graph does.  Equality reads the vertex names, edge names and flags, of
-    which the ``vertices`` and ``edges`` views are functions, so equal
-    graphs have equal views and they are not compared again.  The graphs
-    are pickled first, while they may still hold no Vertex tuples, and in
-    one list, which costs a third of pickling each alone."""
+    each partner across the ribbon, and a copy rebuilt from each graph's
+    vertices and edges must pass that check, carry the same flags, and
+    compare, hash and unpickle as the graph does.  Equality reads the
+    vertex names, edge names and flags, of which the ``vertices`` and
+    ``edges`` views are functions, so equal graphs have equal views and
+    they are not compared again.  The graphs are pickled first, while they
+    may still hold no Vertex tuples, and in one list, which costs a third
+    of pickling each alone."""
     copies = pickle.loads(pickle.dumps(graphs))
     for out, copy in zip(graphs, copies):
         assert "_flags" in vars(out)
