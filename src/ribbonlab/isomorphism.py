@@ -5,14 +5,15 @@ combined with any set of vertex flips, carries rotations to rotations (up to
 cyclic shift) and signs to signs.  The canonical form relabels darts along a
 deterministic traversal and minimises the serialization over every choice of
 start dart and start orientation, so equality of canonical keys decides
-isomorphism.  The key reads a graph's flags and takes its edge-end
-positions as darts, reading no edge names, so the enumerator keys each sign
-vector by twisting the flags of one graph per vertex structure.
+isomorphism.  The key walks arrays read once off a graph's flags, whose
+edge-end positions are the darts, and a sign per dart, reading no edge
+names; so the enumerator reads the arrays of one graph per vertex structure
+and keys each sign vector from them and its own sign list.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     RibbonGraph,
@@ -52,20 +53,20 @@ def _permutation_graph(sigma: Sequence[int], signs: Sequence[int], isolated: int
 
 
 def _component_key(
-    nxt: list[int],
-    prv: list[int],
-    partner: list[int],
+    walk: tuple,
     sign: list[int],
-    vertex_of: list[int],
     first: int,
     ids: list[int],
     ori: list[int],
     parent: list[int],
     done: bytearray,
     ties: list[tuple[list[int], list[int]]],
+    memo: dict,
+    below: int,
 ) -> tuple[tuple, list[int]]:
     """The least serialization of the component of dart ``first`` over
-    every start dart and start orientation, and the component's darts.
+    every start dart and start orientation, and the component's darts;
+    ``walk`` holds the arrays of :func:`_walk_arrays`.
 
     A serialization is a breadth-first walk from the start dart that visits
     each dart's successor around its vertex (``nxt``, or ``prv`` if the
@@ -86,9 +87,18 @@ def _component_key(
     by the components of one graph, whose candidates are disjoint; ``ids``
     (all -1) and ``ori`` (all 0) are scratch, restored before returning.
     Each tie appends its two walks ``(a, b)``, an automorphism, to ``ties``.
+
+    ``memo`` maps a first walk (forward from ``first``) to the least key and
+    the ties, as positions in that walk, of the component it reads: equal
+    first walks read isomorphic rooted components, so a hit skips every
+    other candidate and carries its ties over through the current walk.  A
+    component with fewer than ``below`` edges is stored.
     """
+    nxt, prv, partner, vertex_of, _ = walk
     best: tuple | None = None
+    walked = None
     comp = [first]
+    found = len(ties)
     for j, start in enumerate(comp):
         for o0 in (1, -1):
             c = 2 * start + (o0 < 0)
@@ -149,7 +159,16 @@ def _component_key(
             for d in order:
                 ids[d] = -1
                 ori[vertex_of[d]] = 0
+            if walked is None:
+                walked = best
+                if walked in memo:
+                    best, images = memo[walked]
+                    ties += [([comp[i] for i in a], [comp[i] for i in b]) for a, b in images]
+                    return best, comp
     assert best is not None
+    if len(comp) < 2 * below:
+        at = {d: i for i, d in enumerate(comp)}
+        memo[walked] = best, [([at[d] for d in a], [at[d] for d in b]) for a, b in ties[found:]]
     return best, comp
 
 
@@ -177,27 +196,37 @@ def _merge(
                 done[u] |= done[w]
 
 
-def canonical_key_darts(fl: _Flags) -> tuple:
-    """The canonical key read off a valid graph's flags, whose darts are
-    the edge-end positions: the next dart round a vertex is at the corner
-    of its R flag and the previous one at the corner of its L flag, an
-    edge is untwisted when its L flag crosses to an R flag, and the empty
-    vertex bounds are the isolated vertices."""
-    return _key_and_automorphisms(fl)[0]
-
-
-def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[int, int]]]:
-    """The canonical key, and each automorphism it found as the map of the
-    rank of every edge of one component to its image's (the edges it leaves
-    out are fixed), built only when read."""
+def _walk_arrays(fl: _Flags) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """The arrays a key walks, read off a valid graph's flags, whose darts
+    are the edge-end positions: the next dart round a vertex (at the corner
+    of its R flag), the previous one (at the corner of its L flag), the
+    partner (the end of the flag across the ribbon), each dart's vertex,
+    and the number of isolated vertices (the empty vertex bounds)."""
     _, corner, side, _, bounds = fl
-    nxt = [f >> 1 for f in corner[1::2]]
-    prv = [f >> 1 for f in corner[::2]]
-    partner = [f >> 1 for f in side[::2]]
-    sign = [1 if f & 1 else -1 for f in side[::2]]
-    vertex_of = [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    return (
+        [f >> 1 for f in corner[1::2]],
+        [f >> 1 for f in corner[::2]],
+        [f >> 1 for f in side[::2]],
+        [k for k, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)],
+        sum(a == b for a, b in zip(bounds, bounds[1:])),
+    )
+
+
+def canonical_key_darts(fl: _Flags) -> tuple:
+    """The canonical key read off a valid graph's flags (see
+    :func:`_walk_arrays`); an edge is untwisted when its L flag crosses to
+    an R flag."""
+    return _key_and_automorphisms(_walk_arrays(fl), [1 if f & 1 else -1 for f in fl.side[::2]], {}, 0)[0]
+
+
+def _key_and_automorphisms(walk: tuple, sign: list[int], memo: dict, below: int) -> tuple[tuple, list]:
+    """The canonical key of the graph with walk arrays ``walk`` and the sign
+    ``sign[d]`` at each dart, and each automorphism it found as two walks
+    ``(a, b)`` of one component, which maps ``a[i]`` to ``b[i]`` (darts it
+    leaves out are fixed); ``memo`` and ``below`` are :func:`_component_key`'s."""
+    partner = walk[2]
     ids = [-1] * len(partner)
-    ori = [0] * len(bounds)
+    ori = [0] * (len(partner) + walk[4])  # at least one per vertex
     parent: list[int] = []
     done = bytearray()
     ties: list[tuple[list[int], list[int]]] = []
@@ -205,13 +234,11 @@ def _key_and_automorphisms(fl: _Flags) -> tuple[tuple, Iterator[dict[int, int]]]
     seen = bytearray(len(partner))
     for p in range(len(partner)):
         if not seen[p]:
-            key, comp = _component_key(nxt, prv, partner, sign, vertex_of, p, ids, ori, parent, done, ties)
+            key, comp = _component_key(walk, sign, p, ids, ori, parent, done, ties, memo, below)
             keys.append(key)
             for q in comp:
                 seen[q] = 1
-    key = (tuple(sorted(keys)), sum(a == b for a, b in zip(bounds, bounds[1:])))
-    ends = fl.ends
-    return key, ({ends[p] >> 1: ends[q] >> 1 for p, q in zip(a, b)} for a, b in ties)
+    return (tuple(sorted(keys)), walk[4]), ties
 
 
 def canonical_key(g: RibbonGraph) -> tuple:

@@ -14,9 +14,12 @@ already seen adds nothing, since an isomorphism carries the twists of one
 graph onto twists of the other; otherwise it is the zero vector's key,
 and a further sign vector is keyed only if least in its orbit under the
 key's automorphisms and the flips of degree-≤2 vertices
-(:func:`_least_sign_vectors`).  A key not seen before is a new class,
-yielded as its first member in the order of cycle types, pairings and
-sign vectors (in ``itertools.product`` order), which no stage leaves out.
+(:func:`_least_sign_vectors`).  Each key is made from the all-plus
+graph's walk arrays and the vector's signs, and each component's key is
+looked up by its first walk in a memo held for the enumeration.  A key not
+seen before is a new class, built only then and yielded as its first
+member in the order of cycle types, pairings and sign vectors (in
+``itertools.product`` order), which no stage leaves out.
 
 Properties are registered by name; a run walks a universe in deterministic
 order, counts instances (graphs, or graph/subset combinations) and collects
@@ -34,10 +37,13 @@ import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
+    Edge,
     RibbonGraph,
     RibbonGraphError,
     Vertex,
+    _from_flags,
     _root,
+    _twist_flags,
     connected_components,
     euler_characteristic_by_component,
     flip_vertex,
@@ -52,9 +58,9 @@ from .isomorphism import (
     _graph_of_key,
     _key_and_automorphisms,
     _permutation_graph,
+    _walk_arrays,
     are_isomorphic,
     canonical_key,
-    canonical_key_darts,
     canonical_text,
 )
 from .algorithms import (
@@ -153,33 +159,36 @@ class GraphUniverse:
 
     def __iter__(self) -> Iterator[RibbonGraph]:
         seen: set = set()
+        memo: dict = {}
         for k in range(self.max_edges + 1):
             isolated = self.extra_isolated + (k == 0)
             max_vertices = 2 * k + isolated if self.max_vertices is None else self.max_vertices
             reps = _sigma_reps(k, max_vertices - isolated) if self.dedup else itertools.permutations(range(2 * k))
-            # Each sign vector, in product order, as the set of edges it
-            # twists: bit k - 1 - i of its index is set iff edge i is twisted.
-            twists = [{f"e{i}" for i in range(k) if signs[i] < 0} for signs in itertools.product((1, -1), repeat=k)]
+            # Bit k - 1 - i of a sign vector (in product order) is set iff
+            # edge e<i> is twisted; here each edge's bit by its name's rank.
+            rank_bits = [1 << (k - 1 - i) for i in sorted(range(k), key=str)]
             for sigma in reps:
                 plus = _permutation_graph(sigma, (1,) * k, isolated)
                 if len(plus.vertex_names) > max_vertices or self.connected and len(connected_components(plus)) != 1:
                     continue
+                fl, names = plus._flags, (plus.vertex_names, plus.edge_names)
                 vectors = range(1 << k)
                 if self.dedup:
-                    # The all-plus key is also the zero vector's.
-                    key, automorphisms = _key_and_automorphisms(plus._flags)
+                    # Keys read the all-plus walk arrays; the all-plus key is also the zero vector's.
+                    walk, bits = _walk_arrays(fl), [rank_bits[x >> 1] for x in fl.ends]
+                    key, ties = _key_and_automorphisms(walk, [1] * len(bits), memo, self.max_edges)
                     if key in seen:
                         continue
                     seen.add(key)
-                    vectors = _least_sign_vectors(sigma, automorphisms)
+                    automorphisms = ({fl.ends[p] >> 1: fl.ends[q] >> 1 for p, q in zip(a, b)} for a, b in ties)
+                    vectors = _least_sign_vectors(sigma, automorphisms, rank_bits)
                 for v in vectors:
-                    g = partial_petrial(plus, twists[v])
                     if self.dedup and v:
-                        key = canonical_key_darts(g._flags)
+                        key = _key_and_automorphisms(walk, [-1 if v & b else 1 for b in bits], memo, self.max_edges)[0]
                         if key in seen:
                             continue
                         seen.add(key)
-                    yield g
+                    yield _from_flags(_twist_flags(fl, [v & b for b in rank_bits]), *names) if v else plus
 
 
 def enumerate_graphs(
@@ -279,10 +288,13 @@ def _pairings(free: list[int], p: bytearray) -> Iterator[bytes]:
         yield from _pairings(free[1:j] + free[j + 1:], p)
 
 
-def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[int, int]]) -> list[int]:
+def _least_sign_vectors(
+    sigma: Sequence[int], automorphisms: Iterable[dict[int, int]], edge_bits: list[int]
+) -> list[int]:
     """The sign vectors of σ least in their orbit under the symmetries of
     its all-plus graph, in increasing order; bit k - 1 - i of a vector is
-    set iff edge ``e<i>`` is twisted, so numeric order is product order.
+    set iff edge ``e<i>`` is twisted, so numeric order is product order,
+    and ``edge_bits`` gives each edge's bit by its name's rank.
 
     Flipping a vertex of degree at most 2 keeps σ and toggles the edges
     with one end there: these toggles span a space W, kept as a reduced
@@ -296,7 +308,6 @@ def _least_sign_vectors(sigma: Sequence[int], automorphisms: Iterable[dict[int, 
     vector left out is the first of its class.
     """
     k = len(sigma) // 2
-    edge_bits = [1 << (k - 1 - i) for i in sorted(range(k), key=str)]  # by name rank
     bit = [1 << (k - 1 - (d >> 1)) for d in range(2 * k)]
     basis: list[tuple[int, int]] = []  # (pivot bit, vector)
 
@@ -586,19 +597,21 @@ def _prop_minor_commute(g: RibbonGraph) -> Iterator[Instance]:
 
 def _splice_contract_nonloop(g: RibbonGraph, name: str) -> RibbonGraph:
     """Independent contraction oracle for a non-loop edge: splice the two
-    rotations at the edge, flipping one endpoint first if the edge is
-    twisted."""
-    e = g.edge(name)
-    if e.sign < 0:
-        return _splice_contract_nonloop(flip_vertex(g, g.vertex_of(e.ends[1])), name)
-    d1, d2 = e.ends
+    rotations at the edge.  A twisted edge is first untwisted by flipping
+    its far endpoint here: that rotation is reversed, and each edge with
+    one end there changes sign."""
+    d1, d2 = g.edge(name).ends
     u1, u2 = g.vertex_of(d1), g.vertex_of(d2)
     assert u1 != u2
     rotations = {v.name: v.rotation for v in g.vertices}
     r1, r2 = rotations[u1], rotations.pop(u2)
+    edges = [x for x in g.edges if x.name != name]
+    if g.edge(name).sign < 0:
+        r2 = r2[::-1]
+        edges = [Edge(x.name, -x.sign) if sum(y.edge == x.name for y in r2) == 1 else x for x in edges]
     i1, i2 = r1.index(d1), r2.index(d2)
     rotations[u1] = r1[i1 + 1:] + r1[:i1] + r2[i2 + 1:] + r2[:i2]
-    return RibbonGraph([Vertex(v, r) for v, r in rotations.items()], [x for x in g.edges if x.name != name])
+    return RibbonGraph([Vertex(v, r) for v, r in rotations.items()], edges)
 
 
 def _prop_contract_vs_splice(g: RibbonGraph) -> Iterator[Instance]:

@@ -10,7 +10,9 @@ what ``verify`` can notice (mutation analysis: DeMillo, Lipton and Sayward,
 from __future__ import annotations
 
 import contextlib
+import inspect
 import sys
+import textwrap
 from typing import Callable, Iterator
 
 from ribbonlab import RibbonGraph, Vertex, enumerate_graphs
@@ -50,6 +52,25 @@ def _inconsistent_set_missing_one_edge(real):
     return lambda g, col: real(g, col)[:-1]
 
 
+def _mutant(real, old: str, new: str):
+    """``real`` compiled again in a copy of its module's namespace, with the
+    one occurrence of ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(real))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(sys.modules[real.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(real), "exec"), namespace)
+    return namespace[real.__name__]
+
+
+def _memo_matching_first_walks_on_s_and_t(real):
+    # The first walk is stored and looked up without its signs G.
+    return _mutant(real, "walked = best\n", "walked = best[:2]\n")
+
+
+def _component_key_from_forward_starts_only(real):
+    return _mutant(real, "for o0 in (1, -1):", "for o0 in (1,):")
+
+
 #: Fault name -> (module, function name, maker of the faulty function from the real one).
 FAULTS: dict[str, tuple[object, str, Callable]] = {
     "labelled-search-always-true": (isomorphism, "_labelled_search", _labelled_search_always_true),
@@ -60,6 +81,8 @@ FAULTS: dict[str, tuple[object, str, Callable]] = {
         predicates, "checkerboard_colouring", _colouring_failing_on_two_edges_and_two_faces,
     ),
     "theorem2-inconsistent-set-missing-one-edge": (algorithms, "_inconsistent", _inconsistent_set_missing_one_edge),
+    "key-memo-ignores-twists": (isomorphism, "_component_key", _memo_matching_first_walks_on_s_and_t),
+    "key-tries-forward-starts-only": (isomorphism, "_component_key", _component_key_from_forward_starts_only),
 }
 
 

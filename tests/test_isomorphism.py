@@ -51,6 +51,13 @@ def test_loop_and_twisted_loop_differ():
     assert not are_isomorphic(graph("loop"), graph("twisted_loop"))
 
 
+def test_isolated_vertices_laid_out_before_every_end_key_as_after():
+    # The key's scratch per vertex must count the isolated vertices too.
+    before = parse_graph("vertex a:\nvertex b:\nvertex c:\nvertex v: x.1 x.2\nedge x: +\n")
+    after = parse_graph("vertex u: x.1 x.2\nvertex w:\nvertex y:\nvertex z:\nedge x: +\n")
+    assert before._flags.bounds == [0, 0, 0, 0, 2] and canonical_key(before) == canonical_key(after)
+
+
 def test_flips_are_isomorphisms(universe2):
     for g in universe2:
         for v in g.vertex_names:

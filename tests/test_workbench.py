@@ -24,7 +24,8 @@ from ribbonlab import (
     search_converse_counterexample,
 )
 
-from ribbonlab import canonical_text, core, isomorphism, operators, workbench
+from ribbonlab import Edge, EdgeEnd, RibbonGraph, Vertex, canonical_text, core, isomorphism, operators, workbench
+from ribbonlab.isomorphism import _permutation_graph
 from ribbonlab.workbench import ConverseWitness, _sigma_reps
 
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     assert_born_with_flags,
     brute_force_automorphism_count,
     burnside_class_count,
+    quadratic_canonical_key_darts,
     random_graph,
     unpruned_enumeration,
 )
@@ -159,18 +161,77 @@ def test_pruned_enumeration_yields_the_unpruned_graphs(options):
 
 def test_enumeration_keys_one_sign_vector_per_symmetry_orbit(monkeypatch):
     calls = {"all-plus": 0, "signed": 0}
-    plus_key, key = workbench._key_and_automorphisms, workbench.canonical_key_darts
+    key = workbench._key_and_automorphisms
 
-    def counted(name, fn):
-        return lambda fl: calls.__setitem__(name, calls[name] + 1) or fn(fl)
+    def counted(walk, sign, *memo):
+        calls["signed" if -1 in sign else "all-plus"] += 1
+        return key(walk, sign, *memo)
 
-    monkeypatch.setattr(workbench, "_key_and_automorphisms", counted("all-plus", plus_key))
-    monkeypatch.setattr(workbench, "canonical_key_darts", counted("signed", key))
+    monkeypatch.setattr(workbench, "_key_and_automorphisms", counted)
     assert len(list(enumerate_graphs(3))) == 127
     assert calls == {"all-plus": 45, "signed": 95}  # 309 with every sign vector keyed
     calls.update({"all-plus": 0, "signed": 0})
     assert len(list(enumerate_graphs(4))) == 977
     assert calls == {"all-plus": 227, "signed": 895}  # 3,221 with every sign vector keyed
+
+
+def _renamed(g, image):
+    """g with the edge of each rank j renamed to the name of rank ``image.get(j, j)``."""
+    names = g.edge_names
+    new = {name: names[image.get(j, j)] for j, name in enumerate(names)}
+    vertices = [Vertex(v.name, [EdgeEnd(new[x.edge], x.end) for x in v.rotation]) for v in g.vertices]
+    return RibbonGraph(vertices, [Edge(new[e.name], e.sign) for e in g.edges])
+
+
+def test_enumeration_keys_and_automorphisms_are_the_memo_free_ones(monkeypatch):
+    # Each key the enumerator makes from the all-plus walk arrays and a sign
+    # list, memo hits included, is the key made without the memo and the key
+    # of the twisted graph's own flags.  Each automorphism it hands on, those
+    # carried over from the memo included, is one of the all-plus graph.  (A
+    # hit may carry over other automorphisms than a search would find: the
+    # isomorphism between two rooted components can flip vertices, which
+    # swaps the order in which their two start orientations are tried.)
+    key, walk_arrays, least = workbench._key_and_automorphisms, workbench._walk_arrays, workbench._least_sign_vectors
+    flags_of, memos, counts = {}, [], {"keys": 0, "automorphisms": 0}
+
+    def walked(fl):
+        walk = walk_arrays(fl)
+        flags_of[id(walk)] = fl, walk  # held, so that no later walk reuses its id
+        return walk
+
+    def keyed(walk, sign, memo, below):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        out = key(walk, sign, memo, below)
+        assert out[0] == key(walk, sign, {}, 0)[0]
+        fl, _ = flags_of[id(walk)]
+        chosen = [0] * (len(sign) // 2)
+        for p, s in enumerate(sign):
+            chosen[fl.ends[p] >> 1] |= s < 0
+        twisted = core._twist_flags(fl, chosen)
+        assert out[0] == isomorphism.canonical_key_darts(twisted) == quadratic_canonical_key_darts(twisted)
+        counts["keys"] += 1
+        return out
+
+    def checked(sigma, automorphisms, edge_bits):
+        automorphisms = list(automorphisms)
+        plus = _permutation_graph(sigma, (1,) * (len(sigma) // 2), 0)
+        for image in automorphisms:
+            assert are_isomorphic(plus, _renamed(plus, image), match_edge_labels=True)
+        counts["automorphisms"] += len(automorphisms)
+        return least(sigma, automorphisms, edge_bits)
+
+    monkeypatch.setattr(workbench, "_walk_arrays", walked)
+    monkeypatch.setattr(workbench, "_key_and_automorphisms", keyed)
+    monkeypatch.setattr(workbench, "_least_sign_vectors", checked)
+    assert len(list(enumerate_graphs(4))) == 977
+    assert counts["keys"] == 227 + 895 and counts["automorphisms"] > 0
+    # One memo per enumeration.  It holds only components that can come
+    # back inside a larger graph: none with all four edges.
+    (memo,) = memos
+    assert len(memo) == 80
+    assert max(len(S) for S, _, _ in memo) == 2 * 3
+    assert any(images for _, images in memo.values())
 
 
 def test_raw_counts():
